@@ -362,14 +362,14 @@ def run_walk(config: WalkConfig):
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
-        per_class = []
-        for spec in allowed:
-            sites = _moves.find_cross_flip_sites(cur, coloring, spec)
-            if sites:
-                per_class.append((spec, sites))
+        per_class = [
+            spec for spec in allowed
+            if _moves.has_cross_flip_site(cur, coloring, spec)
+        ]
         if not per_class:
             raise StepFailed(step, "no applicable flip site")
-        spec, sites = per_class[rng.randrange(len(per_class))]
+        spec = per_class[rng.randrange(len(per_class))]
+        sites = _moves.find_cross_flip_sites(cur, coloring, spec)
         site = sites[rng.randrange(len(sites))]
         res = _moves.apply_cross_flip_detailed(cur, site, budget=config.budget)
         coloring = _moves.extend_coloring_after_cross_flip(coloring, res)
@@ -397,6 +397,14 @@ def cmd_walk(args) -> int:
         raise UsageError("walk requires --out")
     if args.dim is None:
         raise UsageError("walk requires --dim")
+    if args.steps is not None and args.steps < 0:
+        raise UsageError("--steps must be nonnegative")
+    for idx in args.index or []:
+        if not idx or idx[0] < 0 or idx[-1] > args.dim:
+            raise UsageError(
+                "--index %s is not a nonempty subset of 0..%d"
+                % (",".join(str(i) for i in idx), args.dim)
+            )
     start = None
     start_coloring = None
     if args.file is not None:

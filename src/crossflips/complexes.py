@@ -334,13 +334,35 @@ def h_vector(c: Complex) -> tuple:
     return tuple(out)
 
 
+def _traces_are_faces(facets, subc: Complex) -> bool:
+    """True when h & V(subc) is a face of subc for every h in the collection
+    *facets*.
+
+    Run on all facets of a complex containing subc, this decides inducedness:
+    the faces of the complex spanned by V(subc) are exactly the subsets of
+    these traces.  Traces of at most one vertex are faces of any complex
+    with a face; the empty trace is a face of nothing when subc is empty.
+    """
+    if not subc.facets:
+        return not facets
+    vs = subc.vertices
+    sub_facets = subc.facets
+    for h in facets:
+        t = h & vs
+        if len(t) > 1 and not any(t <= g for g in sub_facets):
+            return False
+    return True
+
+
 def is_induced(c: Complex, subc: Complex) -> bool:
-    """True when every face of c spanned by the sub's vertices lies in it."""
+    """True when every face of c spanned by the sub's vertices lies in it.
+
+    Decided by facet traces: h & V(sub) must be a face of sub for every
+    facet h of c, so no face is enumerated.
+    """
     if not subc.is_subcomplex_of(c):
         raise NotSubcomplex("second argument is not a subcomplex of the first")
-    vs = subc.vertices
-    sub_faces = subc.all_faces()
-    return all(f in sub_faces for f in c.all_faces() if f <= vs)
+    return _traces_are_faces(c.facets, subc)
 
 
 def relabel(c: Complex, mapping: dict) -> Complex:

@@ -20,6 +20,7 @@ from .complexes import (
     ComplexError,
     FaceNotPresent,
     _as_face,
+    _traces_are_faces,
     boundary_complex,
     delete_subcomplex,
     is_induced,
@@ -385,21 +386,39 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
 def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
     """All color-consistent induced embeddings of the diamond complex of the
     given index set, deduplicated by image, in a deterministic order."""
+    return list(_iter_cross_flip_sites(c, coloring, indices))
+
+
+def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
+    """Whether find_cross_flip_sites would be nonempty; stops at the first
+    site."""
+    return next(_iter_cross_flip_sites(c, coloring, indices), None) is not None
+
+
+def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
+    """The sites of find_cross_flip_sites, yielded one at a time in order.
+
+    Inducedness of an image is decided by facet traces over the facets that
+    meet its vertices only, once per image.  Every image facet is a facet
+    of c (the root's target or a ridge-index entry), so the image is a
+    subcomplex of c by construction.
+    """
     d = c.dimension
     if d is None:
-        return []
+        return
     try:
         spec = _diamond._check_index_set(d, indices, d)
     except ValueError:
-        return []
+        return
     abstract = _diamond.diamond_closed_form(d, spec)
     if abstract.dimension != d:
-        return []
+        return
 
     afacets = sorted(abstract.facets, key=sorted_face)
     root = afacets[0]
-    # spanning walk over the dual graph of the abstract complex
-    walk: list[tuple[frozenset, frozenset, frozenset]] = []  # (new, via, from)
+    # spanning walk over the dual graph of the abstract complex:
+    # (new facet, its new vertex, shared ridge, facet it is reached from)
+    walk: list[tuple[frozenset, str, tuple, frozenset]] = []
     placed = {root}
     frontier = [root]
     while frontier:
@@ -409,36 +428,39 @@ def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
                 continue
             shared = cur & nxt
             if len(shared) == d:
-                walk.append((nxt, shared, cur))
+                (x_new,) = nxt - shared
+                walk.append((nxt, x_new, tuple(shared), cur))
                 placed.add(nxt)
                 frontier.append(nxt)
     if len(placed) != len(afacets):
         raise ValueError("abstract flip complex is not ridge-connected")
 
     facet_index: dict[frozenset, list] = {}
+    vertex_index: dict[str, list] = {}
     for h in c.facets:
         for x in h:
             facet_index.setdefault(h - {x}, []).append(h)
+            vertex_index.setdefault(x, []).append(h)
 
-    sites: list[CrossFlip] = []
+    pair_of = {v: pair_index(v) for v in abstract.vertices}
     seen_images: set[frozenset] = set()
+    induced: dict[frozenset, bool] = {}
     root_sorted = sorted_face(root)
     for target in sorted(c.facets, key=sorted_face):
         for perm in itertools.permutations(sorted_face(target)):
             emb = dict(zip(root_sorted, perm))
             fmap = {root: target}
             ok = True
-            for new, shared, origin in walk:
-                img_ridge = frozenset(emb[v] for v in shared)
-                img_origin = fmap[origin]
-                cands = [
-                    h for h in facet_index.get(img_ridge, []) if h != img_origin
-                ]
-                if len(cands) != 1:
+            for new, x_new, shared, origin in walk:
+                img_ridge = frozenset([emb[v] for v in shared])
+                # the ridge lies in the image of origin; the walk goes on
+                # only when exactly one other facet of c contains it
+                cands = facet_index.get(img_ridge, ())
+                if len(cands) != 2:
                     ok = False
                     break
-                (x_new,) = tuple(new - shared)
-                (w_new,) = tuple(cands[0] - img_ridge)
+                img_new = cands[1] if cands[0] == fmap[origin] else cands[0]
+                (w_new,) = img_new - img_ridge
                 if x_new in emb:
                     if emb[x_new] != w_new:
                         ok = False
@@ -448,7 +470,7 @@ def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
                     break
                 else:
                     emb[x_new] = w_new
-                fmap[new] = cands[0]
+                fmap[new] = img_new
             if not ok:
                 continue
             image = frozenset(fmap.values())
@@ -456,23 +478,25 @@ def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
                 continue
             if len(fmap) != len(set(fmap.values())):
                 continue
-            if not _color_consistent(coloring, emb):
+            if not _color_consistent(coloring, emb, pair_of):
                 continue
-            image_complex = Complex(image)
-            if not is_induced(c, image_complex):
+            verdict = induced.get(image)
+            if verdict is None:
+                near = {h for w in emb.values() for h in vertex_index[w]}
+                verdict = induced[image] = _traces_are_faces(near, Complex(image))
+            if not verdict:
                 continue
             seen_images.add(image)
-            sites.append(CrossFlip(d=d, spec=spec, embedding=emb))
-    return sites
+            yield CrossFlip(d=d, spec=spec, embedding=emb)
 
 
-def _color_consistent(coloring: dict, emb: dict) -> bool:
+def _color_consistent(coloring: dict, emb: dict, pair_of: dict) -> bool:
     pair_color: dict[int, int] = {}
     for v, w in emb.items():
         col = coloring.get(w)
         if col is None:
             return False
-        i = pair_index(v)
+        i = pair_of[v]
         if i in pair_color and pair_color[i] != col:
             return False
         pair_color[i] = col

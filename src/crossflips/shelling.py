@@ -143,6 +143,11 @@ def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:
         raise NotAShelling(
             "certificate order fails at position %d" % (verdict.failing_index,)
         )
+    if len(cert.restrictions) != len(verdict.restrictions):
+        raise CertificateMismatch(
+            "certificate has %d restrictions for %d facets"
+            % (len(cert.restrictions), len(verdict.restrictions))
+        )
     if verdict.restrictions != tuple(cert.restrictions):
         for i, (got, want) in enumerate(zip(verdict.restrictions, cert.restrictions)):
             if got != want:

@@ -160,6 +160,25 @@ def test_walk_deterministic(tmp_path, capsys):
         assert cells[4] == "2" and cells[5] == "True"
 
 
+def test_walk_negative_steps_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code, text, err = run(capsys, "walk", "--dim", "2", "--steps", "-1",
+                          "--out", str(out))
+    assert code == 3 and text == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_walk_index_outside_dimension_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    for index in ("3", "0,5", ""):
+        code, text, err = run(capsys, "walk", "--dim", "2", "--steps", "2",
+                              "--index", "2", "--index", index, "--out", str(out))
+        assert code == 3 and text == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_catalog_table(capsys):
     code, text, _ = run(capsys, "catalog", "2")
     assert code == 0

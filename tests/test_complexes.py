@@ -1,6 +1,7 @@
 """Core complex operations against hand-checked and enumerated oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,59 @@ def test_is_induced():
     assert is_induced(c2, d0)
     with pytest.raises(NotSubcomplex):
         is_induced(TRIANGLE_BOUNDARY, Complex([face("x", "y")]))
+
+
+def _induced_by_faces(c, subc):
+    """Inducedness by its definition: every face of c spanned by V(subc)
+    is a face of subc.  Enumerates all faces; a test-only oracle."""
+    vs = subc.vertices
+    sub_faces = subc.all_faces()
+    return all(f in sub_faces for f in c.all_faces() if f <= vs)
+
+
+def _random_complex(rng, pure):
+    labels = "abcdefgh"[: rng.randrange(4, 9)]
+    sizes = [rng.randrange(2, 5)] if pure else [1, 2, 3, 4]
+    return Complex.generated_by(
+        rng.sample(labels, rng.choice(sizes)) for _ in range(rng.randrange(1, 9))
+    )
+
+
+def test_is_induced_matches_face_enumeration():
+    rng = random.Random(2024)
+    verdicts = []
+    for trial in range(300):
+        c = _random_complex(rng, pure=trial % 2 == 0)
+        facets = sorted(c.facets, key=sorted)
+        for _ in range(4):
+            part = Complex.generated_by(
+                f for f in facets if rng.random() < 0.5
+            )
+            got = is_induced(c, part)
+            assert got == _induced_by_faces(c, part), (c.facets, part.facets)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+    # the 4-cycle misses the chords of its opposite edges
+    square = Complex([face("a", "b"), face("b", "c"), face("c", "d"), face("d", "a")])
+    opposite = Complex([face("a", "b"), face("c", "d")])
+    assert not is_induced(square, opposite) and not _induced_by_faces(square, opposite)
+
+
+def test_is_induced_on_empty_and_void():
+    empty, void = Complex.empty(), Complex.void()
+    for c in (empty, void, TRIANGLE_BOUNDARY, cross_polytope(1)):
+        for part in (empty, void):
+            if not part.is_subcomplex_of(c):
+                with pytest.raises(NotSubcomplex):
+                    is_induced(c, part)
+                continue
+            assert is_induced(c, part) == _induced_by_faces(c, part), (c, part)
+    # the empty face of a nonempty complex is missing from the empty complex
+    assert not is_induced(TRIANGLE_BOUNDARY, empty)
+    assert not is_induced(void, empty)
+    assert is_induced(empty, empty)
+    assert is_induced(void, void)
+    assert is_induced(TRIANGLE_BOUNDARY, void)
 
 
 def test_proper_colorings():

@@ -41,6 +41,7 @@ from crossflips.moves import (
     extend_coloring_after_cross_flip,
     find_cross_flip_sites,
     find_shelling_decomposition,
+    has_cross_flip_site,
     inverse_flip,
     inverse_shelling,
     list_bistellar,
@@ -246,6 +247,24 @@ def test_find_sites_counts():
     # index sets out of range for the complex dimension yield no sites
     path = Complex([face("a", "b"), face("b", "c")])
     assert find_cross_flip_sites(path, {"a": 0, "b": 1, "c": 0}, (2,)) == []
+
+
+def test_has_site_agrees_with_site_list():
+    kappa = standard_coloring(2)
+    after = apply_cross_flip_detailed(
+        cross_polytope(2), find_cross_flip_sites(cross_polytope(2), kappa, (2,))[0]
+    )
+    cases = [
+        (cross_polytope(2), kappa),
+        (after.complex, extend_coloring_after_cross_flip(kappa, after)),
+        (Complex([face("a", "b"), face("b", "c")]), {"a": 0, "b": 1, "c": 0}),
+        (Complex.empty(), {}),
+    ]
+    specs = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (3,)]
+    for c, coloring in cases:
+        for spec in specs:
+            want = bool(find_cross_flip_sites(c, coloring, spec))
+            assert has_cross_flip_site(c, coloring, spec) is want, (c, spec)
 
 
 def test_cross_flip_face_count_change():

@@ -15,15 +15,18 @@ from crossflips.diamond import (
 from crossflips.moves import inverse_shelling
 from crossflips.shelling import (
     BudgetExceeded,
+    CertificateMismatch,
     NotAPermutation,
     NotAShelling,
     RelativeComplex,
+    ShellingCertificate,
     find_shelling,
     h_from_shelling,
     is_co_shellable_in_crosspolytope,
     is_relative_shelling,
     is_shellable,
     is_shelling,
+    verify_certificate,
 )
 
 FOUR_CYCLE = Complex(
@@ -144,3 +147,15 @@ def test_random_grown_balls_shell():
         order = find_shelling(c)
         assert order is not None
         assert h_from_shelling(c, order) == h_vector(c)
+
+
+def test_verify_certificate_rejects_wrong_restriction_count():
+    # zip would truncate to the shorter list, so a cut certificate passed
+    target = diamond_closed_form(2, (0,))
+    cert = absolute_shelling_order(2, (0,))
+    assert len(cert.order) == 4
+    assert verify_certificate(target, cert).ok
+    for restrictions in (cert.restrictions[:2], cert.restrictions + (frozenset(),)):
+        cut = ShellingCertificate(order=cert.order, restrictions=restrictions)
+        with pytest.raises(CertificateMismatch):
+            verify_certificate(target, cut)
