@@ -242,10 +242,7 @@ def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
         raise StepFailed("?", "anchor needs %d vertices" % len(entry_sorted))
     emb = dict(zip(entry_sorted, anchor))
     fmap = {entry: frozenset(anchor)}
-    facet_index: dict[frozenset, list] = {}
-    for h in c.facets:
-        for x in h:
-            facet_index.setdefault(h - {x}, []).append(h)
+    facet_index = c._site_view().ridges
     placed = [entry]
     pending = [f for f in sorted(abstract.facets, key=sorted_face) if f != entry]
     while pending:
@@ -312,6 +309,7 @@ def cmd_flip(args) -> int:
     if args.script is None:
         raise UsageError("flip requires --script")
     c, coloring = complex_from_doc(_read_doc(args.file))
+    budget = args.budget if args.budget is not None else 24
     with open(args.script, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -319,7 +317,7 @@ def cmd_flip(args) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            c = apply_script_line(c, line, budget=args.budget or 24)
+            c = apply_script_line(c, line, budget=budget)
         except (ComplexError, ValueError, KeyError, StepFailed) as exc:
             print("FAIL at line %d: %s" % (lineno, exc))
             return 1
@@ -498,11 +496,7 @@ def run_verify(target: str, d: int):
 
 def cmd_verify(args) -> int:
     d = args.dim if args.dim is not None else 2
-    try:
-        ok, lines = run_verify(args.target, d)
-    except _catalog.DimensionCapExceeded as exc:
-        print("UNDECIDED: %s" % exc)
-        return 2
+    ok, lines = run_verify(args.target, d)
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")
@@ -578,6 +572,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1
+    except _catalog.DimensionCapExceeded as exc:
+        print("UNDECIDED: %s" % exc)
+        return 2
     except (ComplexError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

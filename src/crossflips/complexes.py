@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from enum import Enum
+from typing import NamedTuple
 
 
 class ComplexError(Exception):
@@ -102,6 +103,14 @@ def sorted_face(f) -> tuple:
 # the complex itself
 
 
+class _SiteView(NamedTuple):
+    """The read-only indexes a flip-site search walks over one complex."""
+
+    ordered: tuple  # (sorted_face(h), h) for every facet h, by sorted_face
+    ridges: dict  # ridge -> facets containing it
+    by_vertex: dict  # vertex -> facets containing it
+
+
 class Complex:
     """A simplicial complex held as the antichain of its maximal faces.
 
@@ -110,7 +119,7 @@ class Complex:
     hashing use the facet set only.
     """
 
-    __slots__ = ("_facets", "_all_faces", "_faces_by_dim", "_vertices")
+    __slots__ = ("_facets", "_all_faces", "_faces_by_dim", "_vertices", "_view")
 
     def __init__(self, facets=()):
         fs = frozenset(_as_face(f) for f in facets)
@@ -129,6 +138,7 @@ class Complex:
         self._all_faces = None
         self._faces_by_dim = {}
         self._vertices = None
+        self._view = None
 
     @classmethod
     def generated_by(cls, faces) -> "Complex":
@@ -143,6 +153,7 @@ class Complex:
         c._all_faces = None
         c._faces_by_dim = {}
         c._vertices = None
+        c._view = None
         return c
 
     @classmethod
@@ -200,6 +211,21 @@ class Complex:
                 f for f in self.all_faces() if len(f) == k + 1
             )
         return self._faces_by_dim[k]
+
+    def _site_view(self) -> _SiteView:
+        """Facets in ``sorted(facets, key=sorted_face)`` order with their
+        ridge and vertex indexes, built on first use and shared by every
+        flip-site search and anchored embedding over this complex."""
+        if self._view is None:
+            ordered = tuple(sorted((sorted_face(h), h) for h in self._facets))
+            ridges: dict[frozenset, list] = {}
+            by_vertex: dict[str, list] = {}
+            for _key, h in ordered:
+                for x in h:
+                    ridges.setdefault(h - {x}, []).append(h)
+                    by_vertex.setdefault(x, []).append(h)
+            self._view = _SiteView(ordered, ridges, by_vertex)
+        return self._view
 
     def has_face(self, f) -> bool:
         f = _as_face(f)
@@ -665,6 +691,10 @@ def complex_from_doc(doc: dict):
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ValueError("'facets' must be a list of vertex-token lists")
     for f in facets:
+        for v in f:
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ValueError("vertex token %r is neither a string nor an integer"
+                                 % (v,))
         if len(set(f)) != len(f):
             raise ValueError("facet %r has repeated vertices" % (f,))
     c = Complex(facets)  # raises ValueError on non-antichain input
@@ -672,6 +702,9 @@ def complex_from_doc(doc: dict):
     if coloring is not None:
         if not isinstance(coloring, dict):
             raise ValueError("'coloring' must be an object")
+        for k, v in coloring.items():
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ValueError("color %r of vertex %r is not an integer" % (v, k))
         coloring = {str(k): int(v) for k, v in coloring.items()}
     return c, coloring
 

@@ -3,14 +3,15 @@ elementary and inverse shellings, and cross-flips.
 
 A cross-flip replaces an induced, shellable, co-shellable copy of a diamond
 complex by the complement of that complex in the cross-polytope boundary.
-Both shellability conditions are re-verified by exhaustive search on every
-application rather than trusted from the catalog.  Fresh vertices created
-by subdivisions and cross-flips are labeled "w<k>" by a monotone counter
-namespaced per complex.
+Both shellability conditions are decided by exhaustive search, not trusted
+from the catalog: once per flip class per process, with the search budget
+checked on every application.  Fresh vertices created by subdivisions and
+cross-flips are labeled "w<k>" by a monotone counter namespaced per complex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -23,7 +24,6 @@ from .complexes import (
     _traces_are_faces,
     boundary_complex,
     delete_subcomplex,
-    is_induced,
     is_proper_coloring,
     link,
     partner,
@@ -31,7 +31,7 @@ from .complexes import (
     sorted_face,
     vertex_key,
 )
-from .shelling import find_shelling
+from .shelling import _check_budget, find_shelling
 
 
 class NotWeldable(ComplexError):
@@ -334,7 +334,8 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     """
     d = flip.d
     spec = _diamond._check_index_set(d, flip.spec, d)
-    abstract = _diamond.diamond_closed_form(d, spec)
+    plan = _flip_plan(d, spec)
+    abstract = plan.abstract
     emb = dict(flip.embedding)
     missing = abstract.vertices - set(emb)
     if missing:
@@ -346,28 +347,92 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
         raise EmbeddingNotInjective("embedding identifies two vertices")
 
     image = Complex(frozenset(image_of[v] for v in f) for f in abstract.facets)
-    if not image.is_subcomplex_of(c):
+    facets = c.facets
+    if not all(f in facets or c.has_face(f) for f in image.facets):
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if not is_induced(c, image):
+    if not _traces_are_faces(facets, image):
         raise NotInduced("embedded complex is not induced in the ambient")
-    if find_shelling(abstract, budget=budget) is None:
+    if not plan.shells("abstract", budget):
         raise NotShellable("the removed complex does not shell")
-    complement = delete_subcomplex(_diamond.cross_polytope(d), abstract)
-    if find_shelling(complement, budget=budget) is None:
+    if not plan.shells("complement", budget):
         raise NotCoShellable("the cross-polytope complement does not shell")
 
     total = dict(image_of)
-    unseen = sorted(complement.vertices - abstract.vertices, key=vertex_key)
-    for v, w in zip(unseen, fresh_vertices(c, len(unseen))):
+    for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
         total[v] = w
-    glued = Complex(frozenset(total[v] for v in f) for f in complement.facets)
-    result = Complex(delete_subcomplex(c, image).facets | glued.facets)
+    glued = Complex(frozenset(total[v] for v in f) for f in plan.complement.facets)
+    result = Complex((facets - image.facets) | glued.facets)
     return CrossFlipResult(
         complex=result,
         vertex_map=total,
-        fresh_vertices=tuple(total[v] for v in unseen),
-        complement_induced=is_induced(result, glued),
+        fresh_vertices=tuple(total[v] for v in plan.unseen),
+        complement_induced=_traces_are_faces(result.facets, glued),
     )
+
+
+class _FlipPlan:
+    """What a cross-flip of one class needs that does not depend on the
+    ambient complex: the abstract diamond complex with the ridge walk that
+    extends an embedding from its root facet, its cross-polytope
+    complement with the vertices only the complement has, and the two
+    shellability verdicts, each decided by exhaustive search when first
+    needed.  Verdicts fill lazily; a concurrent recomputation yields the
+    same value."""
+
+    __slots__ = ("abstract", "root", "root_sorted", "walk", "pair_of",
+                 "complement", "unseen", "_shells")
+
+    def __init__(self, d: int, spec: tuple):
+        abstract = _diamond.diamond_closed_form(d, spec)
+        afacets = sorted(abstract.facets, key=sorted_face)
+        root = afacets[0]
+        # spanning walk over the dual graph of the abstract complex:
+        # (new facet, its new vertex, shared ridge, facet it is reached from)
+        walk: list[tuple[frozenset, str, tuple, frozenset]] = []
+        placed = {root}
+        frontier = [root]
+        while frontier:
+            cur = frontier.pop(0)
+            for nxt in afacets:
+                if nxt in placed:
+                    continue
+                shared = cur & nxt
+                if len(shared) == d:
+                    (x_new,) = nxt - shared
+                    walk.append((nxt, x_new, tuple(shared), cur))
+                    placed.add(nxt)
+                    frontier.append(nxt)
+        if len(placed) != len(afacets):
+            raise ValueError("abstract flip complex is not ridge-connected")
+        complement = delete_subcomplex(_diamond.cross_polytope(d), abstract)
+        self.abstract = abstract
+        self.root = root
+        self.root_sorted = sorted_face(root)
+        self.walk = tuple(walk)
+        self.pair_of = {v: pair_index(v) for v in abstract.vertices}
+        self.complement = complement
+        self.unseen = tuple(
+            sorted(complement.vertices - abstract.vertices, key=vertex_key)
+        )
+        self._shells: dict[str, bool] = {}
+
+    def shells(self, side: str, budget: int) -> bool:
+        """Whether the "abstract" or the "complement" side shells.  The
+        budget is checked on every call; the verdict of the exhaustive
+        search below it does not depend on the budget, so it is kept."""
+        c = getattr(self, side)
+        _check_budget(c, budget)
+        verdict = self._shells.get(side)
+        if verdict is None:
+            verdict = self._shells[side] = find_shelling(c, budget=budget) is not None
+        return verdict
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_plan(d: int, spec: tuple) -> _FlipPlan:
+    """The plan of the class with the checked index set *spec*; one per
+    class, so the cache holds at most 2^(d+1)-1 plans per dimension."""
+    return _FlipPlan(d, spec)
 
 
 def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) -> dict:
@@ -410,44 +475,15 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
         spec = _diamond._check_index_set(d, indices, d)
     except ValueError:
         return
-    abstract = _diamond.diamond_closed_form(d, spec)
-    if abstract.dimension != d:
-        return
+    plan = _flip_plan(d, spec)
+    root, root_sorted, walk, pair_of = plan.root, plan.root_sorted, plan.walk, plan.pair_of
+    view = c._site_view()
+    facet_index, vertex_index = view.ridges, view.by_vertex
 
-    afacets = sorted(abstract.facets, key=sorted_face)
-    root = afacets[0]
-    # spanning walk over the dual graph of the abstract complex:
-    # (new facet, its new vertex, shared ridge, facet it is reached from)
-    walk: list[tuple[frozenset, str, tuple, frozenset]] = []
-    placed = {root}
-    frontier = [root]
-    while frontier:
-        cur = frontier.pop(0)
-        for nxt in afacets:
-            if nxt in placed:
-                continue
-            shared = cur & nxt
-            if len(shared) == d:
-                (x_new,) = nxt - shared
-                walk.append((nxt, x_new, tuple(shared), cur))
-                placed.add(nxt)
-                frontier.append(nxt)
-    if len(placed) != len(afacets):
-        raise ValueError("abstract flip complex is not ridge-connected")
-
-    facet_index: dict[frozenset, list] = {}
-    vertex_index: dict[str, list] = {}
-    for h in c.facets:
-        for x in h:
-            facet_index.setdefault(h - {x}, []).append(h)
-            vertex_index.setdefault(x, []).append(h)
-
-    pair_of = {v: pair_index(v) for v in abstract.vertices}
     seen_images: set[frozenset] = set()
     induced: dict[frozenset, bool] = {}
-    root_sorted = sorted_face(root)
-    for target in sorted(c.facets, key=sorted_face):
-        for perm in itertools.permutations(sorted_face(target)):
+    for target_sorted, target in view.ordered:
+        for perm in itertools.permutations(target_sorted):
             emb = dict(zip(root_sorted, perm))
             fmap = {root: target}
             ok = True

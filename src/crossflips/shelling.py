@@ -162,6 +162,14 @@ def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:
 # exhaustive search
 
 
+def _check_budget(c: Complex, budget: int) -> None:
+    """Raise BudgetExceeded when c has more facets than the search budget."""
+    if c.n_facets > budget:
+        raise BudgetExceeded(
+            "%d facets exceed the search budget %d" % (c.n_facets, budget)
+        )
+
+
 def find_shelling(c: Complex, budget: int = 24):
     """Exhaustive backtracking for a shelling order, or None.
 
@@ -169,11 +177,8 @@ def find_shelling(c: Complex, budget: int = 24):
     memo keys on the frozenset of placed facets, since whether a partial
     order extends depends only on which faces are already covered.
     """
+    _check_budget(c, budget)
     facets = sorted(c.facets, key=lambda f: (len(f), sorted_face(f)))
-    if len(facets) > budget:
-        raise BudgetExceeded(
-            "%d facets exceed the search budget %d" % (len(facets), budget)
-        )
     if not facets:
         return []
     dead: set[frozenset] = set()

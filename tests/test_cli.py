@@ -203,3 +203,47 @@ def test_usage_errors(capsys):
     assert code == 3
     code, _, _ = run(capsys, "check", "/nonexistent.json", "manifold")
     assert code == 3
+
+
+def test_dimension_caps_are_undecided(tmp_path, capsys):
+    code, text, err = run(capsys, "catalog", "7")
+    assert (code, text, err) == (2, "UNDECIDED: dimension 7 exceeds the cap 6\n", "")
+    out = tmp_path / "b.json"
+    code, text, err = run(capsys, "gen", "barycentric", "--dim", "4", "--out", str(out))
+    assert (code, err) == (2, "")
+    assert text == "UNDECIDED: barycentric spheres are built for d <= 3\n"
+    assert not out.exists()
+    code, text, _ = run(capsys, "verify", "count", "7")
+    assert (code, text) == (2, "UNDECIDED: dimension 7 exceeds the cap 6\n")
+
+
+def test_malformed_tokens_and_colors_are_errors(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for doc in (
+        {"facets": [[1.5, None]]},
+        {"facets": [[["a"], "b"]]},
+        {"facets": [[True, "b"]]},
+        {"facets": [["0", "1"]], "coloring": {"0": 2.7, "1": 1}},
+        {"facets": [["0", "1"]], "coloring": {"0": [1], "1": 1}},
+        {"facets": [["0", "1"]], "coloring": {"0": None, "1": 1}},
+    ):
+        path.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "check", str(path), "balanced")
+        assert code == 1 and text == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    path.write_text(json.dumps({"facets": [[0, 1]], "coloring": {"0": "1", "1": 0}}))
+    code, text, _ = run(capsys, "check", str(path), "balanced")
+    assert (code, text) == (0, "balanced: True (stored coloring, 2 colors)\n")
+
+
+def test_flip_budget_zero_is_honoured(tmp_path, capsys):
+    src = tmp_path / "c2.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    script = tmp_path / "moves.txt"
+    script.write_text("crossflip I=2 anchor=0,1,v2\n")
+    out = tmp_path / "out.json"
+    code, text, _ = run(capsys, "flip", str(src), "--script", str(script),
+                        "--budget", "0", "--out", str(out))
+    assert code == 1
+    assert text == "FAIL at line 1: 1 facets exceed the search budget 0\n"
+    assert not out.exists()

@@ -1,0 +1,196 @@
+"""Cross-flip application with per-class flip plans and the site-search view.
+
+The golden digests cover seeded `apply_cross_flip_detailed` sequences: every
+result's facets, vertex map, fresh vertices, complement inducedness and
+extended colouring, and the exception type and message of every rejected
+flip.  They were recorded with the per-call rebuild of the diamond complex,
+its complement and both shellability searches, so the plans must reproduce
+every outcome exactly.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+import pytest
+
+from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored
+from crossflips.cli import WalkConfig, run_walk
+from crossflips.complexes import (
+    Complex,
+    ComplexError,
+    delete_subcomplex,
+    face,
+    pair_index,
+    sorted_face,
+    vertex_key,
+)
+from crossflips.diamond import cross_polytope, diamond_closed_form, standard_coloring
+from crossflips.moves import (
+    CrossFlip,
+    _flip_plan,
+    apply_cross_flip_detailed,
+    extend_coloring_after_cross_flip,
+    find_cross_flip_sites,
+)
+from crossflips.shelling import BudgetExceeded, find_shelling
+
+GOLDEN = {
+    "stack-d3": "25f1a218879b1a7122f3dd89ff9720975b2e2f461e00575e14f7b32cbf2dd1c3",
+    "mixed-d2": "569df882970241dc293b763fe4f1a0a54fea77954c78d103374d33a5b14e1b3a",
+}
+
+
+def _outcome(c, flip, coloring, budget=24):
+    """JSON-ready record of one application: the result or the exception."""
+    try:
+        res = apply_cross_flip_detailed(c, flip, budget=budget)
+    except (ComplexError, ValueError) as exc:
+        return ["raised", type(exc).__name__, str(exc)], None, None
+    col = extend_coloring_after_cross_flip(coloring, res)
+    record = [
+        "ok",
+        res.complex.canonical_facets(),
+        sorted(res.vertex_map.items(), key=lambda kv: vertex_key(kv[0])),
+        list(res.fresh_vertices),
+        res.complement_induced,
+        sorted(col.items(), key=lambda kv: vertex_key(kv[0])),
+    ]
+    return record, res, col
+
+
+def stack_sequence(ops=60, seed=303):
+    """Seeded class-(3,) facet stacking at d=3 from the cross-polytope."""
+    d = 3
+    cur, col = cross_polytope(d), standard_coloring(d)
+    (abstract,) = diamond_closed_form(d, (d,)).facets
+    rng = random.Random(seed)
+    records = []
+    for _ in range(ops):
+        target = rng.choice(cur.canonical_facets())
+        by_colour = {col[v]: v for v in target}
+        emb = {a: by_colour[pair_index(a)] for a in abstract}
+        record, res, ncol = _outcome(cur, CrossFlip(d=d, spec=(d,), embedding=emb), col)
+        records.append(record)
+        cur, col = res.complex, ncol
+    return records
+
+
+def mixed_sequence(steps=25, seed=202):
+    """Seeded d=2 flips over all classes.  Before each step, probes on the
+    current complex reach every rejection: each class's first site at a
+    small budget, a site moved off the complex at one vertex, a site under
+    an added chord triangle, a site with a fin triangle on one of its
+    edges (its complement need not be induced after the flip), an
+    embedding missing a vertex and one identifying two."""
+    d = 2
+    cur, col = cross_polytope(d), standard_coloring(d)
+    specs = [fc.canonical_index for fc in enumerate_basic_flips(d)]
+    rng = random.Random(seed)
+    records = []
+    for _ in range(steps):
+        verts = sorted(cur.vertices, key=vertex_key)
+        for spec in specs:
+            for site in find_cross_flip_sites(cur, col, spec)[:1]:
+                budget = rng.choice((1, 3, 6, 24))
+                records.append(_outcome(cur, site, col, budget=budget)[0])
+                emb = dict(site.embedding)
+                avs = sorted(emb, key=vertex_key)
+                spare = [v for v in verts if v not in emb.values()]
+                emb[rng.choice(avs)] = rng.choice(spare)
+                records.append(_outcome(cur, CrossFlip(d=d, spec=spec, embedding=emb), col)[0])
+                image = site.image_facets()
+                span = sorted({v for f in image for v in f}, key=vertex_key)
+                chords = [frozenset(t) for t in itertools.combinations(span, 3)
+                          if not any(frozenset(t) <= f for f in image)]
+                if chords:
+                    chorded = Complex.generated_by(list(cur.facets) + [rng.choice(chords)])
+                    records.append(_outcome(chorded, site, col)[0])
+                edge = rng.choice(sorted(itertools.combinations(span, 2)))
+                if any(set(edge) <= f for f in image):
+                    finned = Complex(list(cur.facets) + [frozenset(edge) | {"z"}])
+                    records.append(_outcome(finned, site, dict(col, z=0))[0])
+        spec = rng.choice(specs)
+        avs = sorted(diamond_closed_form(d, spec).vertices, key=vertex_key)
+        emb = dict(zip(avs[1:], rng.sample(verts, len(avs) - 1)))
+        records.append(_outcome(cur, CrossFlip(d=d, spec=spec, embedding=emb), col)[0])
+        emb[avs[0]] = emb[avs[1]]
+        records.append(_outcome(cur, CrossFlip(d=d, spec=spec, embedding=emb), col)[0])
+        rng.shuffle(specs)
+        sites = next(found for s in specs if (found := find_cross_flip_sites(cur, col, s)))
+        site = sites[rng.randrange(len(sites))]
+        record, res, ncol = _outcome(cur, site, col)
+        records.append(record)
+        cur, col = res.complex, ncol
+    return records
+
+
+def digest(records) -> str:
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+SEQUENCES = {"stack-d3": stack_sequence, "mixed-d2": mixed_sequence}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_flip_sequences_match_golden_digest(name):
+    assert digest(SEQUENCES[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_plan_matches_fresh_construction_and_search(d):
+    for r in range(1, d + 2):
+        for spec in itertools.combinations(range(d + 1), r):
+            plan = _flip_plan(d, spec)
+            fresh = diamond_closed_form(d, spec)
+            rest = delete_subcomplex(cross_polytope(d), fresh)
+            assert plan.abstract == fresh and plan.complement == rest
+            assert plan.unseen == tuple(sorted(rest.vertices - fresh.vertices, key=vertex_key))
+            assert plan.shells("abstract", 24) == (find_shelling(fresh) is not None)
+            assert plan.shells("complement", 24) == (find_shelling(rest) is not None)
+
+
+def _budget_error(c, flip, budget):
+    with pytest.raises(BudgetExceeded) as info:
+        apply_cross_flip_detailed(c, flip, budget=budget)
+    return str(info.value)
+
+
+def test_budget_is_checked_on_every_call():
+    c2 = cross_polytope(2)
+    flip = CrossFlip(d=2, spec=(1,), embedding={v: v for v in "0 v1 2 v2".split()})
+    assert apply_cross_flip_detailed(c2, flip, budget=24).complex.n_facets == 12
+    assert _budget_error(c2, flip, 5) == "6 facets exceed the search budget 5"
+    assert _budget_error(c2, flip, 1) == "2 facets exceed the search budget 1"
+    assert apply_cross_flip_detailed(c2, flip, budget=6).complex.n_facets == 12
+    c4 = cross_polytope(4)
+    spec = (2,)
+    flip = CrossFlip(d=4, spec=spec, embedding={v: v for v in diamond_closed_form(4, spec).vertices})
+    for _ in range(2):
+        assert _budget_error(c4, flip, 24) == "28 facets exceed the search budget 24"
+
+
+def test_site_view_is_sorted_and_indexes_every_facet():
+    stacked, _ = stacked_cross_sphere_colored(3, 2)
+    walked, _, _ = run_walk(WalkConfig(steps=6, seed=4, dimension=2))
+    mixed = Complex([face("w1", "b"), face("a", "b", "c"), face("10", "v2", "x")])
+    for c in (stacked, walked, mixed, cross_polytope(3)):
+        view = c._site_view()
+        assert view is c._site_view()
+        assert [h for _key, h in view.ordered] == sorted(c.facets, key=sorted_face)
+        assert all(key == sorted_face(h) for key, h in view.ordered)
+        for h in c.facets:
+            for x in h:
+                assert h in view.ridges[h - {x}] and h in view.by_vertex[x]
+        assert sum(map(len, view.ridges.values())) == sum(map(len, c.facets))
+        assert sum(map(len, view.by_vertex.values())) == sum(map(len, c.facets))
+
+
+def test_applying_a_flip_builds_no_site_view():
+    c = cross_polytope(3)
+    (target,) = diamond_closed_form(3, (3,)).facets
+    res = apply_cross_flip_detailed(
+        c, CrossFlip(d=3, spec=(3,), embedding={v: v for v in target}))
+    assert c._view is None and res.complex._view is None
