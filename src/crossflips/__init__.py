@@ -43,7 +43,6 @@ from .diamond import (
     complement_index,
     cross_polytope,
     deg_lex_less,
-    diamond,
     diamond_closed_form,
     decompose_rho_sigma,
     decompose_zero,

@@ -407,6 +407,14 @@ def cmd_walk(args) -> int:
     start_coloring = None
     if args.file is not None:
         start, start_coloring = complex_from_doc(_read_doc(args.file))
+        if start.dimension != args.dim:
+            raise UsageError("--dim %d differs from the dimension %s of %s"
+                             % (args.dim, start.dimension, args.file))
+        if start_coloring is None:
+            start_coloring = find_balanced_coloring(start)
+            if start_coloring is None:
+                print("FAIL: the start complex has no proper %d-coloring" % (args.dim + 1))
+                return 1
     config = WalkConfig(
         steps=args.steps if args.steps is not None else 100,
         seed=args.seed if args.seed is not None else 0,

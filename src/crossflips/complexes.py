@@ -10,6 +10,15 @@ All values are immutable after construction and all operations are pure
 functions, so any value may be shared freely across threads.  Face caches
 are filled lazily; a concurrent recomputation produces the identical value,
 so readers always observe a consistent result.
+
+Besides its faces a complex keeps, each built on first use: its vertex set,
+its star index (vertex -> frozenset of the facets containing it, which
+answers ``has_face``, ``link`` and ``star`` in time proportional to a
+vertex degree), the common size of its facets and the highest "w<k>" label
+among its vertices.  A complex made from another by exchanging a few
+facets (``Complex._replaced``, the result of a cross-flip) inherits
+whichever of these the other had built, patched at the vertices of the
+exchanged facets only; an inherited slot always equals a fresh build.
 """
 
 from __future__ import annotations
@@ -99,6 +108,13 @@ def sorted_face(f) -> tuple:
     return tuple(sorted(f, key=vertex_key))
 
 
+def _w_index(v: str) -> int | None:
+    """k for a fresh-vertex label "w<k>", else None."""
+    if v[:1] == "w" and v[1:].isdigit():
+        return int(v[1:])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the complex itself
 
@@ -108,7 +124,7 @@ class _SiteView(NamedTuple):
 
     ordered: tuple  # (sorted_face(h), h) for every facet h, by sorted_face
     ridges: dict  # ridge -> facets containing it
-    by_vertex: dict  # vertex -> facets containing it
+    by_vertex: dict  # the complex's star index
 
 
 class Complex:
@@ -116,10 +132,13 @@ class Complex:
 
     The empty complex (no faces at all) and the void-face complex ``{()}``
     (single empty facet, dimension -1) are distinct values.  Equality and
-    hashing use the facet set only.
+    hashing use the facet set only.  Derived data (faces, vertex set, star
+    index, common facet size, top "w<k>" label, site-search view) fill
+    lazily; see the module docstring for the slots ``_replaced`` inherits.
     """
 
-    __slots__ = ("_facets", "_all_faces", "_faces_by_dim", "_vertices", "_view")
+    __slots__ = ("_facets", "_all_faces", "_faces_by_dim", "_vertices", "_view",
+                 "_stars", "_size", "_top_w", "__weakref__")
 
     def __init__(self, facets=()):
         fs = frozenset(_as_face(f) for f in facets)
@@ -134,11 +153,19 @@ class Complex:
                             "facet list is not an antichain: %r is contained in %r"
                             % (sorted_face(small), sorted_face(big))
                         )
-        self._facets = fs
+        self._unbuilt(fs)
+        self._size = sizes.pop() if len(sizes) == 1 else -1
+
+    def _unbuilt(self, facets: frozenset) -> None:
+        """Hold the given facet antichain with every derived slot unbuilt."""
+        self._facets = facets
         self._all_faces = None
         self._faces_by_dim = {}
         self._vertices = None
         self._view = None
+        self._stars = None
+        self._size = None
+        self._top_w = None
 
     @classmethod
     def generated_by(cls, faces) -> "Complex":
@@ -149,11 +176,51 @@ class Complex:
             if not any(f <= g for g in maximal):
                 maximal.append(f)
         c = cls.__new__(cls)
-        c._facets = frozenset(maximal)
-        c._all_faces = None
-        c._faces_by_dim = {}
-        c._vertices = None
-        c._view = None
+        c._unbuilt(frozenset(maximal))
+        return c
+
+    def _replaced(self, removed: frozenset, added: frozenset) -> "Complex":
+        """The complex with facets ``(facets - removed) | added``.
+
+        Trusted: the caller guarantees that *removed* are facets of this
+        complex and that the result is an antichain, so nothing is
+        validated.  The result inherits the vertex set, star index, common
+        facet size and top "w<k>" label this complex had built, each
+        patched at the vertices of the exchanged facets; it holds no
+        reference to this complex and builds nothing this one had not.
+        """
+        c = Complex.__new__(Complex)
+        c._unbuilt((self._facets - removed) | added)
+        added_vertices = frozenset().union(*added)
+        stars = self._stars
+        if stars is None:
+            # the vertices that may have left with the removed facets
+            gone = set().union(*removed) - added_vertices
+        else:
+            delta: dict[str, tuple[list, list]] = {}
+            for i, facets in enumerate((removed, added)):
+                for h in facets:
+                    for x in h:
+                        delta.setdefault(x, ([], []))[i].append(h)
+            stars = dict(stars)
+            gone = []
+            for x, (out, into) in delta.items():
+                s = stars.get(x, frozenset()).difference(out).union(into)
+                if s:
+                    stars[x] = s
+                else:
+                    del stars[x]
+                    gone.append(x)
+            c._stars = stars
+            if self._vertices is not None:
+                c._vertices = self._vertices.difference(gone) | added_vertices
+        k = self._size
+        if k is not None and k >= 0 and c._facets and all(len(h) == k for h in added):
+            c._size = k
+        top = self._top_w
+        if top is not None and all(_w_index(x) != top for x in gone):
+            labels = [_w_index(x) for x in added_vertices]
+            c._top_w = max([top] + [i for i in labels if i is not None])
         return c
 
     @classmethod
@@ -169,25 +236,38 @@ class Complex:
     def facets(self) -> frozenset:
         return self._facets
 
+    def _common_size(self) -> int:
+        """The size shared by every facet; -1 when sizes differ or there is
+        no facet."""
+        if self._size is None:
+            sizes = {len(f) for f in self._facets}
+            self._size = sizes.pop() if len(sizes) == 1 else -1
+        return self._size
+
     @property
     def dimension(self) -> int | None:
         """Max facet dimension; None for the empty complex."""
         if not self._facets:
             return None
-        return max(len(f) for f in self._facets) - 1
+        k = self._common_size()
+        return (k if k >= 0 else max(len(f) for f in self._facets)) - 1
 
     @property
     def vertices(self) -> frozenset:
         if self._vertices is None:
-            out = set()
-            for f in self._facets:
-                out.update(f)
-            self._vertices = frozenset(out)
+            self._vertices = frozenset().union(*self._facets)
         return self._vertices
+
+    def _top_w_label(self) -> int:
+        """The highest k of a vertex labeled "w<k>"; -1 when there is none."""
+        if self._top_w is None:
+            labels = [_w_index(v) for v in self.vertices]
+            self._top_w = max([-1] + [i for i in labels if i is not None])
+        return self._top_w
 
     @property
     def is_pure(self) -> bool:
-        return len({len(f) for f in self._facets}) <= 1
+        return not self._facets or self._common_size() >= 0
 
     @property
     def n_facets(self) -> int:
@@ -212,24 +292,39 @@ class Complex:
             )
         return self._faces_by_dim[k]
 
+    def _star_index(self) -> dict:
+        """vertex -> frozenset of the facets containing it."""
+        if self._stars is None:
+            lists: dict[str, list] = {}
+            for h in self._facets:
+                for x in h:
+                    lists.setdefault(x, []).append(h)
+            self._stars = {x: frozenset(hs) for x, hs in lists.items()}
+        return self._stars
+
+    def _facets_containing(self, f: frozenset):
+        """The facets containing the face f, read from the star of its
+        vertex of least degree; every facet for the empty face."""
+        if not f:
+            return self._facets
+        stars = self._star_index()
+        return [g for g in min((stars.get(x, ()) for x in f), key=len) if f <= g]
+
     def _site_view(self) -> _SiteView:
         """Facets in ``sorted(facets, key=sorted_face)`` order with their
-        ridge and vertex indexes, built on first use and shared by every
-        flip-site search and anchored embedding over this complex."""
+        ridge index and the star index, built on first use and shared by
+        every flip-site search and anchored embedding over this complex."""
         if self._view is None:
             ordered = tuple(sorted((sorted_face(h), h) for h in self._facets))
             ridges: dict[frozenset, list] = {}
-            by_vertex: dict[str, list] = {}
             for _key, h in ordered:
                 for x in h:
                     ridges.setdefault(h - {x}, []).append(h)
-                    by_vertex.setdefault(x, []).append(h)
-            self._view = _SiteView(ordered, ridges, by_vertex)
+            self._view = _SiteView(ordered, ridges, self._star_index())
         return self._view
 
     def has_face(self, f) -> bool:
-        f = _as_face(f)
-        return any(f <= g for g in self._facets)
+        return bool(self._facets_containing(_as_face(f)))
 
     def euler_characteristic(self) -> int:
         d = self.dimension
@@ -271,14 +366,14 @@ def link(c: Complex, f) -> Complex:
     f = _as_face(f)
     if not c.has_face(f):
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
-    return Complex.generated_by(g - f for g in c.facets if f <= g)
+    return Complex.generated_by(g - f for g in c._facets_containing(f))
 
 
 def star(c: Complex, f) -> Complex:
     f = _as_face(f)
     if not c.has_face(f):
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
-    return Complex(g for g in c.facets if f <= g)
+    return Complex(c._facets_containing(f))
 
 
 def delete_face(c: Complex, f) -> Complex:
@@ -375,9 +470,20 @@ def _traces_are_faces(facets, subc: Complex) -> bool:
     sub_facets = subc.facets
     for h in facets:
         t = h & vs
-        if len(t) > 1 and not any(t <= g for g in sub_facets):
+        if len(t) > 1 and t not in sub_facets and not any(t <= g for g in sub_facets):
             return False
     return True
+
+
+def _induced_in(c: Complex, subc: Complex) -> bool:
+    """Whether the nonempty subcomplex subc of c is induced in c.
+
+    Decided by the traces of the facets in the stars of subc's vertices
+    only: any other facet of c has the empty trace.
+    """
+    stars = c._star_index()
+    near = frozenset().union(*(stars.get(v, ()) for v in subc.vertices))
+    return _traces_are_faces(near, subc)
 
 
 def is_induced(c: Complex, subc: Complex) -> bool:
@@ -695,7 +801,7 @@ def complex_from_doc(doc: dict):
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("vertex token %r is neither a string nor an integer"
                                  % (v,))
-        if len(set(f)) != len(f):
+        if len(_as_face(f)) != len(f):
             raise ValueError("facet %r has repeated vertices" % (f,))
     c = Complex(facets)  # raises ValueError on non-antichain input
     coloring = doc.get("coloring")

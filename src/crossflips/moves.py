@@ -7,6 +7,11 @@ Both shellability conditions are decided by exhaustive search, not trusted
 from the catalog: once per flip class per process, with the search budget
 checked on every application.  Fresh vertices created by subdivisions and
 cross-flips are labeled "w<k>" by a monotone counter namespaced per complex.
+
+On a pure ambient of the flip's dimension an application costs its region:
+both inducedness checks read the stars of the region's vertices, and the
+result inherits the ambient's vertex set, star index and top "w<k>" label,
+patched at the exchanged facets (``Complex._replaced``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .complexes import (
     ComplexError,
     FaceNotPresent,
     _as_face,
-    _traces_are_faces,
+    _induced_in,
     boundary_complex,
     delete_subcomplex,
     is_proper_coloring,
@@ -116,10 +121,7 @@ class CrossFlipResult:
 
 def fresh_vertices(c: Complex, count: int) -> list:
     """Next *count* unused "w<k>" labels for the given complex."""
-    top = -1
-    for v in c.vertices:
-        if v[:1] == "w" and v[1:].isdigit():
-            top = max(top, int(v[1:]))
+    top = c._top_w_label()
     return ["w%d" % (top + 1 + i) for i in range(count)]
 
 
@@ -271,8 +273,16 @@ def _check_shelling_conditions(c: Complex, f, a, r) -> None:
         raise ConditionViolated(1, "facet must split as a disjoint union A | R")
     if f not in c.facets:
         raise ConditionViolated(1, "%r is not a facet" % (sorted_face(f),))
+    _check_split_against_boundary(c, a, r, _boundary_faces(c))
+
+
+def _boundary_faces(c: Complex) -> frozenset:
     bd = boundary_complex(c)
-    bd_faces = bd.all_faces() if bd.facets else frozenset()
+    return bd.all_faces() if bd.facets else frozenset()
+
+
+def _check_split_against_boundary(c: Complex, a, r, bd_faces) -> None:
+    """Conditions (2) and (3) for a split A | R of a facet of c."""
     if not c.has_face(a) or a in bd_faces:
         raise ConditionViolated(2, "A must be a face interior to the complex")
     for x in a:
@@ -293,12 +303,16 @@ def find_shelling_decomposition(c: Complex, f):
     """First interior/boundary split (A, R) legalizing the removal of f,
     or None when no elementary shelling removes it."""
     f = _as_face(f)
+    if len(f) < 2 or f not in c.facets:
+        return None
+    # condition (1) holds for every split below; the boundary is shared
+    bd_faces = _boundary_faces(c)
     for size in range(1, len(f)):
         for a_tuple in itertools.combinations(sorted_face(f), size):
             a = frozenset(a_tuple)
             r = f - a
             try:
-                _check_shelling_conditions(c, f, a, r)
+                _check_split_against_boundary(c, a, r, bd_faces)
             except ConditionViolated:
                 continue
             return a, r
@@ -350,7 +364,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     facets = c.facets
     if not all(f in facets or c.has_face(f) for f in image.facets):
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if not _traces_are_faces(facets, image):
+    if not _induced_in(c, image):
         raise NotInduced("embedded complex is not induced in the ambient")
     if not plan.shells("abstract", budget):
         raise NotShellable("the removed complex does not shell")
@@ -361,12 +375,19 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
         total[v] = w
     glued = Complex(frozenset(total[v] for v in f) for f in plan.complement.facets)
-    result = Complex((facets - image.facets) | glued.facets)
+    if c._common_size() == d + 1:
+        # The image facets are facets of c.  A glued facet is not a face of
+        # c: one with a fresh vertex is not, and one on image vertices only
+        # would be a face, so a facet, of the induced image, which shares
+        # no facet with the complement.  The result is an antichain.
+        result = c._replaced(image.facets, glued.facets)
+    else:
+        result = Complex((facets - image.facets) | glued.facets)
     return CrossFlipResult(
         complex=result,
         vertex_map=total,
         fresh_vertices=tuple(total[v] for v in plan.unseen),
-        complement_induced=_traces_are_faces(result.facets, glued),
+        complement_induced=_induced_in(result, glued),
     )
 
 
@@ -440,8 +461,10 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
     of its pair partner's image.  Stale entries for vertices no longer in
     the complex are dropped, since their labels may be reused later."""
     fresh = set(result.fresh_vertices)
-    out = {v: col for v, col in coloring.items()
-           if v in result.complex.vertices and v not in fresh}
+    out = dict(coloring)
+    keys = coloring.keys()
+    for v in (keys - result.complex.vertices) | (keys & fresh):
+        del out[v]
     for v, w in result.vertex_map.items():
         if w in fresh:
             out[w] = coloring[result.vertex_map[partner(v)]]
@@ -478,7 +501,7 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     plan = _flip_plan(d, spec)
     root, root_sorted, walk, pair_of = plan.root, plan.root_sorted, plan.walk, plan.pair_of
     view = c._site_view()
-    facet_index, vertex_index = view.ridges, view.by_vertex
+    facet_index = view.ridges
 
     seen_images: set[frozenset] = set()
     induced: dict[frozenset, bool] = {}
@@ -518,8 +541,7 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
                 continue
             verdict = induced.get(image)
             if verdict is None:
-                near = {h for w in emb.values() for h in vertex_index[w]}
-                verdict = induced[image] = _traces_are_faces(near, Complex(image))
+                verdict = induced[image] = _induced_in(c, Complex(image))
             if not verdict:
                 continue
             seen_images.add(image)

@@ -179,6 +179,46 @@ def test_walk_index_outside_dimension_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_walk_start_without_coloring_searches_for_one(tmp_path, capsys):
+    src, out = tmp_path / "st.json", tmp_path / "w.json"
+    run(capsys, "gen", "stacked", "--dim", "2", "--copies", "2", "--out", str(src))
+    doc = json.loads(src.read_text())
+    del doc["coloring"]
+    src.write_text(json.dumps(doc))
+    code, text, _ = run(capsys, "walk", str(src), "--dim", "2", "--steps", "6",
+                        "--seed", "1", "--out", str(out))
+    assert (code, text) == (0, "")
+    rows = (tmp_path / "w.stats.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",True") for row in rows)
+    # the 3-simplex boundary needs four colours
+    run(capsys, "gen", "simplex-boundary", "--dim", "2", "--out", str(src))
+    out.unlink()
+    code, text, err = run(capsys, "walk", str(src), "--dim", "2", "--steps", "3",
+                          "--out", str(out))
+    assert (code, err) == (1, "")
+    assert text == "FAIL: the start complex has no proper 3-coloring\n"
+    assert not out.exists()
+
+
+def test_walk_dimension_must_match_start(tmp_path, capsys):
+    src, out = tmp_path / "st.json", tmp_path / "w.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    for dim in ("3", "1"):
+        code, text, err = run(capsys, "walk", str(src), "--dim", dim, "--steps", "2",
+                              "--out", str(out))
+        assert code == 3 and text == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_repeated_vertex_after_coercion_is_an_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"facets": [[1, "1", "a"]]}))
+    code, text, err = run(capsys, "check", str(path), "manifold")
+    assert code == 1 and text == ""
+    assert err.startswith("error:") and "repeated vertices" in err
+
+
 def test_catalog_table(capsys):
     code, text, _ = run(capsys, "catalog", "2")
     assert code == 0

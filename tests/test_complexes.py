@@ -199,6 +199,28 @@ def test_is_induced_matches_face_enumeration():
     assert not is_induced(square, opposite) and not _induced_by_faces(square, opposite)
 
 
+def test_face_queries_match_facet_scans():
+    """has_face, link and star read the star index; each must agree with a
+    scan of every facet, also on the empty and void complexes, for the
+    empty face and for vertices absent from the complex."""
+    rng = random.Random(77)
+    cases = [Complex.empty(), Complex.void(), TRIANGLE_BOUNDARY, cross_polytope(2)]
+    cases += [_random_complex(rng, pure=trial % 2 == 0) for trial in range(60)]
+    for c in cases:
+        faces = set(c.all_faces()) if c.facets else set()
+        probes = faces | {face(), face("a", "z"), face("z"), face("b", "c", "d", "e", "f")}
+        for f in probes:
+            assert c.has_face(f) == any(f <= g for g in c.facets) == (f in faces), (c, f)
+            if f not in faces:
+                with pytest.raises(FaceNotPresent):
+                    link(c, f)
+                with pytest.raises(FaceNotPresent):
+                    star(c, f)
+                continue
+            assert link(c, f) == Complex.generated_by(g - f for g in c.facets if f <= g)
+            assert star(c, f) == Complex(g for g in c.facets if f <= g)
+
+
 def test_is_induced_on_empty_and_void():
     empty, void = Complex.empty(), Complex.void()
     for c in (empty, void, TRIANGLE_BOUNDARY, cross_polytope(1)):
@@ -318,6 +340,15 @@ def test_json_round_trip():
     assert doc["facets"][0] == ["0", "1", "2"]
     with pytest.raises(ValueError):
         complex_from_doc({"facets": [["a", "b", "c"], ["a", "b"]]})
+
+
+def test_repeated_vertices_after_coercion_are_refused():
+    # the integer 1 is read as the token "1"
+    for facet in ([1, "1", "a"], [2, 2, "a"], ["a", "a"]):
+        with pytest.raises(ValueError, match="repeated vertices"):
+            complex_from_doc({"facets": [facet]})
+    c, _ = complex_from_doc({"facets": [[1, "v1", "a"]]})
+    assert c.facets == {face("1", "v1", "a")}
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,14 @@ def test_decompose_zero():
         decompose_zero(2, [1])
     with pytest.raises(IndexSetViolatesPrecondition):
         decompose_zero(2, [0])
+
+
+def test_package_exposes_the_diamond_module():
+    import sys
+
+    import crossflips
+    import crossflips.diamond as dm
+
+    assert crossflips.diamond is sys.modules["crossflips.diamond"] is dm
+    assert dm.cross_polytope(2) == cross_polytope(2)
+    assert dm.diamond is diamond

@@ -17,6 +17,7 @@ from crossflips.complexes import (
     face,
     h_vector,
     is_combinatorial_manifold,
+    vertex_key,
 )
 from crossflips.diamond import (
     cross_polytope,
@@ -189,6 +190,33 @@ def test_non_shelling_fixture_rejected_at_facet_six():
     )
     assert [len(g) for g in maximal] == [1, 2]
     assert not maximal[0] <= maximal[1]
+
+
+def _first_split_by_conditions(c, f):
+    """The first split legalising the removal of f, each candidate checked
+    on its own by shelling_move; a test-only oracle."""
+    for size in range(1, len(f)):
+        for a in itertools.combinations(sorted(f, key=vertex_key), size):
+            try:
+                shelling_move(c, f, frozenset(a), f - frozenset(a))
+            except ConditionViolated:
+                continue
+            return frozenset(a), f - frozenset(a)
+    return None
+
+
+def test_shelling_decomposition_matches_per_split_conditions():
+    with open(os.path.join(FIXTURES, "non_shelling.json")) as fh:
+        fixture, _ = complex_from_doc(json.load(fh)["complex"])
+    balls = [fixture, diamond_closed_form(2, (0, 1)), diamond_closed_form(3, (0, 2, 3)),
+             diamond_closed_form(3, (1,)), cross_polytope(2)]
+    splits = []
+    for c in balls:
+        for f in sorted(c.facets, key=sorted) + [face("x", "y", "z")]:
+            got = find_shelling_decomposition(c, f)
+            assert got == _first_split_by_conditions(c, f), (c, f)
+            splits.append(got)
+    assert None in splits and any(s is not None for s in splits)
 
 
 # ---------------------------------------------------------------------------
