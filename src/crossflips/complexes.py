@@ -16,9 +16,10 @@ its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
 vertex degree), the common size of its facets and the highest "w<k>" label
 among its vertices.  A complex made from another by exchanging a few
-facets (``Complex._replaced``, the result of a cross-flip) inherits
-whichever of these the other had built, patched at the vertices of the
-exchanged facets only; an inherited slot always equals a fresh build.
+facets (``Complex._replaced``, the result of a cross-flip) inherits the
+vertex set and star index of the other, and its common size and top label
+if the other had built them, patched at the vertices of the exchanged
+facets only; an inherited slot always equals a fresh build.
 """
 
 from __future__ import annotations
@@ -182,38 +183,32 @@ class Complex:
     def _replaced(self, removed: frozenset, added: frozenset) -> "Complex":
         """The complex with facets ``(facets - removed) | added``.
 
-        Trusted: the caller guarantees that *removed* are facets of this
-        complex and that the result is an antichain, so nothing is
-        validated.  The result inherits the vertex set, star index, common
-        facet size and top "w<k>" label this complex had built, each
-        patched at the vertices of the exchanged facets; it holds no
-        reference to this complex and builds nothing this one had not.
+        Trusted: the caller guarantees that the result is an antichain, so
+        nothing is validated; a removed face that is not a facet changes
+        nothing.  The result gets this complex's vertex set and star index,
+        and the common facet size and top "w<k>" label if this complex had
+        built them, each patched at the vertices of the exchanged facets;
+        it holds no reference to this complex and has no site view.
         """
         c = Complex.__new__(Complex)
         c._unbuilt((self._facets - removed) | added)
+        delta: dict[str, tuple[list, list]] = {}
+        for i, facets in enumerate((removed, added)):
+            for h in facets:
+                for x in h:
+                    delta.setdefault(x, ([], []))[i].append(h)
+        stars = dict(self._star_index())
+        gone = []
+        for x, (out, into) in delta.items():
+            s = stars.get(x, frozenset()).difference(out).union(into)
+            if s:
+                stars[x] = s
+            else:
+                del stars[x]
+                gone.append(x)
         added_vertices = frozenset().union(*added)
-        stars = self._stars
-        if stars is None:
-            # the vertices that may have left with the removed facets
-            gone = set().union(*removed) - added_vertices
-        else:
-            delta: dict[str, tuple[list, list]] = {}
-            for i, facets in enumerate((removed, added)):
-                for h in facets:
-                    for x in h:
-                        delta.setdefault(x, ([], []))[i].append(h)
-            stars = dict(stars)
-            gone = []
-            for x, (out, into) in delta.items():
-                s = stars.get(x, frozenset()).difference(out).union(into)
-                if s:
-                    stars[x] = s
-                else:
-                    del stars[x]
-                    gone.append(x)
-            c._stars = stars
-            if self._vertices is not None:
-                c._vertices = self._vertices.difference(gone) | added_vertices
+        c._stars = stars
+        c._vertices = self.vertices.difference(gone) | added_vertices
         k = self._size
         if k is not None and k >= 0 and c._facets and all(len(h) == k for h in added):
             c._size = k

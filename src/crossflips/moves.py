@@ -8,10 +8,10 @@ from the catalog: once per flip class per process, with the search budget
 checked on every application.  Fresh vertices created by subdivisions and
 cross-flips are labeled "w<k>" by a monotone counter namespaced per complex.
 
-On a pure ambient of the flip's dimension an application costs its region:
-both inducedness checks read the stars of the region's vertices, and the
-result inherits the ambient's vertex set, star index and top "w<k>" label,
-patched at the exchanged facets (``Complex._replaced``).
+An application costs its region: both inducedness checks read the stars
+of the region's vertices, and the result inherits the ambient's vertex set,
+star index, common facet size and top "w<k>" label, patched at the
+exchanged facets (``Complex._replaced``).
 """
 
 from __future__ import annotations
@@ -375,14 +375,15 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
         total[v] = w
     glued = Complex(frozenset(total[v] for v in f) for f in plan.complement.facets)
-    if c._common_size() == d + 1:
-        # The image facets are facets of c.  A glued facet is not a face of
-        # c: one with a fresh vertex is not, and one on image vertices only
-        # would be a face, so a facet, of the induced image, which shares
-        # no facet with the complement.  The result is an antichain.
-        result = c._replaced(image.facets, glued.facets)
-    else:
-        result = Complex((facets - image.facets) | glued.facets)
+    # The result is an antichain.  A glued facet g is no face of a kept
+    # facet: if g has a fresh vertex, no facet of c contains it; otherwise
+    # g would be a face of c on image vertices, so (the image being
+    # induced) a face of the image as large as its facets, hence a facet,
+    # and the image shares no facet with the complement.  A kept facet h is no face of a
+    # glued facet: h would have image vertices only, so it would be a face
+    # of some image facet F, itself a face of c; as c is an antichain,
+    # h = F and h was removed.
+    result = c._replaced(image.facets, glued.facets)
     return CrossFlipResult(
         complex=result,
         vertex_map=total,

@@ -1,11 +1,11 @@
 """Local cross-flip application: slots inherited across flips.
 
-A cross-flip result on a pure ambient of facet size d+1 is built by
-`Complex._replaced`, which patches the vertex set, star index, common facet
-size and top "w<k>" label of the ambient at the exchanged facets only.
-These tests compare every inherited slot with a fresh build of the result,
-the colouring extension with its former whole-colouring comprehension, and
-the full-construction path for other ambients with its former definition.
+A cross-flip result is built by `Complex._replaced`, which patches the
+vertex set, star index, common facet size and top "w<k>" label of the
+ambient at the exchanged facets only.  These tests compare every inherited
+slot with a fresh build of the result, the colouring extension with its
+former whole-colouring comprehension, and results on ambients that are not
+pure of the flip's dimension with the validating construction.
 """
 
 import gc
@@ -53,11 +53,11 @@ def assert_inherited_slots_are_exact(before: Complex, after: Complex) -> bool:
     return top_left
 
 
-def test_replaced_patches_only_what_was_built():
-    """Random facet exchanges, pure and mixed, each with a random set of
-    slots built beforehand: an inherited slot equals a fresh build, and a
-    slot not built before stays unbuilt.  The vertex set is inherited only
-    with the star index, which tells the vertices that left."""
+def test_replaced_inherits_exact_slots():
+    """Random facet exchanges, pure and mixed, with the common size and the
+    top label built beforehand or not: the vertex set and star index are
+    always inherited, the other two only when built, and each inherited
+    slot equals a fresh build."""
     rng = random.Random(41)
     labels = ["a", "b", "c", "w0", "w2", "w5", "w9", "w10"]
     for trial in range(400):
@@ -66,21 +66,18 @@ def test_replaced_patches_only_what_was_built():
         kept = [f for f in c.facets if rng.random() < 0.6]
         new = [rng.sample(labels, rng.choice(sizes)) for _ in range(rng.randrange(4))]
         target = Complex.generated_by(kept + new)
-        built = rng.sample(["_star_index", "_top_w_label", "_common_size", "vertices"],
-                           rng.randrange(5))
-        for name in built:
-            getattr(c, name) if name == "vertices" else getattr(c, name)()
+        for name in rng.sample(["_top_w_label", "_common_size"], rng.randrange(3)):
+            getattr(c, name)()
         got = c._replaced(c.facets - target.facets, target.facets - c.facets)
         assert got.facets == target.facets
         fresh = Complex(target.facets)
-        for slot, build in (("_stars", fresh._star_index), ("_vertices", lambda: fresh.vertices),
-                            ("_size", fresh._common_size), ("_top_w", fresh._top_w_label)):
+        assert got._stars == fresh._star_index()
+        assert got._vertices == fresh.vertices
+        for slot, build in (("_size", fresh._common_size), ("_top_w", fresh._top_w_label)):
             value = getattr(got, slot)
             assert value is None or value == build(), (slot, c.facets, target.facets)
             if getattr(c, slot) is None:
                 assert value is None
-        assert (got._stars is None) == (c._stars is None)
-        assert (got._vertices is None) == (c._vertices is None or c._stars is None)
 
 
 def stacking(d: int, ops: int, seed: int):
@@ -172,7 +169,10 @@ def test_result_holds_no_reference_to_its_ambient():
 
 
 @pytest.mark.parametrize("ambient", ["non-pure", "above the flip dimension"])
-def test_other_ambients_keep_the_full_construction(ambient):
+def test_other_ambients_match_the_validating_construction(ambient):
+    """Ambients that are not pure of the flip's dimension: the result built
+    by `_replaced` equals the validating construction, and its inherited
+    slots equal a fresh build."""
     d, spec = 2, (1,)
     if ambient == "non-pure":
         c = Complex(list(cross_polytope(d).facets) + [face("p", "q")])
@@ -186,6 +186,12 @@ def test_other_ambients_keep_the_full_construction(ambient):
     image = {frozenset(emb[v] for v in f) for f in abstract.facets}
     rest = cross_polytope(d).facets - abstract.facets
     glued = {frozenset(res.vertex_map[v] for v in f) for f in rest}
-    assert res.complex == Complex((c.facets - image) | glued)
+    full = Complex((c.facets - image) | glued)
+    assert res.complex == full
+    assert res.complex._stars == full._star_index()
+    assert res.complex._vertices == full.vertices
+    assert res.complex._size in (None, full._common_size())
+    assert res.complex.is_pure == full.is_pure
+    assert res.complex.dimension == full.dimension
     assert res.complement_induced == _traces_are_faces(res.complex.facets, Complex(glued))
     assert res.fresh_vertices == ("w0", "w1")
