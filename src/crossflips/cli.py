@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -242,7 +243,6 @@ def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
         raise StepFailed("?", "anchor needs %d vertices" % len(entry_sorted))
     emb = dict(zip(entry_sorted, anchor))
     fmap = {entry: frozenset(anchor)}
-    facet_index = c._site_view().ridges
     placed = [entry]
     pending = [f for f in sorted(abstract.facets, key=sorted_face) if f != entry]
     while pending:
@@ -256,7 +256,10 @@ def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
             if share is None:
                 continue
             ridge = frozenset(emb[v] for v in (f & share))
-            cands = [h for h in facet_index.get(ridge, []) if h != fmap[share]]
+            # the facets having the ridge as a ridge, read from the star
+            # index: the anchor's own image need not be a facet
+            cands = [h for h in c._facets_containing(ridge)
+                     if len(h) == len(ridge) + 1 and h != fmap[share]]
             if len(cands) != 1:
                 raise StepFailed("?", "anchor does not extend across a ridge")
             (x_new,) = tuple(f - share)
@@ -340,6 +343,13 @@ class WalkConfig:
     budget: int = 24
 
 
+@functools.lru_cache(maxsize=None)
+def _basic_flip_indices(d: int) -> tuple:
+    """The canonical index sets of every basic flip class of dimension d,
+    in catalog order; one tuple per dimension."""
+    return tuple(fc.canonical_index for fc in _catalog.enumerate_basic_flips(d))
+
+
 def run_walk(config: WalkConfig):
     """Seeded random cross-flip walk.
 
@@ -354,9 +364,7 @@ def run_walk(config: WalkConfig):
         if config.start_coloring is not None
         else standard_coloring(d)
     )
-    allowed = config.allowed_flips or [
-        fc.canonical_index for fc in _catalog.enumerate_basic_flips(d)
-    ]
+    allowed = config.allowed_flips or _basic_flip_indices(d)
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):

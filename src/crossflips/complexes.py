@@ -14,12 +14,16 @@ so readers always observe a consistent result.
 Besides its faces a complex keeps, each built on first use: its vertex set,
 its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
-vertex degree), the common size of its facets and the highest "w<k>" label
-among its vertices.  A complex made from another by exchanging a few
-facets (``Complex._replaced``, the result of a cross-flip) inherits the
-vertex set and star index of the other, and its common size and top label
-if the other had built them, patched at the vertices of the exchanged
-facets only; an inherited slot always equals a fresh build.
+vertex degree), the common size of its facets, the highest "w<k>" label
+among its vertices, and the site view a flip-site search walks: the
+facets in canonical order and a facet-neighbour table (facet h -> for each
+vertex x of h whose ridge h - {x} lies in exactly two facets, the other
+facet and its vertex off the ridge).  A complex made from another by
+exchanging a few facets (``Complex._replaced``, the result of a
+cross-flip) inherits the vertex set and star index of the other, and its
+common size and top label if the other had built them, patched at the
+vertices of the exchanged facets only; an inherited slot always equals a
+fresh build; its site view is built afresh.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ class _SiteView(NamedTuple):
     """The read-only indexes a flip-site search walks over one complex."""
 
     ordered: tuple  # (sorted_face(h), h) for every facet h, by sorted_face
-    ridges: dict  # ridge -> facets containing it
-    by_vertex: dict  # the complex's star index
+    # facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly the
+    # two facets h and g = (h - {x}) | {y}
+    neighbours: dict
 
 
 class Complex:
@@ -307,15 +312,21 @@ class Complex:
 
     def _site_view(self) -> _SiteView:
         """Facets in ``sorted(facets, key=sorted_face)`` order with their
-        ridge index and the star index, built on first use and shared by
-        every flip-site search and anchored embedding over this complex."""
+        facet-neighbour table, built on first use and shared by every
+        flip-site search over this complex."""
         if self._view is None:
             ordered = tuple(sorted((sorted_face(h), h) for h in self._facets))
             ridges: dict[frozenset, list] = {}
-            for _key, h in ordered:
+            for h in self._facets:
                 for x in h:
-                    ridges.setdefault(h - {x}, []).append(h)
-            self._view = _SiteView(ordered, ridges, self._star_index())
+                    ridges.setdefault(h - {x}, []).append((h, x))
+            neighbours: dict[frozenset, dict] = {h: {} for h in self._facets}
+            for pair in ridges.values():
+                if len(pair) == 2:
+                    (h, x), (g, y) = pair
+                    neighbours[h][x] = (g, y)
+                    neighbours[g][y] = (h, x)
+            self._view = _SiteView(ordered, neighbours)
         return self._view
 
     def has_face(self, f) -> bool:
@@ -450,19 +461,18 @@ def h_vector(c: Complex) -> tuple:
     return tuple(out)
 
 
-def _traces_are_faces(facets, subc: Complex) -> bool:
-    """True when h & V(subc) is a face of subc for every h in the collection
-    *facets*.
+def _traces_are_faces(facets, sub_facets: frozenset, vs) -> bool:
+    """True when h & vs is a face of the complex with facets *sub_facets*
+    and vertex set *vs* for every h in the collection *facets*.
 
-    Run on all facets of a complex containing subc, this decides inducedness:
-    the faces of the complex spanned by V(subc) are exactly the subsets of
-    these traces.  Traces of at most one vertex are faces of any complex
-    with a face; the empty trace is a face of nothing when subc is empty.
+    Run on all facets of a complex containing the sub, this decides
+    inducedness: the faces of the complex spanned by vs are exactly the
+    subsets of these traces.  Traces of at most one vertex are faces of any
+    complex with a face; the empty trace is a face of nothing when the sub
+    is empty.
     """
-    if not subc.facets:
+    if not sub_facets:
         return not facets
-    vs = subc.vertices
-    sub_facets = subc.facets
     for h in facets:
         t = h & vs
         if len(t) > 1 and t not in sub_facets and not any(t <= g for g in sub_facets):
@@ -470,15 +480,16 @@ def _traces_are_faces(facets, subc: Complex) -> bool:
     return True
 
 
-def _induced_in(c: Complex, subc: Complex) -> bool:
-    """Whether the nonempty subcomplex subc of c is induced in c.
+def _induced_in(c: Complex, sub_facets: frozenset, vs) -> bool:
+    """Whether the nonempty subcomplex of c with facets *sub_facets* and
+    vertex set *vs* is induced in c.
 
-    Decided by the traces of the facets in the stars of subc's vertices
-    only: any other facet of c has the empty trace.
+    Decided by the traces of the facets in the stars of vs only: any other
+    facet of c has the empty trace.  No ``Complex`` is built for the sub.
     """
     stars = c._star_index()
-    near = frozenset().union(*(stars.get(v, ()) for v in subc.vertices))
-    return _traces_are_faces(near, subc)
+    near = frozenset().union(*(stars.get(v, ()) for v in vs))
+    return _traces_are_faces(near, sub_facets, vs)
 
 
 def is_induced(c: Complex, subc: Complex) -> bool:
@@ -489,7 +500,7 @@ def is_induced(c: Complex, subc: Complex) -> bool:
     """
     if not subc.is_subcomplex_of(c):
         raise NotSubcomplex("second argument is not a subcomplex of the first")
-    return _traces_are_faces(c.facets, subc)
+    return _traces_are_faces(c.facets, subc.facets, subc.vertices)
 
 
 def relabel(c: Complex, mapping: dict) -> Complex:
@@ -533,16 +544,17 @@ def is_connected(c: Complex) -> bool:
 
 
 def is_proper_coloring(c: Complex, coloring: dict, m: int) -> bool:
-    """No vertex uncolored, all colors in range(m), no monochromatic edge."""
+    """No vertex uncolored, all colors in range(m), no monochromatic edge.
+
+    Decided by facets, building no face: every edge lies in a facet, so
+    there is no monochromatic edge exactly when every facet's vertices
+    have distinct colors.
+    """
     for v in c.vertices:
         col = coloring.get(v)
         if col is None or not (0 <= col < m):
             return False
-    for e in c.faces(1):
-        u, v = tuple(e)
-        if coloring[u] == coloring[v]:
-            return False
-    return True
+    return all(len({coloring[v] for v in h}) == len(h) for h in c.facets)
 
 
 def find_balanced_coloring(c: Complex) -> dict | None:

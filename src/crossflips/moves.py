@@ -12,6 +12,11 @@ An application costs its region: both inducedness checks read the stars
 of the region's vertices, and the result inherits the ambient's vertex set,
 star index, common facet size and top "w<k>" label, patched at the
 exchanged facets (``Complex._replaced``).
+
+Site search runs the class's ridge walk, compiled to integer slots, over
+the ambient's facet-neighbour table (``Complex._site_view``): each step is
+a list index and one dict lookup.  Inducedness of each image is decided by
+the facet traces of its vertices' stars, once per image.
 """
 
 from __future__ import annotations
@@ -364,7 +369,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     facets = c.facets
     if not all(f in facets or c.has_face(f) for f in image.facets):
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if not _induced_in(c, image):
+    if not _induced_in(c, image.facets, image.vertices):
         raise NotInduced("embedded complex is not induced in the ambient")
     if not plan.shells("abstract", budget):
         raise NotShellable("the removed complex does not shell")
@@ -388,7 +393,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
         complex=result,
         vertex_map=total,
         fresh_vertices=tuple(total[v] for v in plan.unseen),
-        complement_induced=_induced_in(result, glued),
+        complement_induced=_induced_in(result, glued.facets, glued.vertices),
     )
 
 
@@ -399,39 +404,51 @@ class _FlipPlan:
     complement with the vertices only the complement has, and the two
     shellability verdicts, each decided by exhaustive search when first
     needed.  Verdicts fill lazily; a concurrent recomputation yields the
-    same value."""
+    same value.
 
-    __slots__ = ("abstract", "root", "root_sorted", "walk", "pair_of",
+    The ridge walk is compiled to integer slots.  Abstract vertices are
+    numbered in first-placement order (``order``: the root facet in
+    ``sorted_face`` order, then each new vertex of the walk) and abstract
+    facets in walk order (the root is 0).  Step k reaches facet k + 1 and
+    is ``(new vertex slot, dropped vertex slot, origin facet slot)``: the
+    new facet is the origin minus the dropped vertex plus the new one."""
+
+    __slots__ = ("abstract", "order", "steps", "pairs",
                  "complement", "unseen", "_shells")
 
     def __init__(self, d: int, spec: tuple):
         abstract = _diamond.diamond_closed_form(d, spec)
         afacets = sorted(abstract.facets, key=sorted_face)
         root = afacets[0]
-        # spanning walk over the dual graph of the abstract complex:
-        # (new facet, its new vertex, shared ridge, facet it is reached from)
-        walk: list[tuple[frozenset, str, tuple, frozenset]] = []
-        placed = {root}
+        # breadth-first spanning walk over the dual graph of the abstract
+        # complex, in canonical facet order
+        order = list(sorted_face(root))
+        vslot = {v: i for i, v in enumerate(order)}
+        fslot = {root: 0}
+        steps = []
         frontier = [root]
         while frontier:
             cur = frontier.pop(0)
             for nxt in afacets:
-                if nxt in placed:
+                if nxt in fslot:
                     continue
                 shared = cur & nxt
                 if len(shared) == d:
                     (x_new,) = nxt - shared
-                    walk.append((nxt, x_new, tuple(shared), cur))
-                    placed.add(nxt)
+                    (x_drop,) = cur - shared
+                    if x_new not in vslot:
+                        vslot[x_new] = len(order)
+                        order.append(x_new)
+                    steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
+                    fslot[nxt] = len(fslot)
                     frontier.append(nxt)
-        if len(placed) != len(afacets):
+        if len(fslot) != len(afacets):
             raise ValueError("abstract flip complex is not ridge-connected")
         complement = delete_subcomplex(_diamond.cross_polytope(d), abstract)
         self.abstract = abstract
-        self.root = root
-        self.root_sorted = sorted_face(root)
-        self.walk = tuple(walk)
-        self.pair_of = {v: pair_index(v) for v in abstract.vertices}
+        self.order = tuple(order)
+        self.steps = tuple(steps)
+        self.pairs = tuple(pair_index(v) for v in order)
         self.complement = complement
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
@@ -487,10 +504,12 @@ def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
 def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     """The sites of find_cross_flip_sites, yielded one at a time in order.
 
-    Inducedness of an image is decided by facet traces over the facets that
-    meet its vertices only, once per image.  Every image facet is a facet
-    of c (the root's target or a ridge-index entry), so the image is a
-    subcomplex of c by construction.
+    Each root is a facet of c in canonical order with its vertices in
+    every order; the plan's ridge walk then crosses each ridge through the
+    site view's neighbour table, so it goes on only across ridges lying in
+    exactly two facets.  Every image facet is a facet of c, so the image is
+    a subcomplex by construction.  Inducedness of an image is decided by
+    facet traces over the stars of its vertices, once per image.
     """
     d = c.dimension
     if d is None:
@@ -500,65 +519,54 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     except ValueError:
         return
     plan = _flip_plan(d, spec)
-    root, root_sorted, walk, pair_of = plan.root, plan.root_sorted, plan.walk, plan.pair_of
+    order, steps, pairs = plan.order, plan.steps, plan.pairs
     view = c._site_view()
-    facet_index = view.ridges
+    neighbours = view.neighbours
 
     seen_images: set[frozenset] = set()
     induced: dict[frozenset, bool] = {}
     for target_sorted, target in view.ordered:
+        if len(target_sorted) != d + 1:
+            continue  # a smaller facet of a non-pure complex is no image
         for perm in itertools.permutations(target_sorted):
-            emb = dict(zip(root_sorted, perm))
-            fmap = {root: target}
-            ok = True
-            for new, x_new, shared, origin in walk:
-                img_ridge = frozenset([emb[v] for v in shared])
-                # the ridge lies in the image of origin; the walk goes on
-                # only when exactly one other facet of c contains it
-                cands = facet_index.get(img_ridge, ())
-                if len(cands) != 2:
-                    ok = False
+            img = list(perm)  # ambient vertex of each abstract vertex slot
+            fmap = [target]  # ambient facet of each abstract facet slot
+            for x_new, x_drop, origin in steps:
+                hit = neighbours[fmap[origin]].get(img[x_drop])
+                if hit is None:
                     break
-                img_new = cands[1] if cands[0] == fmap[origin] else cands[0]
-                (w_new,) = img_new - img_ridge
-                if x_new in emb:
-                    if emb[x_new] != w_new:
-                        ok = False
+                img_new, w_new = hit
+                if x_new < len(img):
+                    if img[x_new] != w_new:
                         break
-                elif w_new in emb.values():
-                    ok = False
+                elif w_new in img:
                     break
                 else:
-                    emb[x_new] = w_new
-                fmap[new] = img_new
-            if not ok:
-                continue
-            image = frozenset(fmap.values())
-            if image in seen_images:
-                continue
-            if len(fmap) != len(set(fmap.values())):
-                continue
-            if not _color_consistent(coloring, emb, pair_of):
-                continue
-            verdict = induced.get(image)
-            if verdict is None:
-                verdict = induced[image] = _induced_in(c, Complex(image))
-            if not verdict:
-                continue
-            seen_images.add(image)
-            yield CrossFlip(d=d, spec=spec, embedding=emb)
+                    img.append(w_new)
+                fmap.append(img_new)
+            else:  # the walk placed every abstract facet
+                image = frozenset(fmap)
+                if image in seen_images or len(image) != len(fmap):
+                    continue
+                if not _color_consistent(coloring, img, pairs):
+                    continue
+                verdict = induced.get(image)
+                if verdict is None:
+                    verdict = induced[image] = _induced_in(c, image, frozenset(img))
+                if not verdict:
+                    continue
+                seen_images.add(image)
+                yield CrossFlip(d=d, spec=spec, embedding=dict(zip(order, img)))
 
 
-def _color_consistent(coloring: dict, emb: dict, pair_of: dict) -> bool:
+def _color_consistent(coloring: dict, img: list, pairs: tuple) -> bool:
+    """Whether the two images of each abstract pair share one color and
+    different pairs have different colors."""
     pair_color: dict[int, int] = {}
-    for v, w in emb.items():
+    for w, i in zip(img, pairs):
         col = coloring.get(w)
-        if col is None:
+        if col is None or pair_color.setdefault(i, col) != col:
             return False
-        i = pair_of[v]
-        if i in pair_color and pair_color[i] != col:
-            return False
-        pair_color[i] = col
     return len(set(pair_color.values())) == len(pair_color)
 
 

@@ -287,3 +287,40 @@ def test_flip_budget_zero_is_honoured(tmp_path, capsys):
     assert code == 1
     assert text == "FAIL at line 1: 1 facets exceed the search budget 0\n"
     assert not out.exists()
+
+
+def test_anchor_walk_reads_ridges_of_the_ambient(tmp_path, capsys):
+    # the octahedron without [0,1,2]: an anchor on that hole is no facet,
+    # yet each of its edges lies in one facet, so the walk extends it and
+    # the flip itself refuses the image; a fin on edge 0,1 puts that edge
+    # in three facets, across which no anchor extends
+    holed = {"facets": [["0", "1", "v2"], ["0", "v1", "2"], ["0", "v1", "v2"],
+                        ["v0", "1", "2"], ["v0", "1", "v2"], ["v0", "v1", "2"],
+                        ["v0", "v1", "v2"]]}
+    finned = {"facets": [["0", "1", "2"], ["0", "1", "z"]] + holed["facets"]}
+    cases = [
+        (holed, "crossflip I=2 anchor=0,1,2",
+         "FAIL at line 1: embedded complex is not a subcomplex of the ambient\n"),
+        (holed, "crossflip I=1,2 anchor=2,0,1",
+         "FAIL at line 1: embedded complex is not a subcomplex of the ambient\n"),
+        (finned, "crossflip I=1,2 anchor=0,1,2",
+         "FAIL at line 1: step ?: anchor does not extend across a ridge\n"),
+    ]
+    for doc, line, want in cases:
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(doc))
+        script = tmp_path / "moves.txt"
+        script.write_text(line + "\n")
+        code, text, _ = run(capsys, "flip", str(src), "--script", str(script),
+                            "--out", str(tmp_path / "out.json"))
+        assert (code, text) == (1, want), line
+
+
+def test_walk_default_classes_are_one_cached_tuple_per_dimension():
+    from crossflips.catalog import enumerate_basic_flips
+    from crossflips.cli import _basic_flip_indices
+
+    for d in range(1, 7):
+        got = _basic_flip_indices(d)
+        assert got == tuple(fc.canonical_index for fc in enumerate_basic_flips(d))
+        assert _basic_flip_indices(d) is got

@@ -245,6 +245,40 @@ def test_proper_colorings():
     assert not is_proper_coloring(TRIANGLE_BOUNDARY, bad, 3)
 
 
+def edge_proper_coloring(c, coloring, m):
+    """The former edge-based check, kept as the oracle of the facet-based
+    one: every vertex colored in range(m), no monochromatic edge."""
+    for v in c.vertices:
+        col = coloring.get(v)
+        if col is None or not (0 <= col < m):
+            return False
+    for e in c.faces(1):
+        u, v = tuple(e)
+        if coloring[u] == coloring[v]:
+            return False
+    return True
+
+
+def test_proper_coloring_by_facets_matches_edges():
+    rng = random.Random(21)
+    pool = "abcdefg"
+    cases = [(Complex.empty(), {}), (Complex.void(), {}), (Complex.void(), {"a": 5})]
+    for _ in range(400):
+        faces = [rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        c = Complex.generated_by(faces)  # pure or not
+        coloring = {v: rng.randrange(-1, 5) for v in c.vertices if rng.random() < 0.95}
+        cases.append((c, coloring))
+    c3, col = cross_polytope(3), standard_coloring(3)
+    cases += [(c3, col), (c3, dict(col, v0=1)), (c3, dict(col, extra=9))]
+    verdicts = set()
+    for c, coloring in cases:
+        for m in (1, 2, 3, 4):
+            want = edge_proper_coloring(c, coloring, m)
+            assert is_proper_coloring(c, coloring, m) is want, (c.facets, coloring, m)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_find_balanced_coloring():
     c2 = cross_polytope(2)
     col = find_balanced_coloring(c2)

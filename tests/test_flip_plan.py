@@ -176,16 +176,31 @@ def test_site_view_is_sorted_and_indexes_every_facet():
     stacked, _ = stacked_cross_sphere_colored(3, 2)
     walked, _, _ = run_walk(WalkConfig(steps=6, seed=4, dimension=2))
     mixed = Complex([face("w1", "b"), face("a", "b", "c"), face("10", "v2", "x")])
-    for c in (stacked, walked, mixed, cross_polytope(3)):
+    # a ridge in three facets (a fin on an edge) and boundary ridges
+    finned = Complex(list(cross_polytope(2).facets) + [face("0", "1", "z")])
+    disc = Complex(list(cross_polytope(2).facets)[1:])
+    for c in (stacked, walked, mixed, finned, disc, cross_polytope(3)):
         view = c._site_view()
         assert view is c._site_view()
         assert [h for _key, h in view.ordered] == sorted(c.facets, key=sorted_face)
         assert all(key == sorted_face(h) for key, h in view.ordered)
+        # the neighbour table by a pairwise facet scan: h - {x} is a ridge
+        # of g exactly when g has h's size and meets h in h - {x}
+        want = {}
+        for h in c.facets:
+            want[h] = {}
+            for x in h:
+                across = [g for g in c.facets
+                          if len(g) == len(h) and g & h == h - {x}]
+                if len(across) == 1:
+                    (g,) = across
+                    want[h][x] = (g, *(g - h))
+        assert view.neighbours == want
+        stars = c._star_index()
         for h in c.facets:
             for x in h:
-                assert h in view.ridges[h - {x}] and h in view.by_vertex[x]
-        assert sum(map(len, view.ridges.values())) == sum(map(len, c.facets))
-        assert sum(map(len, view.by_vertex.values())) == sum(map(len, c.facets))
+                assert h in stars[x]
+        assert sum(map(len, stars.values())) == sum(map(len, c.facets))
 
 
 def test_applying_a_flip_builds_no_site_view():

@@ -193,5 +193,6 @@ def test_other_ambients_match_the_validating_construction(ambient):
     assert res.complex._size in (None, full._common_size())
     assert res.complex.is_pure == full.is_pure
     assert res.complex.dimension == full.dimension
-    assert res.complement_induced == _traces_are_faces(res.complex.facets, Complex(glued))
+    glued_vertices = frozenset().union(*glued)
+    assert res.complement_induced == _traces_are_faces(res.complex.facets, glued, glued_vertices)
     assert res.fresh_vertices == ("w0", "w1")
