@@ -50,6 +50,10 @@ class DimensionCapExceeded(ComplexError):
     pass
 
 
+# the highest dimension the catalog and the verification suites run at
+DIMENSION_CAP = 6
+
+
 @dataclass(frozen=True)
 class FlipClass:
     canonical_index: tuple
@@ -68,12 +72,19 @@ class FlipClass:
         }
 
 
-def enumerate_basic_flips(d: int, cap: int = 6) -> list:
+def check_dimension(d: int) -> None:
+    """Refuse a negative dimension, and one above DIMENSION_CAP as undecided."""
+    if d < 0:
+        raise ValueError("dimension must be nonnegative")
+    if d > DIMENSION_CAP:
+        raise DimensionCapExceeded("dimension %d exceeds the cap %d" % (d, DIMENSION_CAP))
+
+
+def enumerate_basic_flips(d: int) -> list:
     """One class per nonempty subset of {0, ..., d}, ordered by facet count."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if d > cap:
-        raise DimensionCapExceeded("dimension %d exceeds the cap %d" % (d, cap))
+    check_dimension(d)
     classes = []
     for r in range(1, d + 2):
         for idx in itertools.combinations(range(d + 1), r):

@@ -22,7 +22,7 @@ from .complexes import (
     Complex,
     ComplexError,
     ManifoldVerdict,
-    base,
+    _faces_from_doc,
     complex_from_doc,
     complex_to_doc,
     find_balanced_coloring,
@@ -30,9 +30,9 @@ from .complexes import (
     is_induced,
     is_proper_coloring,
     sorted_face,
-    sub,
 )
 from .diamond import (
+    _check_index_set,
     cross_polytope,
     diamond_closed_form,
     simplex_boundary,
@@ -150,7 +150,7 @@ def cmd_check(args) -> int:
         print("balanced: %s (coloring search, %d colors)" % (found is not None, m))
         return 0 if found is not None else 1
     if what == "induced":
-        if "complex" not in doc or "sub" not in doc:
+        if not isinstance(doc, dict) or "complex" not in doc or "sub" not in doc:
             raise UsageError("induced check wants {\"complex\": ..., \"sub\": ...}")
         c, _ = complex_from_doc(doc["complex"])
         s, _ = complex_from_doc(doc["sub"])
@@ -158,13 +158,13 @@ def cmd_check(args) -> int:
         print("induced: %s" % ok)
         return 0 if ok else 1
     if what == "shelling-order":
-        if "complex" not in doc or "order" not in doc:
+        if not isinstance(doc, dict) or "complex" not in doc or "order" not in doc:
             raise UsageError(
                 "shelling-order check wants {\"complex\": ..., \"order\": ...,"
                 " \"removed\"?: ..., \"restrictions\"?: ..., \"mode\"?: ...}"
             )
         c, _ = complex_from_doc(doc["complex"])
-        order = [frozenset(f) for f in doc["order"]]
+        order = _faces_from_doc(doc, "order")
         if doc.get("mode") == "removal":
             return _check_removal_order(c, order)
         try:
@@ -182,7 +182,7 @@ def cmd_check(args) -> int:
                   % (verdict.failing_index + 1, offending))
             return 1
         if "restrictions" in doc and doc["restrictions"] is not None:
-            want = tuple(frozenset(f) for f in doc["restrictions"])
+            want = tuple(_faces_from_doc(doc, "restrictions"))
             if want != verdict.restrictions:
                 print("FAIL: restriction faces do not match")
                 return 1
@@ -226,56 +226,37 @@ def _check_removal_order(c: Complex, order) -> int:
 
 
 def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
-    """Embedding determined by the images of the entry facet of the first
-    block, extended facet-by-facet across shared ridges."""
+    """Embedding determined by the images of the entry facet of the lowest
+    block, extended along the flip plan's ridge walk from that facet.
+
+    Each step reads the facets containing the image of the ridge from the
+    star index: the anchor's own image need not be a facet of c.
+    """
     d = c.dimension
-    abstract = diamond_closed_form(d, spec)
-    i1 = min(spec)
-    if i1 == d + 1:
-        entry = frozenset(base(t) for t in range(d + 1))
-    else:
-        entry = frozenset(
-            [base(t) for t in range(i1)]
-            + [sub(t) for t in range(i1, d + 1)]
-        )
-    entry_sorted = sorted_face(entry)
-    if len(anchor) != len(entry_sorted):
-        raise StepFailed("?", "anchor needs %d vertices" % len(entry_sorted))
-    emb = dict(zip(entry_sorted, anchor))
-    fmap = {entry: frozenset(anchor)}
-    placed = [entry]
-    pending = [f for f in sorted(abstract.facets, key=sorted_face) if f != entry]
-    while pending:
-        progressed = False
-        for f in list(pending):
-            share = None
-            for g in placed:
-                if len(f & g) == d:
-                    share = g
-                    break
-            if share is None:
-                continue
-            ridge = frozenset(emb[v] for v in (f & share))
-            # the facets having the ridge as a ridge, read from the star
-            # index: the anchor's own image need not be a facet
-            cands = [h for h in c._facets_containing(ridge)
-                     if len(h) == len(ridge) + 1 and h != fmap[share]]
-            if len(cands) != 1:
-                raise StepFailed("?", "anchor does not extend across a ridge")
-            (x_new,) = tuple(f - share)
-            (w_new,) = tuple(cands[0] - ridge)
-            if x_new in emb:
-                if emb[x_new] != w_new:
-                    raise StepFailed("?", "anchor extension is inconsistent")
-            else:
-                emb[x_new] = w_new
-            fmap[f] = cands[0]
-            placed.append(f)
-            pending.remove(f)
-            progressed = True
-        if not progressed:
-            raise StepFailed("?", "anchor does not determine the flip site")
-    return emb
+    if d is None:
+        raise StepFailed("?", "the empty complex has no flip site")
+    plan = _moves._flip_plan(d, _check_index_set(d, spec, d))
+    if len(anchor) != d + 1:
+        raise StepFailed("?", "anchor needs %d vertices" % (d + 1))
+    img = list(anchor)  # ambient vertex of each abstract vertex slot
+    fmap = [frozenset(anchor)]  # ambient facet of each abstract facet slot
+    fslots = [frozenset(range(d + 1))]  # vertex slots of each abstract facet
+    for x_new, x_drop, origin in plan.anchor_steps:
+        kept = fslots[origin] - {x_drop}
+        ridge = frozenset(img[i] for i in kept)
+        cands = [h for h in c._facets_containing(ridge)
+                 if len(h) == len(ridge) + 1 and h != fmap[origin]]
+        if len(cands) != 1:
+            raise StepFailed("?", "anchor does not extend across a ridge")
+        (w_new,) = cands[0] - ridge
+        if x_new < len(img):
+            if img[x_new] != w_new:
+                raise StepFailed("?", "anchor extension is inconsistent")
+        else:
+            img.append(w_new)
+        fmap.append(cands[0])
+        fslots.append(kept | {x_new})
+    return dict(zip(plan.anchor_order, img))
 
 
 def _parse_assignments(parts):
@@ -481,33 +462,26 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-_VERIFY_TARGETS = (
-    "count",
-    "hvector",
-    "complement",
-    "shelling-theorem",
-    "reducibility",
-    "pentagon",
-    "matroid",
-)
+# verify target -> (catalog suite, whether it takes the dimension D); the
+# suite is looked up by name when run, so that a catalog function rebound
+# after import (by a tracer, say) is the one called
+_VERIFY_SUITES = {
+    "count": ("verify_count", True),
+    "hvector": ("verify_hvector", True),
+    "complement": ("verify_complement", True),
+    "shelling-theorem": ("verify_shelling_theorem", True),
+    "reducibility": ("verify_reducibility", True),
+    "pentagon": ("verify_pentagon", False),
+    "matroid": ("verify_matroid", False),
+}
 
 
 def run_verify(target: str, d: int):
-    if target == "count":
-        return _catalog.verify_count(d)
-    if target == "hvector":
-        return _catalog.verify_hvector(d)
-    if target == "complement":
-        return _catalog.verify_complement(d)
-    if target == "shelling-theorem":
-        return _catalog.verify_shelling_theorem(d)
-    if target == "reducibility":
-        return _catalog.verify_reducibility(d)
-    if target == "pentagon":
-        return _catalog.verify_pentagon()
-    if target == "matroid":
-        return _catalog.verify_matroid()
-    raise UsageError("unknown verify target %r" % (target,))
+    name, takes_dim = _VERIFY_SUITES[target]
+    if not takes_dim:
+        return getattr(_catalog, name)()
+    _catalog.check_dimension(d)
+    return getattr(_catalog, name)(d)
 
 
 def cmd_verify(args) -> int:
@@ -564,7 +538,7 @@ def build_parser() -> _Parser:
     k.set_defaults(func=cmd_catalog)
 
     v = subs.add_parser("verify", help="run a verification suite")
-    v.add_argument("target", choices=_VERIFY_TARGETS)
+    v.add_argument("target", choices=list(_VERIFY_SUITES))
     v.add_argument("dim", type=int, nargs="?")
     v.add_argument("--dim", dest="dim_flag", type=int)
     v.set_defaults(func=cmd_verify)

@@ -113,6 +113,24 @@ def sorted_face(f) -> tuple:
     return tuple(sorted(f, key=vertex_key))
 
 
+def _subsets(f):
+    """Every subset of the face f, the empty face and f included."""
+    vs = tuple(f)
+    for r in range(len(vs) + 1):
+        for c in itertools.combinations(vs, r):
+            yield frozenset(c)
+
+
+def _ridges(facets) -> dict:
+    """ridge -> [(h, x), ...]: each facet h with the vertex x it has off
+    the ridge h - {x}."""
+    ridges: dict[frozenset, list] = {}
+    for h in facets:
+        for x in h:
+            ridges.setdefault(h - {x}, []).append((h, x))
+    return ridges
+
+
 def _w_index(v: str) -> int | None:
     """k for a fresh-vertex label "w<k>", else None."""
     if v[:1] == "w" and v[1:].isdigit():
@@ -278,9 +296,7 @@ class Complex:
         if self._all_faces is None:
             out = set()
             for f in self._facets:
-                vs = tuple(f)
-                for r in range(len(vs) + 1):
-                    out.update(frozenset(c) for c in itertools.combinations(vs, r))
+                out.update(_subsets(f))
             self._all_faces = frozenset(out)
         return self._all_faces
 
@@ -316,12 +332,8 @@ class Complex:
         flip-site search over this complex."""
         if self._view is None:
             ordered = tuple(sorted((sorted_face(h), h) for h in self._facets))
-            ridges: dict[frozenset, list] = {}
-            for h in self._facets:
-                for x in h:
-                    ridges.setdefault(h - {x}, []).append((h, x))
             neighbours: dict[frozenset, dict] = {h: {} for h in self._facets}
-            for pair in ridges.values():
+            for pair in _ridges(self._facets).values():
                 if len(pair) == 2:
                     (h, x), (g, y) = pair
                     neighbours[h][x] = (g, y)
@@ -361,10 +373,6 @@ class Complex:
 
 # ---------------------------------------------------------------------------
 # local and composite constructions
-
-
-def faces(c: Complex, k: int) -> frozenset:
-    return c.faces(k)
 
 
 def link(c: Complex, f) -> Complex:
@@ -417,12 +425,7 @@ def boundary_complex(c: Complex) -> Complex:
     d = c.dimension
     if d < 1:
         raise NotPure("boundary complex requires dimension at least 1")
-    count: dict[frozenset, int] = {}
-    for g in c.facets:
-        for x in g:
-            r = g - {x}
-            count[r] = count.get(r, 0) + 1
-    rim = [r for r, n in count.items() if n == 1]
+    rim = [r for r, hs in _ridges(c.facets).items() if len(hs) == 1]
     if not rim:
         return Complex.empty()
     return Complex(rim)
@@ -438,14 +441,6 @@ def f_vector(c: Complex) -> tuple:
     return tuple([1] + [len(c.faces(k)) for k in range(0, d + 1)])
 
 
-def _binom(n: int, k: int) -> int:
-    if k == 0:
-        return 1
-    if k < 0 or n < k:
-        return 0
-    return math.comb(n, k)
-
-
 def h_vector(c: Complex) -> tuple:
     """(h_0, ..., h_{d+1}) via the alternating binomial transform of f."""
     fv = f_vector(c)
@@ -454,7 +449,7 @@ def h_vector(c: Complex) -> tuple:
     for j in range(d + 2):
         out.append(
             sum(
-                (-1) ** (j - i) * _binom(d + 1 - i, d + 1 - j) * fv[i]
+                (-1) ** (j - i) * math.comb(d + 1 - i, d + 1 - j) * fv[i]
                 for i in range(j + 1)
             )
         )
@@ -514,29 +509,29 @@ def relabel(c: Complex, mapping: dict) -> Complex:
     return Complex(out)
 
 
+def _adjacency(c: Complex) -> dict:
+    """vertex -> set of the vertices sharing an edge with it, read from the
+    vertex pairs of the facets."""
+    adj: dict[str, set] = {v: set() for v in c.vertices}
+    for h in c.facets:
+        for v in h:
+            adj[v].update(h)
+    for v, ws in adj.items():
+        ws.discard(v)
+    return adj
+
+
 def is_connected(c: Complex) -> bool:
-    verts = list(c.vertices)
-    if len(verts) <= 1:
+    adj = _adjacency(c)
+    if len(adj) <= 1:
         return True
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in c.facets:
-        it = iter(g)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
-        r = find(first)
-        for v in it:
-            parent[find(v)] = r
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
+    start = next(iter(adj))
+    seen, todo = {start}, [start]
+    while todo:
+        fresh = adj[todo.pop()] - seen
+        seen |= fresh
+        todo.extend(fresh)
+    return len(seen) == len(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +563,7 @@ def find_balanced_coloring(c: Complex) -> dict | None:
         return {}
     m = d + 1
     verts = sorted(c.vertices, key=vertex_key)
-    adj: dict[str, set] = {v: set() for v in verts}
-    for e in c.faces(1):
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(c)
     coloring: dict[str, int] = {}
 
     def attempt(i: int) -> bool:
@@ -596,16 +587,13 @@ def find_balanced_coloring(c: Complex) -> dict | None:
 
 
 def _vertex_invariant(c: Complex, v: str) -> tuple:
-    counts = [0] * ((c.dimension or 0) + 1)
-    for f in c.all_faces():
-        if v in f:
+    """The numbers of nonempty faces of the link of v, by dimension."""
+    lk = link(c, {v})
+    counts = [0] * (lk.dimension + 1)
+    for f in lk.all_faces():
+        if f:
             counts[len(f) - 1] += 1
-    lk = Complex.generated_by(g - {v} for g in c.facets if v in g)
-    lk_counts = tuple(
-        sum(1 for f in lk.all_faces() if len(f) == k + 1)
-        for k in range((lk.dimension if lk.dimension is not None else -1) + 1)
-    )
-    return (tuple(counts), lk_counts)
+    return tuple(counts)
 
 
 def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
@@ -627,16 +615,7 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
 
     ka, kb = respect_colors if respect_colors is not None else (None, None)
 
-    adj_a = {v: set() for v in a.vertices}
-    for e in a.faces(1):
-        u, v = tuple(e)
-        adj_a[u].add(v)
-        adj_a[v].add(u)
-    adj_b = {v: set() for v in b.vertices}
-    for e in b.faces(1):
-        u, v = tuple(e)
-        adj_b[u].add(v)
-        adj_b[v].add(u)
+    adj_a, adj_b = _adjacency(a), _adjacency(b)
 
     mapping: dict[str, str] = {}
     used: set[str] = set()
@@ -706,10 +685,7 @@ def _classify_dim0(c: Complex) -> str | None:
 def _classify_dim1(c: Complex) -> str | None:
     if c.dimension != 1 or not c.is_pure or not is_connected(c):
         return None
-    deg = {v: 0 for v in c.vertices}
-    for e in c.facets:
-        for v in e:
-            deg[v] += 1
+    deg = {v: len(hs) for v, hs in c._star_index().items()}
     ones = sum(1 for d in deg.values() if d == 1)
     if any(d > 2 for d in deg.values()):
         return None
@@ -723,17 +699,12 @@ def _classify_dim1(c: Complex) -> str | None:
 def _classify_dim2(c: Complex) -> str | None:
     if c.dimension != 2 or not c.is_pure or not is_connected(c):
         return None
-    edge_count: dict[frozenset, int] = {}
-    for g in c.facets:
-        for x in g:
-            e = g - {x}
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(n > 2 for n in edge_count.values()):
+    counts = [len(hs) for hs in _ridges(c.facets).values()]
+    if any(n > 2 for n in counts):
         return None
-    has_boundary = any(n == 1 for n in edge_count.values())
+    has_boundary = 1 in counts
     for v in c.vertices:
-        lk = Complex.generated_by(g - {v} for g in c.facets if v in g)
-        kind = _classify_dim1(lk)
+        kind = _classify_dim1(link(c, {v}))
         if kind is None:
             return None
         if kind == "sphere" and has_boundary:
@@ -761,6 +732,8 @@ def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
     if not c.is_pure or not c.facets:
         raise NotPure("manifold check requires a pure nonempty complex")
     d = c.dimension
+    if d < 0:
+        raise NotPure("manifold check requires dimension at least 0")
     if d >= 4:
         return ManifoldVerdict.UNDECIDED
     if not is_connected(c):
@@ -770,8 +743,7 @@ def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
     classify = _LINK_CLASSIFIERS[d - 1]
     saw_ball = False
     for v in sorted(c.vertices, key=vertex_key):
-        lk = Complex.generated_by(g - {v} for g in c.facets if v in g)
-        kind = classify(lk)
+        kind = classify(link(c, {v}))
         if kind is None:
             return ManifoldVerdict.NO
         if kind == "ball":
@@ -796,21 +768,27 @@ def complex_to_doc(c: Complex, coloring: dict | None = None) -> dict:
     return doc
 
 
-def complex_from_doc(doc: dict):
-    """Parse the interchange dict; returns (complex, coloring-or-None)."""
-    if not isinstance(doc, dict) or "facets" not in doc:
-        raise ValueError("expected an object with a 'facets' list")
-    facets = doc["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ValueError("'facets' must be a list of vertex-token lists")
-    for f in facets:
+def _faces_from_doc(doc: dict, key: str) -> list:
+    """The faces listed under *key* as vertex-token lists, integer tokens
+    read as strings; raises ValueError on any other shape."""
+    faces = doc[key]
+    if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
+        raise ValueError("%r must be a list of vertex-token lists" % (key,))
+    for f in faces:
         for v in f:
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("vertex token %r is neither a string nor an integer"
                                  % (v,))
         if len(_as_face(f)) != len(f):
             raise ValueError("facet %r has repeated vertices" % (f,))
-    c = Complex(facets)  # raises ValueError on non-antichain input
+    return [_as_face(f) for f in faces]
+
+
+def complex_from_doc(doc: dict):
+    """Parse the interchange dict; returns (complex, coloring-or-None)."""
+    if not isinstance(doc, dict) or "facets" not in doc:
+        raise ValueError("expected an object with a 'facets' list")
+    c = Complex(_faces_from_doc(doc, "facets"))  # raises ValueError on non-antichain input
     coloring = doc.get("coloring")
     if coloring is not None:
         if not isinstance(coloring, dict):

@@ -198,11 +198,12 @@ def _block_facets(d: int, i: int) -> list:
     return out
 
 
-def block_facets(d: int, i: int) -> list:
-    """Facets of the single-index diamond complex, canonically sorted."""
-    if not (0 <= i <= d + 1):
-        raise ValueError("index must lie in 0..d+1")
-    return sorted(_block_facets(d, i), key=sorted_face)
+def entry_facet(d: int, i: int) -> frozenset:
+    """The facet {0, ..., i-1, v_i, ..., v_d} of block i, subdivided at
+    every pair from i on; {0, ..., d} for i = d+1.  The absolute shelling
+    order enters each block there, and a flip script's anchor names the
+    images of this facet of the lowest block."""
+    return frozenset([base(t) for t in range(i)] + [sub(t) for t in range(i, d + 1)])
 
 
 def block_of_facet(d: int, f) -> int:
@@ -388,12 +389,7 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
     order: list = []
     rests: list = []
     for pos, i_l in enumerate(idx):
-        if i_l == d + 1:
-            f0 = frozenset(base(t) for t in range(d + 1))
-        else:
-            f0 = frozenset(
-                [base(t) for t in range(i_l)] + [sub(t) for t in range(i_l, d + 1)]
-            )
+        f0 = entry_facet(d, i_l)
         ordered = sorted(_block_facets(d, i_l), key=deg_lex_key(d, i_l, f0))
         prior = frozenset(base(i_j) for i_j in idx[:pos])
         for f in ordered:
@@ -405,16 +401,9 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
 def h_vector_formula(d: int, indices) -> tuple:
     """Entrywise h-vector of the diamond complex from its index set alone."""
     idx = _check_index_set(d, indices, d + 1)
-
-    def binom(n, k):
-        if k == 0:
-            return 1
-        if k < 0 or n < k:
-            return 0
-        return comb(n, k)
-
+    # block d+1 is one facet: it counts like a block of index d
     return tuple(
-        sum(binom(d - i_j, ell - j) for j, i_j in enumerate(idx))
+        sum(comb(max(d - i_j, 0), ell - j) for j, i_j in enumerate(idx) if j <= ell)
         for ell in range(d + 2)
     )
 

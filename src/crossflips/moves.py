@@ -30,6 +30,7 @@ from .complexes import (
     Complex,
     ComplexError,
     FaceNotPresent,
+    _adjacency,
     _as_face,
     _induced_in,
     boundary_complex,
@@ -397,58 +398,70 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
     )
 
 
+def _compile_walk(abstract: Complex, root: frozenset):
+    """The breadth-first ridge walk over the dual graph of *abstract* from
+    its facet *root*, visiting neighbours in canonical facet order,
+    compiled to integer slots as (order, steps).
+
+    Abstract vertices are numbered in first-placement order (``order``:
+    the root in ``sorted_face`` order, then each new vertex of the walk)
+    and abstract facets in walk order (the root is 0).  Step k reaches
+    facet k + 1 and is ``(new vertex slot, dropped vertex slot, origin
+    facet slot)``: the new facet is the origin minus the dropped vertex
+    plus the new one.
+    """
+    d = len(root) - 1
+    afacets = sorted(abstract.facets, key=sorted_face)
+    order = list(sorted_face(root))
+    vslot = {v: i for i, v in enumerate(order)}
+    fslot = {root: 0}
+    steps = []
+    frontier = [root]
+    while frontier:
+        cur = frontier.pop(0)
+        for nxt in afacets:
+            if nxt in fslot:
+                continue
+            shared = cur & nxt
+            if len(shared) == d:
+                (x_new,) = nxt - shared
+                (x_drop,) = cur - shared
+                if x_new not in vslot:
+                    vslot[x_new] = len(order)
+                    order.append(x_new)
+                steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
+                fslot[nxt] = len(fslot)
+                frontier.append(nxt)
+    if len(fslot) != len(afacets):
+        raise ValueError("abstract flip complex is not ridge-connected")
+    return tuple(order), tuple(steps)
+
+
 class _FlipPlan:
     """What a cross-flip of one class needs that does not depend on the
-    ambient complex: the abstract diamond complex with the ridge walk that
-    extends an embedding from its root facet, its cross-polytope
-    complement with the vertices only the complement has, and the two
-    shellability verdicts, each decided by exhaustive search when first
-    needed.  Verdicts fill lazily; a concurrent recomputation yields the
-    same value.
+    ambient complex: the abstract diamond complex with its ridge walk
+    (``_compile_walk``) compiled twice, its cross-polytope complement with
+    the vertices only the complement has, and the two shellability
+    verdicts, each decided by exhaustive search when first needed.
+    Verdicts fill lazily; a concurrent recomputation yields the same value.
 
-    The ridge walk is compiled to integer slots.  Abstract vertices are
-    numbered in first-placement order (``order``: the root facet in
-    ``sorted_face`` order, then each new vertex of the walk) and abstract
-    facets in walk order (the root is 0).  Step k reaches facet k + 1 and
-    is ``(new vertex slot, dropped vertex slot, origin facet slot)``: the
-    new facet is the origin minus the dropped vertex plus the new one."""
+    Site search walks from the first facet in ``sorted_face`` order
+    (``order``, ``steps``, and ``pairs``, the pair index of each vertex
+    slot); the anchored embedding of a flip script walks from the entry
+    facet of the lowest block (``anchor_order``, ``anchor_steps``)."""
 
-    __slots__ = ("abstract", "order", "steps", "pairs",
-                 "complement", "unseen", "_shells")
+    __slots__ = ("abstract", "order", "steps", "pairs", "anchor_order",
+                 "anchor_steps", "complement", "unseen", "_shells")
 
     def __init__(self, d: int, spec: tuple):
         abstract = _diamond.diamond_closed_form(d, spec)
-        afacets = sorted(abstract.facets, key=sorted_face)
-        root = afacets[0]
-        # breadth-first spanning walk over the dual graph of the abstract
-        # complex, in canonical facet order
-        order = list(sorted_face(root))
-        vslot = {v: i for i, v in enumerate(order)}
-        fslot = {root: 0}
-        steps = []
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0)
-            for nxt in afacets:
-                if nxt in fslot:
-                    continue
-                shared = cur & nxt
-                if len(shared) == d:
-                    (x_new,) = nxt - shared
-                    (x_drop,) = cur - shared
-                    if x_new not in vslot:
-                        vslot[x_new] = len(order)
-                        order.append(x_new)
-                    steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
-                    fslot[nxt] = len(fslot)
-                    frontier.append(nxt)
-        if len(fslot) != len(afacets):
-            raise ValueError("abstract flip complex is not ridge-connected")
+        root = min(abstract.facets, key=sorted_face)
+        self.order, self.steps = _compile_walk(abstract, root)
+        self.anchor_order, self.anchor_steps = _compile_walk(
+            abstract, _diamond.entry_facet(d, spec[0]))
         complement = delete_subcomplex(_diamond.cross_polytope(d), abstract)
         self.abstract = abstract
-        self.order = tuple(order)
-        self.steps = tuple(steps)
-        self.pairs = tuple(pair_index(v) for v in order)
+        self.pairs = tuple(pair_index(v) for v in self.order)
         self.complement = complement
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
@@ -599,11 +612,7 @@ def preserves_balancedness(c: Complex, coloring: dict, move) -> bool:
 
 def _greedy_extend(coloring: dict, after: Complex, m: int):
     out = dict(coloring)
-    adj: dict[str, set] = {v: set() for v in after.vertices}
-    for e in after.faces(1):
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(after)
     for v in sorted(after.vertices, key=vertex_key):
         if v in out:
             continue

@@ -14,6 +14,7 @@ from .complexes import (
     Complex,
     ComplexError,
     _as_face,
+    _subsets,
     sorted_face,
 )
 
@@ -78,29 +79,20 @@ class ShellingCertificate:
         )
 
 
-def _subsets(f: frozenset):
-    vs = tuple(f)
-    for r in range(len(vs) + 1):
-        from itertools import combinations
-
-        for c in combinations(vs, r):
-            yield frozenset(c)
-
-
-def _minimal_members(faces: set) -> list:
-    out = []
-    for f in faces:
-        if not any(g < f for g in faces):
-            out.append(f)
-    return sorted(out, key=lambda f: (len(f), sorted_face(f)))
+def _new_faces(f: frozenset, covered) -> tuple:
+    """The faces of f missing from *covered*, and their minimal members by
+    size, then ``sorted_face``; placing f extends a shelling exactly when
+    there is one minimal member."""
+    new = {g for g in _subsets(f) if g not in covered}
+    minimal = [g for g in new if not any(h < g for h in new)]
+    return new, sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
 
 
 def _run(order, excluded: frozenset) -> ShellingVerdict:
     seen: set = set(excluded)
     restrictions = []
     for idx, f in enumerate(order):
-        new = {g for g in _subsets(f) if g not in seen}
-        minimal = _minimal_members(new)
+        new, minimal = _new_faces(f, seen)
         if len(minimal) != 1:
             return ShellingVerdict(
                 ok=False, failing_index=idx, minimal_new_faces=tuple(minimal)
@@ -196,8 +188,7 @@ def find_shelling(c: Complex, budget: int = 24):
         for f in facets:
             if f in placed:
                 continue
-            new = {g for g in _subsets(f) if g not in covered}
-            minimal = _minimal_members(new)
+            new, minimal = _new_faces(f, covered)
             if len(minimal) != 1:
                 continue
             order.append(f)

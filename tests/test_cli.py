@@ -257,6 +257,27 @@ def test_dimension_caps_are_undecided(tmp_path, capsys):
     assert (code, text) == (2, "UNDECIDED: dimension 7 exceeds the cap 6\n")
 
 
+def test_verify_dimension_is_capped_and_nonnegative(capsys):
+    for target in ("count", "hvector", "complement", "shelling-theorem", "reducibility"):
+        for dim, want in (("7", (2, "UNDECIDED: dimension 7 exceeds the cap 6\n", "")),
+                          ("-3", (1, "", "error: dimension must be nonnegative\n"))):
+            assert run(capsys, "verify", target, dim) == want, (target, dim)
+
+
+def test_void_and_empty_complexes_fail_with_a_message(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [[]]}))
+    assert run(capsys, "check", str(path), "manifold") == (
+        1, "", "error: manifold check requires dimension at least 0\n")
+    path.write_text(json.dumps({"facets": []}))
+    script = tmp_path / "moves.txt"
+    script.write_text("crossflip I=2 anchor=0,1,v2\n")
+    out = tmp_path / "out.json"
+    assert run(capsys, "flip", str(path), "--script", str(script), "--out", str(out)) == (
+        1, "FAIL at line 1: step ?: the empty complex has no flip site\n", "")
+    assert not out.exists()
+
+
 def test_malformed_tokens_and_colors_are_errors(tmp_path, capsys):
     path = tmp_path / "m.json"
     for doc in (
