@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .complexes import (
     Complex,
     ComplexError,
+    _subsets,
     are_isomorphic,
     boundary_complex,
     delete_subcomplex,
@@ -38,6 +39,7 @@ from .diamond import (
 )
 from .moves import (
     CrossFlip,
+    _flip_plan,
     apply_cross_flip,
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
@@ -48,6 +50,10 @@ from .shelling import RelativeComplex, verify_certificate
 
 class DimensionCapExceeded(ComplexError):
     pass
+
+
+class ChordNotFlippable(ComplexError):
+    """No chord of an ambient under construction could be flipped away."""
 
 
 # the highest dimension the catalog and the verification suites run at
@@ -168,6 +174,8 @@ def barycentric_sphere(d: int):
 # of its minimal representative, and stars in the cross-polytope boundary
 # are simplex-times-cross-polytope joins, i.e. single-index diamond shapes,
 # so flipping those stars removes every chord without ever creating one.
+# A chord lies in a facet, so it is a subset of that facet's trace on the
+# span of the diamond complex.
 
 
 def ambient_with_induced_diamond(d: int, indices):
@@ -190,21 +198,30 @@ def relative_shelling_setting(d: int, seq):
     seq = tuple(seq)
     sset = tuple(sorted(set(seq)))
     amb, _coloring, _emb = ambient_with_induced_diamond_any(d, sset)
+    return _relative_settings(d, sset, amb)[seq[0]]
+
+
+def _relative_settings(d: int, sset: tuple, amb: Complex) -> dict:
+    """``relative_shelling_setting`` for every first block of the index set
+    *sset*, in the ambient *amb* built for it; the setting depends only on
+    the first block.  Each block takes the first boundary ridge of the
+    diamond complex, in canonical order, that qualifies for it."""
     dcomp = diamond_closed_form(d, sset)
-    bd = boundary_complex(dcomp)
-    for ridge in sorted(bd.faces(d - 1), key=sorted_face):
-        carriers = [h for h in dcomp.facets if ridge < h]
-        if len(carriers) != 1 or block_of_facet(d, carriers[0]) != seq[0]:
+    out = dict.fromkeys(sset)
+    for ridge in sorted(boundary_complex(dcomp).facets, key=sorted_face):
+        (carrier,) = dcomp._facets_containing(ridge)
+        block = block_of_facet(d, carrier)
+        if out[block] is not None:
             continue
-        others = [h for h in amb.facets if ridge < h and h != carriers[0]]
+        others = [h for h in amb._facets_containing(ridge) if h != carrier]
         if len(others) != 1:
             continue
         (neighbor,) = others
         if neighbor - ridge <= dcomp.vertices:
             continue
-        ball = Complex(amb.facets - {neighbor})
-        return RelativeComplex(ball, delete_subcomplex(ball, dcomp)), ridge
-    return None
+        ball = amb._replaced(frozenset([neighbor]), frozenset())
+        out[block] = RelativeComplex(ball, delete_subcomplex(ball, dcomp)), ridge
+    return out
 
 
 def ambient_with_induced_diamond_any(d: int, indices):
@@ -216,16 +233,17 @@ def ambient_with_induced_diamond_any(d: int, indices):
     amb = cross_polytope(d)
     coloring = standard_coloring(d)
     while True:
+        traces = {h & span for h in amb.facets} - dfaces
         chords = sorted(
-            (f for f in amb.all_faces() if f and f <= span and f not in dfaces),
+            {f for t in traces for f in _subsets(t) if f not in dfaces},
             key=lambda f: (len(f), sorted_face(f)),
         )
         if not chords:
             break
         flipped = False
         for f in chords:
-            locus = Complex(h for h in amb.facets if f <= h)
-            shape = diamond_closed_form(d, (len(f) - 1,))
+            locus = Complex(amb._facets_containing(f))
+            shape = _flip_plan(d, (len(f) - 1,)).abstract
             iso = are_isomorphic(shape, locus)
             if iso is None:
                 continue
@@ -240,7 +258,7 @@ def ambient_with_induced_diamond_any(d: int, indices):
             flipped = True
             break
         if not flipped:
-            raise RuntimeError("no chord of %r could be flipped away" % (idx,))
+            raise ChordNotFlippable("no chord of %r could be flipped away" % (idx,))
     return amb, coloring, {v: v for v in span}
 
 
@@ -551,9 +569,11 @@ def verify_shelling_theorem(d: int):
     for sset in _all_index_sets(d, d + 1):
         if len(sset) == d + 2:
             continue
+        amb, _coloring, _emb = ambient_with_induced_diamond_any(d, sset)
+        settings = _relative_settings(d, sset, amb)
         for i1 in sset:
-            seq = (i1,) + tuple(sorted(set(sset) - {i1}))
-            setting = relative_shelling_setting(d, seq)
+            seq = (i1,) + tuple(i for i in sset if i != i1)
+            setting = settings[i1]
             if setting is None:
                 n_skip += 1
                 continue

@@ -269,7 +269,7 @@ def _parse_assignments(parts):
     return out
 
 
-def apply_script_line(c: Complex, line: str, budget: int = 24):
+def apply_script_line(c: Complex, line: str):
     """One move-script line applied to a complex; returns the new complex."""
     parts = line.split()
     op, kv = parts[0], _parse_assignments(parts[1:])
@@ -278,7 +278,7 @@ def apply_script_line(c: Complex, line: str, budget: int = 24):
         anchor = tuple(t for t in kv["anchor"].split(",") if t)
         emb = _anchor_embedding(c, spec, anchor)
         flip = _moves.CrossFlip(d=c.dimension, spec=spec, embedding=emb)
-        return _moves.apply_cross_flip(c, flip, budget=budget)
+        return _moves.apply_cross_flip(c, flip)
     if op == "bistellar":
         flip = _moves.BistellarFlip(A=_parse_face(kv["A"]), B=_parse_face(kv["B"]))
         return _moves.apply_bistellar(c, flip)
@@ -293,7 +293,6 @@ def cmd_flip(args) -> int:
     if args.script is None:
         raise UsageError("flip requires --script")
     c, coloring = complex_from_doc(_read_doc(args.file))
-    budget = args.budget if args.budget is not None else 24
     with open(args.script, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -301,7 +300,7 @@ def cmd_flip(args) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            c = apply_script_line(c, line, budget=budget)
+            c = apply_script_line(c, line)
         except (ComplexError, ValueError, KeyError, StepFailed) as exc:
             print("FAIL at line %d: %s" % (lineno, exc))
             return 1
@@ -321,7 +320,6 @@ class WalkConfig:
     allowed_flips: list = field(default_factory=list)
     start: Complex | None = None
     start_coloring: dict | None = None
-    budget: int = 24
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,7 +356,7 @@ def run_walk(config: WalkConfig):
         spec = per_class[rng.randrange(len(per_class))]
         sites = _moves.find_cross_flip_sites(cur, coloring, spec)
         site = sites[rng.randrange(len(sites))]
-        res = _moves.apply_cross_flip_detailed(cur, site, budget=config.budget)
+        res = _moves.apply_cross_flip_detailed(cur, site)
         coloring = _moves.extend_coloring_after_cross_flip(coloring, res)
         cur = res.complex
         rows.append(
@@ -404,6 +402,9 @@ def cmd_walk(args) -> int:
             if start_coloring is None:
                 print("FAIL: the start complex has no proper %d-coloring" % (args.dim + 1))
                 return 1
+        elif not is_proper_coloring(start, start_coloring, args.dim + 1):
+            print("FAIL: the stored coloring is not a proper %d-coloring" % (args.dim + 1))
+            return 1
     config = WalkConfig(
         steps=args.steps if args.steps is not None else 100,
         seed=args.seed if args.seed is not None else 0,
@@ -411,7 +412,6 @@ def cmd_walk(args) -> int:
         allowed_flips=[tuple(i) for i in (args.index or [])],
         start=start,
         start_coloring=start_coloring,
-        budget=args.budget if args.budget is not None else 24,
     )
     try:
         final, coloring, rows = run_walk(config)
@@ -518,7 +518,6 @@ def build_parser() -> _Parser:
     f.add_argument("file")
     f.add_argument("--script")
     f.add_argument("--out")
-    f.add_argument("--budget", type=int)
     f.set_defaults(func=cmd_flip)
 
     w = subs.add_parser("walk", help="seeded random cross-flip walk")
@@ -528,7 +527,6 @@ def build_parser() -> _Parser:
     w.add_argument("--seed", type=int)
     w.add_argument("--index", type=_parse_index, action="append")
     w.add_argument("--out")
-    w.add_argument("--budget", type=int)
     w.set_defaults(func=cmd_walk)
 
     k = subs.add_parser("catalog", help="table of basic flip classes")

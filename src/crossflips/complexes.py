@@ -114,11 +114,10 @@ def sorted_face(f) -> tuple:
 
 
 def _subsets(f):
-    """Every subset of the face f, the empty face and f included."""
+    """Every subset of the face f, the empty face and f included, by size."""
     vs = tuple(f)
-    for r in range(len(vs) + 1):
-        for c in itertools.combinations(vs, r):
-            yield frozenset(c)
+    return itertools.chain.from_iterable(
+        map(frozenset, itertools.combinations(vs, r)) for r in range(len(vs) + 1))
 
 
 def _ridges(facets) -> dict:
@@ -351,7 +350,7 @@ class Complex:
         return sum((-1) ** k * len(self.faces(k)) for k in range(0, d + 1))
 
     def is_subcomplex_of(self, other: "Complex") -> bool:
-        return all(other.has_face(f) for f in self._facets)
+        return all(f in other._facets or other.has_face(f) for f in self._facets)
 
     def canonical_facets(self) -> list[tuple]:
         """Facets as sorted tuples, in the canonical outer order."""
@@ -470,7 +469,7 @@ def _traces_are_faces(facets, sub_facets: frozenset, vs) -> bool:
         return not facets
     for h in facets:
         t = h & vs
-        if len(t) > 1 and t not in sub_facets and not any(t <= g for g in sub_facets):
+        if len(t) > 1 and t not in sub_facets and not any(map(t.issubset, sub_facets)):
             return False
     return True
 
@@ -587,13 +586,11 @@ def find_balanced_coloring(c: Complex) -> dict | None:
 
 
 def _vertex_invariant(c: Complex, v: str) -> tuple:
-    """The numbers of nonempty faces of the link of v, by dimension."""
-    lk = link(c, {v})
-    counts = [0] * (lk.dimension + 1)
-    for f in lk.all_faces():
-        if f:
-            counts[len(f) - 1] += 1
-    return tuple(counts)
+    """The degree of v (facets containing it) and its number of neighbours,
+    read from the star index.  On manifolds of dimension at most 3 and on
+    closed 4-manifolds these fix the face numbers of the link of v."""
+    star = c._star_index()[v]
+    return (len(star), len(frozenset().union(*star)) - 1)
 
 
 def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):

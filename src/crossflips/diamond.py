@@ -17,6 +17,7 @@ together with their restriction faces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -26,6 +27,7 @@ from .complexes import (
     ComplexError,
     _as_face,
     base,
+    pair_index,
     sub,
     sorted_face,
 )
@@ -188,14 +190,16 @@ def diamond_closed_form(d: int, indices) -> Complex:
     return Complex(facets)
 
 
-def _block_facets(d: int, i: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _block_facets(d: int, i: int) -> frozenset:
+    """The facets of block i, built once per (d, i)."""
     if i == d + 1:
-        return [frozenset(base(t) for t in range(d + 1))]
+        return frozenset([frozenset(base(t) for t in range(d + 1))])
     head = frozenset([base(t) for t in range(i)] + [sub(i)])
-    out = []
-    for pick in itertools.product(*[(base(j), sub(j)) for j in range(i + 1, d + 1)]):
-        out.append(head | frozenset(pick))
-    return out
+    return frozenset(
+        head | frozenset(pick)
+        for pick in itertools.product(*[(base(j), sub(j)) for j in range(i + 1, d + 1)])
+    )
 
 
 def entry_facet(d: int, i: int) -> frozenset:
@@ -217,31 +221,26 @@ def block_of_facet(d: int, f) -> int:
 # characteristic vectors and the degree-lexicographic order
 
 
-def _facet_choice(f: frozenset, j: int) -> str:
-    if base(j) in f:
-        return base(j)
-    if sub(j) in f:
-        return sub(j)
-    raise MismatchedGamma("facet %r selects neither token of pair %d"
-                          % (sorted_face(f), j))
-
-
 def _check_block_facet(d: int, ell: int, f: frozenset) -> None:
-    if f not in set(_block_facets(d, ell)):
+    if f not in _block_facets(d, ell):
         raise MismatchedGamma(
             "%r is not a facet of the index-%d diamond block" % (sorted_face(f), ell)
         )
 
 
 def char_vector(d: int, ell: int, base_facet, g) -> tuple:
-    """0/1 tuple over pair positions ell+1..d: 1 where the facets differ."""
+    """0/1 tuple over pair positions ell+1..d: 1 where the facets differ.
+
+    A block facet holds exactly one token of each pair past ell, so the
+    facets differ at j exactly when one of them holds v_j.  They share
+    the rest, so g - base_facet is g's token at each differing position.
+    """
     base_facet = _as_face(base_facet)
     g = _as_face(g)
     _check_block_facet(d, ell, base_facet)
     _check_block_facet(d, ell, g)
     return tuple(
-        0 if _facet_choice(g, j) == _facet_choice(base_facet, j) else 1
-        for j in range(ell + 1, d + 1)
+        int((sub(j) in g) != (sub(j) in base_facet)) for j in range(ell + 1, d + 1)
     )
 
 
@@ -311,23 +310,6 @@ def initial_facet(d: int, seq, ell: int, boundary_facet_hint=None) -> frozenset:
     return frozenset(out)
 
 
-def _changed_vertices(d: int, ell_index: int, f0: frozenset, f: frozenset) -> frozenset:
-    bits = char_vector(d, ell_index, f0, f)
-    return frozenset(
-        _facet_choice(f, j)
-        for j, bit in zip(range(ell_index + 1, d + 1), bits)
-        if bit
-    )
-
-
-def _first_changed_position(d: int, ell_index: int, f0: frozenset, f: frozenset):
-    bits = char_vector(d, ell_index, f0, f)
-    for j, bit in zip(range(ell_index + 1, d + 1), bits):
-        if bit:
-            return j
-    return None
-
-
 def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
     """Facet order shelling (ambient, ambient minus the diamond complex).
 
@@ -359,12 +341,13 @@ def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
         restrictions = []
         for rank, f in enumerate(ordered):
             # interior part of the removal decomposition; the minimal new
-            # face of the reversed (relative) reading is its complement
-            changed = _changed_vertices(d, i_l, f0, f)
+            # face of the reversed (relative) reading is its complement.
+            # f's tokens where it differs from f0 (see char_vector)
+            changed = f - f0
             if ell == 1:
                 a_part = (f - bface) if rank == 0 else changed
             elif seq[0] > i_l:
-                t = _first_changed_position(d, i_l, f0, f)
+                t = min(map(pair_index, changed), default=None)
                 if t is not None and t <= seq[0]:
                     a_part = prior_low | changed
                 else:
@@ -394,7 +377,7 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
         prior = frozenset(base(i_j) for i_j in idx[:pos])
         for f in ordered:
             order.append(f)
-            rests.append(prior | _changed_vertices(d, i_l, f0, f))
+            rests.append(prior | (f - f0))
     return ShellingCertificate(order=tuple(order), restrictions=tuple(rests))
 
 

@@ -3,10 +3,13 @@ elementary and inverse shellings, and cross-flips.
 
 A cross-flip replaces an induced, shellable, co-shellable copy of a diamond
 complex by the complement of that complex in the cross-polytope boundary.
-Both shellability conditions are decided by exhaustive search, not trusted
-from the catalog: once per flip class per process, with the search budget
-checked on every application.  Fresh vertices created by subdivisions and
-cross-flips are labeled "w<k>" by a monotone counter namespaced per complex.
+Both sides are diamond complexes (the complement of the index set I is the
+complementary index set in {0, ..., d+1}), so both shellability conditions
+are decided by their degree-lexicographic shelling certificates, verified
+restriction by restriction once per flip class per process, when the
+class's plan is built; a certificate that fails raises.  Fresh vertices
+created by subdivisions and cross-flips are labeled "w<k>" by a monotone
+counter namespaced per complex.
 
 An application costs its region: both inducedness checks read the stars
 of the region's vertices, and the result inherits the ambient's vertex set,
@@ -34,7 +37,6 @@ from .complexes import (
     _as_face,
     _induced_in,
     boundary_complex,
-    delete_subcomplex,
     is_proper_coloring,
     link,
     partner,
@@ -42,7 +44,7 @@ from .complexes import (
     sorted_face,
     vertex_key,
 )
-from .shelling import _check_budget, find_shelling
+from .shelling import verify_certificate
 
 
 class NotWeldable(ComplexError):
@@ -62,14 +64,6 @@ class ConditionViolated(ComplexError):
 
 
 class NotInduced(ComplexError):
-    pass
-
-
-class NotShellable(ComplexError):
-    pass
-
-
-class NotCoShellable(ComplexError):
     pass
 
 
@@ -339,18 +333,19 @@ def inverse_shelling(c: Complex, f_new, a, r) -> Complex:
 # cross-flips
 
 
-def apply_cross_flip(c: Complex, flip: CrossFlip, budget: int = 24) -> Complex:
-    return apply_cross_flip_detailed(c, flip, budget=budget).complex
+def apply_cross_flip(c: Complex, flip: CrossFlip) -> Complex:
+    return apply_cross_flip_detailed(c, flip).complex
 
 
-def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> CrossFlipResult:
+def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     """Replace the embedded diamond complex by its cross-polytope complement.
 
     Checks, in order: the embedding is injective and covers the abstract
-    vertices, the image is an induced subcomplex, the abstract complex
-    shells, and its complement shells.  The returned record carries the
-    total map from abstract cross-polytope vertices to ambient labels and
-    whether the glued complement sits induced in the result.
+    vertices, and the image is an induced subcomplex.  Both sides shell:
+    the class's plan verified their certificates (``_FlipPlan``).  The
+    returned record carries the total map from abstract cross-polytope
+    vertices to ambient labels and whether the glued complement sits
+    induced in the result.
     """
     d = flip.d
     spec = _diamond._check_index_set(d, flip.spec, d)
@@ -372,10 +367,6 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip, budget: int = 24) -> 
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
     if not _induced_in(c, image.facets, image.vertices):
         raise NotInduced("embedded complex is not induced in the ambient")
-    if not plan.shells("abstract", budget):
-        raise NotShellable("the removed complex does not shell")
-    if not plan.shells("complement", budget):
-        raise NotCoShellable("the cross-polytope complement does not shell")
 
     total = dict(image_of)
     for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
@@ -439,11 +430,12 @@ def _compile_walk(abstract: Complex, root: frozenset):
 
 class _FlipPlan:
     """What a cross-flip of one class needs that does not depend on the
-    ambient complex: the abstract diamond complex with its ridge walk
-    (``_compile_walk``) compiled twice, its cross-polytope complement with
-    the vertices only the complement has, and the two shellability
-    verdicts, each decided by exhaustive search when first needed.
-    Verdicts fill lazily; a concurrent recomputation yields the same value.
+    ambient complex: the abstract diamond complex of I with its ridge walk
+    (``_compile_walk``) compiled twice, and its cross-polytope complement,
+    the diamond complex of {0, ..., d+1} minus I, with the vertices only
+    the complement has.  Building a plan verifies the absolute shelling
+    certificate of both sides (``diamond.absolute_shelling_order``); a
+    failing one raises, so a plan exists only when both sides shell.
 
     Site search walks from the first facet in ``sorted_face`` order
     (``order``, ``steps``, and ``pairs``, the pair index of each vertex
@@ -451,33 +443,24 @@ class _FlipPlan:
     facet of the lowest block (``anchor_order``, ``anchor_steps``)."""
 
     __slots__ = ("abstract", "order", "steps", "pairs", "anchor_order",
-                 "anchor_steps", "complement", "unseen", "_shells")
+                 "anchor_steps", "complement", "unseen")
 
     def __init__(self, d: int, spec: tuple):
+        rest = tuple(i for i in range(d + 2) if i not in spec)
         abstract = _diamond.diamond_closed_form(d, spec)
+        complement = _diamond.diamond_closed_form(d, rest)
+        for side, idx in ((abstract, spec), (complement, rest)):
+            verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
         root = min(abstract.facets, key=sorted_face)
         self.order, self.steps = _compile_walk(abstract, root)
         self.anchor_order, self.anchor_steps = _compile_walk(
             abstract, _diamond.entry_facet(d, spec[0]))
-        complement = delete_subcomplex(_diamond.cross_polytope(d), abstract)
         self.abstract = abstract
         self.pairs = tuple(pair_index(v) for v in self.order)
         self.complement = complement
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
         )
-        self._shells: dict[str, bool] = {}
-
-    def shells(self, side: str, budget: int) -> bool:
-        """Whether the "abstract" or the "complement" side shells.  The
-        budget is checked on every call; the verdict of the exhaustive
-        search below it does not depend on the budget, so it is kept."""
-        c = getattr(self, side)
-        _check_budget(c, budget)
-        verdict = self._shells.get(side)
-        if verdict is None:
-            verdict = self._shells[side] = find_shelling(c, budget=budget) is not None
-        return verdict
 
 
 @functools.lru_cache(maxsize=None)

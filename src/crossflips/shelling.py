@@ -82,13 +82,18 @@ class ShellingCertificate:
 def _new_faces(f: frozenset, covered) -> tuple:
     """The faces of f missing from *covered*, and their minimal members by
     size, then ``sorted_face``; placing f extends a shelling exactly when
-    there is one minimal member."""
+    there is one minimal member.  Every new face contains a minimal one,
+    so a single minimal member is the intersection of all new faces."""
     new = {g for g in _subsets(f) if g not in covered}
+    if new:
+        low = frozenset.intersection(*new)
+        if low in new:
+            return new, [low]
     minimal = [g for g in new if not any(h < g for h in new)]
     return new, sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
 
 
-def _run(order, excluded: frozenset) -> ShellingVerdict:
+def _run(order, excluded) -> ShellingVerdict:
     seen: set = set(excluded)
     restrictions = []
     for idx, f in enumerate(order):
@@ -117,8 +122,13 @@ def is_relative_shelling(rc: RelativeComplex, order) -> ShellingVerdict:
         raise NotAPermutation(
             "order must be a permutation of the ambient facets outside the removed part"
         )
-    excluded = rc.removed.all_faces() if rc.removed.facets else frozenset()
-    return _run(order, frozenset(excluded))
+    # _run asks only for faces of placed facets, so the removed part's
+    # faces are needed only inside the span of the order
+    span = frozenset().union(*order)
+    excluded = set()
+    for h in rc.removed.facets:
+        excluded.update(_subsets(h & span))
+    return _run(order, excluded)
 
 
 def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:

@@ -8,7 +8,9 @@ import pytest
 from crossflips.catalog import (
     DimensionCapExceeded,
     MINIMAL_SUFFICIENT_SETS,
+    _relative_settings,
     ambient_with_induced_diamond,
+    ambient_with_induced_diamond_any,
     barycentric_sphere,
     check_matroid_bases,
     enumerate_basic_flips,
@@ -20,14 +22,18 @@ from crossflips.catalog import (
     verify_reducibility_composition,
 )
 from crossflips.complexes import (
+    Complex,
     ManifoldVerdict,
     are_isomorphic,
+    boundary_complex,
+    delete_subcomplex,
     h_vector,
     is_combinatorial_manifold,
     is_induced,
     is_proper_coloring,
+    sorted_face,
 )
-from crossflips.diamond import diamond_closed_form
+from crossflips.diamond import block_of_facet, diamond_closed_form
 from crossflips.moves import CrossFlip
 
 
@@ -149,8 +155,6 @@ def test_matroid_bases():
 
 
 def test_relative_setting_shapes():
-    from crossflips.complexes import boundary_complex
-
     setting = relative_shelling_setting(2, (1, 0, 2))
     assert setting is not None
     rc, ridge = setting
@@ -162,3 +166,44 @@ def test_relative_setting_shapes():
     bd_faces = boundary_complex(rc.ambient).all_faces()
     met = {f for f in dcomp.all_faces() if f and f in bd_faces}
     assert met == {g for g in dcomp.all_faces() if g and g <= ridge}
+
+
+def former_relative_setting(d, seq, amb):
+    """The relative setting of *seq* as it was found before the settings of
+    all first blocks were read in one pass: a scan of the boundary ridges
+    for this sequence alone, with a ball built from scratch."""
+    dcomp = diamond_closed_form(d, sorted(set(seq)))
+    for ridge in sorted(boundary_complex(dcomp).faces(d - 1), key=sorted_face):
+        carriers = [h for h in dcomp.facets if ridge < h]
+        if len(carriers) != 1 or block_of_facet(d, carriers[0]) != seq[0]:
+            continue
+        others = [h for h in amb.facets if ridge < h and h != carriers[0]]
+        if len(others) != 1:
+            continue
+        (neighbor,) = others
+        if neighbor - ridge <= dcomp.vertices:
+            continue
+        ball = Complex(amb.facets - {neighbor})
+        return ball, delete_subcomplex(ball, dcomp), ridge
+    return None
+
+
+def test_relative_settings_match_the_former_scan():
+    for d in (1, 2, 3):
+        for r in range(1, d + 2):
+            for sset in itertools.combinations(range(d + 2), r):
+                amb = ambient_with_induced_diamond_any(d, sset)[0]
+                settings = _relative_settings(d, sset, amb)
+                assert sorted(settings) == list(sset)
+                for i1 in sset:
+                    seq = (i1,) + tuple(i for i in sset if i != i1)
+                    want = former_relative_setting(d, seq, amb)
+                    if want is None:
+                        assert settings[i1] is None
+                        continue
+                    rc, ridge = settings[i1]
+                    assert (rc.ambient, rc.removed, ridge) == want
+                    # the ball inherits its star index from the ambient
+                    fresh = Complex(rc.ambient.facets)
+                    assert rc.ambient._star_index() == fresh._star_index()
+                    assert rc.ambient.vertices == fresh.vertices

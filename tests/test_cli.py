@@ -3,7 +3,9 @@
 import json
 import os
 
+from crossflips import catalog
 from crossflips.cli import main
+from crossflips.moves import NotInduced
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -297,17 +299,45 @@ def test_malformed_tokens_and_colors_are_errors(tmp_path, capsys):
     assert (code, text) == (0, "balanced: True (stored coloring, 2 colors)\n")
 
 
-def test_flip_budget_zero_is_honoured(tmp_path, capsys):
+def test_flip_budget_is_a_usage_error(tmp_path, capsys):
+    # cross-flips are decided by verified certificates; no search budget
     src = tmp_path / "c2.json"
     run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
     script = tmp_path / "moves.txt"
     script.write_text("crossflip I=2 anchor=0,1,v2\n")
     out = tmp_path / "out.json"
-    code, text, _ = run(capsys, "flip", str(src), "--script", str(script),
-                        "--budget", "0", "--out", str(out))
-    assert code == 1
-    assert text == "FAIL at line 1: 1 facets exceed the search budget 0\n"
+    for argv in (["flip", str(src), "--script", str(script)],
+                 ["walk", "--dim", "2", "--steps", "2"]):
+        code, text, err = run(capsys, *argv, "--budget", "0", "--out", str(out))
+        assert (code, text) == (3, "")
+        assert err.startswith("usage error:") and "--budget" in err
     assert not out.exists()
+
+
+def test_walk_refuses_an_improper_stored_coloring(tmp_path, capsys):
+    src, out = tmp_path / "st.json", tmp_path / "w.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    doc = json.loads(src.read_text())
+    # edge 0,1 monochrome; then the whole octahedron on two colours
+    bad = {"0": 1, "v0": 0, "1": 1, "v1": 1, "2": 2, "v2": 2}
+    for coloring in (bad, dict(bad, **{"2": 1, "v2": 1})):
+        src.write_text(json.dumps(dict(doc, coloring=coloring)))
+        code, text, err = run(capsys, "walk", str(src), "--dim", "2", "--steps", "3",
+                              "--out", str(out))
+        assert (code, err) == (1, "")
+        assert text == "FAIL: the stored coloring is not a proper 3-coloring\n"
+        assert not out.exists()
+
+
+def test_unflippable_chord_is_an_error(monkeypatch, capsys):
+    def refuse(c, flip):
+        raise NotInduced("refused")
+
+    monkeypatch.setattr(catalog, "apply_cross_flip_detailed", refuse)
+    code, text, err = run(capsys, "verify", "shelling-theorem", "2")
+    assert (code, text) == (1, "")
+    assert err.startswith("error: no chord of (") and err.endswith(
+        ") could be flipped away\n")
 
 
 def test_anchor_walk_reads_ridges_of_the_ambient(tmp_path, capsys):

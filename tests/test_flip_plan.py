@@ -5,7 +5,9 @@ result's facets, vertex map, fresh vertices, complement inducedness and
 extended colouring, and the exception type and message of every rejected
 flip.  They were recorded with the per-call rebuild of the diamond complex,
 its complement and both shellability searches, so the plans must reproduce
-every outcome exactly.
+every outcome exactly.  The `mixed-d2` digest was re-recorded when the
+search budget left the flip path and its sequence stopped probing it; the
+former code, run on the same sequence, gives the same digest.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import random
 
 import pytest
 
+from crossflips import moves
 from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored
 from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import (
@@ -34,18 +37,18 @@ from crossflips.moves import (
     extend_coloring_after_cross_flip,
     find_cross_flip_sites,
 )
-from crossflips.shelling import BudgetExceeded, find_shelling
+from crossflips.shelling import find_shelling, verify_certificate
 
 GOLDEN = {
     "stack-d3": "25f1a218879b1a7122f3dd89ff9720975b2e2f461e00575e14f7b32cbf2dd1c3",
-    "mixed-d2": "569df882970241dc293b763fe4f1a0a54fea77954c78d103374d33a5b14e1b3a",
+    "mixed-d2": "21cb228f21f6cdfe75cfc9e7ebd55a17a62c7516dea31cc3497b6e5a58dcb0af",
 }
 
 
-def _outcome(c, flip, coloring, budget=24):
+def _outcome(c, flip, coloring):
     """JSON-ready record of one application: the result or the exception."""
     try:
-        res = apply_cross_flip_detailed(c, flip, budget=budget)
+        res = apply_cross_flip_detailed(c, flip)
     except (ComplexError, ValueError) as exc:
         return ["raised", type(exc).__name__, str(exc)], None, None
     col = extend_coloring_after_cross_flip(coloring, res)
@@ -79,11 +82,11 @@ def stack_sequence(ops=60, seed=303):
 
 def mixed_sequence(steps=25, seed=202):
     """Seeded d=2 flips over all classes.  Before each step, probes on the
-    current complex reach every rejection: each class's first site at a
-    small budget, a site moved off the complex at one vertex, a site under
-    an added chord triangle, a site with a fin triangle on one of its
-    edges (its complement need not be induced after the flip), an
-    embedding missing a vertex and one identifying two."""
+    current complex reach every rejection: each class's first site, a site
+    moved off the complex at one vertex, a site under an added chord
+    triangle, a site with a fin triangle on one of its edges (its
+    complement need not be induced after the flip), an embedding missing a
+    vertex and one identifying two."""
     d = 2
     cur, col = cross_polytope(d), standard_coloring(d)
     specs = [fc.canonical_index for fc in enumerate_basic_flips(d)]
@@ -93,8 +96,7 @@ def mixed_sequence(steps=25, seed=202):
         verts = sorted(cur.vertices, key=vertex_key)
         for spec in specs:
             for site in find_cross_flip_sites(cur, col, spec)[:1]:
-                budget = rng.choice((1, 3, 6, 24))
-                records.append(_outcome(cur, site, col, budget=budget)[0])
+                records.append(_outcome(cur, site, col)[0])
                 emb = dict(site.embedding)
                 avs = sorted(emb, key=vertex_key)
                 spare = [v for v in verts if v not in emb.values()]
@@ -141,35 +143,39 @@ def test_flip_sequences_match_golden_digest(name):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_plan_matches_fresh_construction_and_search(d):
+    # the exhaustive search is the oracle of the certificates a plan verifies
     for r in range(1, d + 2):
         for spec in itertools.combinations(range(d + 1), r):
             plan = _flip_plan(d, spec)
             fresh = diamond_closed_form(d, spec)
             rest = delete_subcomplex(cross_polytope(d), fresh)
-            assert plan.abstract == fresh and plan.complement == rest
+            closed = diamond_closed_form(d, set(range(d + 2)) - set(spec))
+            assert plan.abstract == fresh and plan.complement == rest == closed
             assert plan.unseen == tuple(sorted(rest.vertices - fresh.vertices, key=vertex_key))
-            assert plan.shells("abstract", 24) == (find_shelling(fresh) is not None)
-            assert plan.shells("complement", 24) == (find_shelling(rest) is not None)
+            assert find_shelling(fresh) is not None
+            assert find_shelling(rest) is not None
 
 
-def _budget_error(c, flip, budget):
-    with pytest.raises(BudgetExceeded) as info:
-        apply_cross_flip_detailed(c, flip, budget=budget)
-    return str(info.value)
+def test_plan_verifies_its_certificates_once(monkeypatch):
+    # class (2,) at d=4: the 28-facet complement is past the exhaustive
+    # search's default budget, and its certificate decides it
+    checked = []
 
+    def counting(target, cert):
+        checked.append(target)
+        return verify_certificate(target, cert)
 
-def test_budget_is_checked_on_every_call():
-    c2 = cross_polytope(2)
-    flip = CrossFlip(d=2, spec=(1,), embedding={v: v for v in "0 v1 2 v2".split()})
-    assert apply_cross_flip_detailed(c2, flip, budget=24).complex.n_facets == 12
-    assert _budget_error(c2, flip, 5) == "6 facets exceed the search budget 5"
-    assert _budget_error(c2, flip, 1) == "2 facets exceed the search budget 1"
-    assert apply_cross_flip_detailed(c2, flip, budget=6).complex.n_facets == 12
+    monkeypatch.setattr(moves, "verify_certificate", counting)
+    _flip_plan.cache_clear()
     c4 = cross_polytope(4)
     spec = (2,)
-    flip = CrossFlip(d=4, spec=spec, embedding={v: v for v in diamond_closed_form(4, spec).vertices})
+    abstract = diamond_closed_form(4, spec)
+    flip = CrossFlip(d=4, spec=spec, embedding={v: v for v in abstract.vertices})
     for _ in range(2):
-        assert _budget_error(c4, flip, 24) == "28 facets exceed the search budget 24"
+        res = apply_cross_flip_detailed(c4, flip)
+        assert res.complex.n_facets == 32 - 4 + 28
+    assert checked == [abstract, delete_subcomplex(c4, abstract)]
+    assert checked[1].n_facets == 28
 
 
 def test_site_view_is_sorted_and_indexes_every_facet():

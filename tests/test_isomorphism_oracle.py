@@ -4,12 +4,13 @@ Two complexes are isomorphic exactly when their vertex-facet incidence
 graphs are isomorphic by a map that sends vertices to vertices and facets
 to facets; networkx decides the latter independently of the library.
 
-`former_vertex_invariant` is `_vertex_invariant` as it stood before it read
-the link from the star index: the counts of the faces containing the vertex,
-by size, next to the face counts of a link rebuilt from every facet.  The
-first part is (1,) followed by the link counts, padded to the dimension, so
-on complexes with the same facet sizes both invariants split the vertices
-alike and the search must return the identical map.
+`former_vertex_invariant` is an earlier `_vertex_invariant`: the counts of
+the faces containing the vertex, by size, next to the face counts of a link
+rebuilt from every facet.  The current one, the vertex degree and number of
+neighbours, is coarser on arbitrary complexes.  Both are isomorphism
+invariants and the search tries candidates in one fixed order, so pruning
+by either cannot change the first map it finds: the maps must be identical.
+On manifolds of dimension at most 3 both split the vertices alike.
 """
 
 import itertools
@@ -116,3 +117,20 @@ def test_pairs_with_equal_f_vectors_agree_with_the_oracle(monkeypatch):
             verdicts.add(got is not None)
     # the sample holds both isomorphic and non-isomorphic pairs
     assert verdicts == {True, False}
+
+
+def test_degree_and_neighbours_split_manifold_vertices_like_link_counts():
+    balls = [diamond_closed_form(d, idx) for d in (2, 3)
+             for idx in ((0,), (1,), (0, 2), (1, 2), (0, 1, 2))]
+    # a disc where the interior vertex x and the boundary vertex a both have
+    # degree 3: their links have 3 and 4 vertices
+    balls.append(Complex([("x", "a", "b"), ("x", "b", "c"), ("x", "c", "a"),
+                          ("a", "b", "d")]))
+    spheres = [run_walk(WalkConfig(steps=s, seed=s, dimension=d))[0]
+               for d, s in ((2, 12), (2, 25), (3, 4), (3, 9))]
+    for c in balls + spheres:
+        assert len(c.facets) > 1
+        old = {v: former_vertex_invariant(c, v) for v in c.vertices}
+        new = {v: complexes._vertex_invariant(c, v) for v in c.vertices}
+        pairs = {(old[v], new[v]) for v in c.vertices}
+        assert len(pairs) == len(set(old.values())) == len(set(new.values()))
