@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .complexes import (
     Complex,
     ComplexError,
+    _induced_in,
     _subsets,
     are_isomorphic,
     boundary_complex,
@@ -175,7 +176,9 @@ def barycentric_sphere(d: int):
 # are simplex-times-cross-polytope joins, i.e. single-index diamond shapes,
 # so flipping those stars removes every chord without ever creating one.
 # A chord lies in a facet, so it is a subset of that facet's trace on the
-# span of the diamond complex.
+# span of the diamond complex.  So the chords are collected once, each one
+# still present is flipped in turn, and a final check confirms that the
+# diamond complex came out induced.
 
 
 def ambient_with_induced_diamond(d: int, indices):
@@ -225,40 +228,38 @@ def _relative_settings(d: int, sset: tuple, amb: Complex) -> dict:
 
 
 def ambient_with_induced_diamond_any(d: int, indices):
-    """Chord-killing loop; accepts index sets that may contain d+1."""
+    """One chord-killing pass (see above); accepts index sets that may
+    contain d+1."""
     idx = _check_index_set(d, indices, d + 1)
     dcomp = diamond_closed_form(d, idx)
     dfaces = dcomp.all_faces()
     span = dcomp.vertices
     amb = cross_polytope(d)
     coloring = standard_coloring(d)
-    while True:
-        traces = {h & span for h in amb.facets} - dfaces
-        chords = sorted(
-            {f for t in traces for f in _subsets(t) if f not in dfaces},
-            key=lambda f: (len(f), sorted_face(f)),
-        )
-        if not chords:
-            break
-        flipped = False
-        for f in chords:
-            locus = Complex(amb._facets_containing(f))
-            shape = _flip_plan(d, (len(f) - 1,)).abstract
-            iso = are_isomorphic(shape, locus)
-            if iso is None:
-                continue
-            try:
-                res = apply_cross_flip_detailed(
-                    amb, CrossFlip(d=d, spec=(len(f) - 1,), embedding=iso)
-                )
-            except ComplexError:
-                continue
-            coloring = extend_coloring_after_cross_flip(coloring, res)
-            amb = res.complex
-            flipped = True
-            break
-        if not flipped:
-            raise ChordNotFlippable("no chord of %r could be flipped away" % (idx,))
+    traces = {h & span for h in amb.facets} - dfaces
+    chords = sorted(
+        {f for t in traces for f in _subsets(t) if f not in dfaces},
+        key=lambda f: (len(f), sorted_face(f)),
+    )
+    stuck = ChordNotFlippable("no chord of %r could be flipped away" % (idx,))
+    for f in chords:
+        star = amb._facets_containing(f)
+        if not star:
+            continue
+        shape = _flip_plan(d, (len(f) - 1,)).abstract
+        iso = are_isomorphic(shape, Complex(star))
+        if iso is None:
+            raise stuck
+        try:
+            res = apply_cross_flip_detailed(
+                amb, CrossFlip(d=d, spec=(len(f) - 1,), embedding=iso)
+            )
+        except ComplexError:
+            raise stuck from None
+        coloring = extend_coloring_after_cross_flip(coloring, res)
+        amb = res.complex
+    if not _induced_in(amb, dcomp.facets, span):
+        raise stuck
     return amb, coloring, {v: v for v in span}
 
 

@@ -7,11 +7,13 @@ label.  The total order on tokens is "0" < "v0" < "1" < "v1" < ... with
 opaque labels after all paired tokens, lexicographically.
 
 All values are immutable after construction and all operations are pure
-functions, so any value may be shared freely across threads.  Face caches
+functions, so any value may be shared freely across threads.  Derived slots
 are filled lazily; a concurrent recomputation produces the identical value,
 so readers always observe a consistent result.
 
-Besides its faces a complex keeps, each built on first use: its vertex set,
+Faces are not cached: ``all_faces`` and ``faces`` build them on each call,
+and the f-vector and Euler characteristic count them by size in one pass.
+A complex keeps only its facets and, each built on first use: its vertex set,
 its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
 vertex degree), the common size of its facets, the highest "w<k>" label
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
@@ -155,13 +158,14 @@ class Complex:
 
     The empty complex (no faces at all) and the void-face complex ``{()}``
     (single empty facet, dimension -1) are distinct values.  Equality and
-    hashing use the facet set only.  Derived data (faces, vertex set, star
-    index, common facet size, top "w<k>" label, site-search view) fill
-    lazily; see the module docstring for the slots ``_replaced`` inherits.
+    hashing use the facet set only.  The slots besides ``_facets`` fill
+    lazily: ``_vertices`` (vertex set), ``_stars`` (star index), ``_size``
+    (common facet size), ``_top_w`` (top "w<k>" label) and ``_view``
+    (site-search view); see the module docstring for the slots
+    ``_replaced`` inherits.  Faces are built when asked for, never kept.
     """
 
-    __slots__ = ("_facets", "_all_faces", "_faces_by_dim", "_vertices", "_view",
-                 "_stars", "_size", "_top_w", "__weakref__")
+    __slots__ = ("_facets", "_vertices", "_view", "_stars", "_size", "_top_w")
 
     def __init__(self, facets=()):
         fs = frozenset(_as_face(f) for f in facets)
@@ -182,8 +186,6 @@ class Complex:
     def _unbuilt(self, facets: frozenset) -> None:
         """Hold the given facet antichain with every derived slot unbuilt."""
         self._facets = facets
-        self._all_faces = None
-        self._faces_by_dim = {}
         self._vertices = None
         self._view = None
         self._stars = None
@@ -291,21 +293,17 @@ class Complex:
         return len(self._facets)
 
     def all_faces(self) -> frozenset:
-        """Every face, the empty face included (for a nonempty complex)."""
-        if self._all_faces is None:
-            out = set()
-            for f in self._facets:
-                out.update(_subsets(f))
-            self._all_faces = frozenset(out)
-        return self._all_faces
+        """Every face, the empty face included (for a nonempty complex);
+        built on each call."""
+        out = set()
+        for f in self._facets:
+            out.update(_subsets(f))
+        return frozenset(out)
 
     def faces(self, k: int) -> frozenset:
-        """All k-dimensional faces (k = -1 yields the empty face if present)."""
-        if k not in self._faces_by_dim:
-            self._faces_by_dim[k] = frozenset(
-                f for f in self.all_faces() if len(f) == k + 1
-            )
-        return self._faces_by_dim[k]
+        """All k-dimensional faces (k = -1 yields the empty face if present);
+        built on each call."""
+        return frozenset(f for f in self.all_faces() if len(f) == k + 1)
 
     def _star_index(self) -> dict:
         """vertex -> frozenset of the facets containing it."""
@@ -344,10 +342,8 @@ class Complex:
         return bool(self._facets_containing(_as_face(f)))
 
     def euler_characteristic(self) -> int:
-        d = self.dimension
-        if d is None:
-            return 0
-        return sum((-1) ** k * len(self.faces(k)) for k in range(0, d + 1))
+        counts = Counter(map(len, self.all_faces()))
+        return sum((-1) ** (size - 1) * n for size, n in counts.items() if size)
 
     def is_subcomplex_of(self, other: "Complex") -> bool:
         return all(f in other._facets or other.has_face(f) for f in self._facets)
@@ -379,7 +375,8 @@ def link(c: Complex, f) -> Complex:
     f = _as_face(f)
     if not c.has_face(f):
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
-    return Complex.generated_by(g - f for g in c._facets_containing(f))
+    # distinct facets g containing f leave faces g - f that are never nested
+    return Complex(g - f for g in c._facets_containing(f))
 
 
 def star(c: Complex, f) -> Complex:
@@ -436,8 +433,8 @@ def f_vector(c: Complex) -> tuple:
         raise NotPure("the empty complex has no f-vector")
     if not c.is_pure:
         raise NotPure("f-vector requires a pure complex")
-    d = c.dimension
-    return tuple([1] + [len(c.faces(k)) for k in range(0, d + 1)])
+    counts = Counter(map(len, c.all_faces()))
+    return tuple(counts[size] for size in range(c.dimension + 2))
 
 
 def h_vector(c: Complex) -> tuple:

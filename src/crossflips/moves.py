@@ -11,15 +11,16 @@ class's plan is built; a certificate that fails raises.  Fresh vertices
 created by subdivisions and cross-flips are labeled "w<k>" by a monotone
 counter namespaced per complex.
 
-An application costs its region: both inducedness checks read the stars
-of the region's vertices, and the result inherits the ambient's vertex set,
-star index, common facet size and top "w<k>" label, patched at the
-exchanged facets (``Complex._replaced``).
+An application costs its region and builds no ``Complex`` for it: the
+image and the glued complement stay facet sets, both inducedness checks
+read the stars of their vertices, and the result inherits the ambient's
+vertex set, star index, common facet size and top "w<k>" label, patched
+at the exchanged facets (``Complex._replaced``).
 
 Site search runs the class's ridge walk, compiled to integer slots, over
 the ambient's facet-neighbour table (``Complex._site_view``): each step is
-a list index and one dict lookup.  Inducedness of each image is decided by
-the facet traces of its vertices' stars, once per image.
+a list index and one dict lookup.  Each image is decided once, by the
+facet traces of its vertices' stars, after its first colour check passes.
 """
 
 from __future__ import annotations
@@ -96,9 +97,11 @@ class CrossFlip:
     embedding: dict = field(hash=False)
 
     def image_facets(self) -> frozenset:
-        abstract = _diamond.diamond_closed_form(self.d, self.spec)
+        emb = self.embedding
         return frozenset(
-            frozenset(self.embedding[v] for v in f) for f in abstract.facets
+            frozenset(emb[v] for v in f)
+            for i in _diamond._check_index_set(self.d, self.spec, self.d + 1)
+            for f in _diamond._block_facets(self.d, i)
         )
 
 
@@ -157,22 +160,32 @@ def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
     accepted only if re-subdividing reproduces the input exactly.  When the
     link of v admits several join decompositions the subdivided face is not
     determined by the complex; pass ``face_hint`` to name it, otherwise the
-    first valid candidate in canonical order is used.
+    first valid candidate by size, then canonical order, is used.
+
+    A valid face s has lk(v) = boundary(s) * L.  Fix a facet F of lk(v): it
+    misses exactly one vertex z of s, and the x in F with (F - x) | {z} a
+    facet of lk(v) are exactly the rest of s.  So the candidates are these
+    faces s_z, one for each link vertex z outside F, and every valid face
+    is among them.
     """
     if v not in c.vertices:
         raise FaceNotPresent("vertex %r is not in the complex" % (v,))
     lk_v = link(c, frozenset([v]))
-    pool = sorted(lk_v.vertices, key=vertex_key)
+    pool = lk_v.vertices
     outside = [h for h in c.facets if v not in h]
     if face_hint is not None:
         hinted = sorted_face(_as_face(face_hint))
-        candidates = [hinted] if set(hinted) <= set(pool) else []
+        candidates = [hinted] if set(hinted) <= pool else []
     else:
-        candidates = [
-            cand
-            for size in range(2, len(pool) + 1)
-            for cand in itertools.combinations(pool, size)
-        ]
+        first = min(lk_v.facets, key=sorted_face)
+        found = {
+            frozenset([z]).union(x for x in first if (first - {x}) | {z} in lk_v.facets)
+            for z in pool - first
+        }
+        candidates = sorted(
+            (sorted_face(s) for s in found if len(s) >= 2),
+            key=lambda t: (len(t), [vertex_key(x) for x in t]),
+        )
     for cand in candidates:
         fprime = frozenset(cand)
         if c.has_face(fprime):
@@ -361,17 +374,17 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     if len(set(image_of.values())) != len(image_of):
         raise EmbeddingNotInjective("embedding identifies two vertices")
 
-    image = Complex(frozenset(image_of[v] for v in f) for f in abstract.facets)
+    image = frozenset(frozenset(image_of[v] for v in f) for f in abstract.facets)
     facets = c.facets
-    if not all(f in facets or c.has_face(f) for f in image.facets):
+    if not all(f in facets or c.has_face(f) for f in image):
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if not _induced_in(c, image.facets, image.vertices):
+    if not _induced_in(c, image, frozenset(image_of.values())):
         raise NotInduced("embedded complex is not induced in the ambient")
 
     total = dict(image_of)
     for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
         total[v] = w
-    glued = Complex(frozenset(total[v] for v in f) for f in plan.complement.facets)
+    glued = frozenset(frozenset(total[v] for v in f) for f in plan.complement.facets)
     # The result is an antichain.  A glued facet g is no face of a kept
     # facet: if g has a fresh vertex, no facet of c contains it; otherwise
     # g would be a face of c on image vertices, so (the image being
@@ -380,12 +393,13 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     # glued facet: h would have image vertices only, so it would be a face
     # of some image facet F, itself a face of c; as c is an antichain,
     # h = F and h was removed.
-    result = c._replaced(image.facets, glued.facets)
+    result = c._replaced(image, glued)
+    glued_vertices = frozenset(total[v] for v in plan.complement.vertices)
     return CrossFlipResult(
         complex=result,
         vertex_map=total,
         fresh_vertices=tuple(total[v] for v in plan.unseen),
-        complement_induced=_induced_in(result, glued.facets, glued.vertices),
+        complement_induced=_induced_in(result, glued, glued_vertices),
     )
 
 
@@ -504,8 +518,9 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     every order; the plan's ridge walk then crosses each ridge through the
     site view's neighbour table, so it goes on only across ridges lying in
     exactly two facets.  Every image facet is a facet of c, so the image is
-    a subcomplex by construction.  Inducedness of an image is decided by
-    facet traces over the stars of its vertices, once per image.
+    a subcomplex by construction.  An image is decided once, after its
+    first colour check passes; its inducedness depends on its facets only
+    (its vertex set is their union), not on the embedding.
     """
     d = c.dimension
     if d is None:
@@ -519,8 +534,7 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     view = c._site_view()
     neighbours = view.neighbours
 
-    seen_images: set[frozenset] = set()
-    induced: dict[frozenset, bool] = {}
+    decided: set[frozenset] = set()
     for target_sorted, target in view.ordered:
         if len(target_sorted) != d + 1:
             continue  # a smaller facet of a non-pure complex is no image
@@ -542,17 +556,13 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
                 fmap.append(img_new)
             else:  # the walk placed every abstract facet
                 image = frozenset(fmap)
-                if image in seen_images or len(image) != len(fmap):
+                if image in decided or len(image) != len(fmap):
                     continue
                 if not _color_consistent(coloring, img, pairs):
                     continue
-                verdict = induced.get(image)
-                if verdict is None:
-                    verdict = induced[image] = _induced_in(c, image, frozenset(img))
-                if not verdict:
-                    continue
-                seen_images.add(image)
-                yield CrossFlip(d=d, spec=spec, embedding=dict(zip(order, img)))
+                decided.add(image)
+                if _induced_in(c, image, frozenset(img)):
+                    yield CrossFlip(d=d, spec=spec, embedding=dict(zip(order, img)))
 
 
 def _color_consistent(coloring: dict, img: list, pairs: tuple) -> bool:

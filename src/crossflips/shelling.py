@@ -65,19 +65,6 @@ class ShellingCertificate:
     order: tuple
     restrictions: tuple
 
-    def to_doc(self) -> dict:
-        return {
-            "order": [list(sorted_face(f)) for f in self.order],
-            "restrictions": [list(sorted_face(f)) for f in self.restrictions],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ShellingCertificate":
-        return cls(
-            order=tuple(frozenset(f) for f in doc["order"]),
-            restrictions=tuple(frozenset(f) for f in doc["restrictions"]),
-        )
-
 
 def _new_faces(f: frozenset, covered) -> tuple:
     """The faces of f missing from *covered*, and their minimal members by

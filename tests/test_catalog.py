@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from crossflips import catalog
 from crossflips.catalog import (
+    ChordNotFlippable,
     DimensionCapExceeded,
     MINIMAL_SUFFICIENT_SETS,
     _relative_settings,
@@ -23,7 +25,9 @@ from crossflips.catalog import (
 )
 from crossflips.complexes import (
     Complex,
+    ComplexError,
     ManifoldVerdict,
+    _subsets,
     are_isomorphic,
     boundary_complex,
     delete_subcomplex,
@@ -33,8 +37,18 @@ from crossflips.complexes import (
     is_proper_coloring,
     sorted_face,
 )
-from crossflips.diamond import block_of_facet, diamond_closed_form
-from crossflips.moves import CrossFlip
+from crossflips.diamond import (
+    block_of_facet,
+    cross_polytope,
+    diamond_closed_form,
+    standard_coloring,
+)
+from crossflips.moves import (
+    CrossFlip,
+    _flip_plan,
+    apply_cross_flip_detailed,
+    extend_coloring_after_cross_flip,
+)
 
 
 def test_enumerate_counts():
@@ -114,6 +128,66 @@ def test_ambient_builder_without_chords():
                 assert is_proper_coloring(amb, coloring, d + 1)
                 assert is_combinatorial_manifold(amb) is ManifoldVerdict.CLOSED
                 assert emb == {v: v for v in dc.vertices}
+
+
+def former_ambient(d, idx):
+    """The chord loop as it was before it took its chords once: recompute
+    every chord after each flip, flip the first one that flips, and stop
+    when none is left."""
+    dcomp = diamond_closed_form(d, idx)
+    dfaces = dcomp.all_faces()
+    span = dcomp.vertices
+    amb, coloring = cross_polytope(d), standard_coloring(d)
+    while True:
+        traces = {h & span for h in amb.facets} - dfaces
+        chords = sorted({f for t in traces for f in _subsets(t) if f not in dfaces},
+                        key=lambda f: (len(f), sorted_face(f)))
+        if not chords:
+            return amb, coloring, {v: v for v in span}
+        for f in chords:
+            locus = Complex(amb._facets_containing(f))
+            iso = are_isomorphic(_flip_plan(d, (len(f) - 1,)).abstract, locus)
+            if iso is None:
+                continue
+            try:
+                res = apply_cross_flip_detailed(
+                    amb, CrossFlip(d=d, spec=(len(f) - 1,), embedding=iso))
+            except ComplexError:
+                continue
+            coloring = extend_coloring_after_cross_flip(coloring, res)
+            amb = res.complex
+            break
+        else:
+            raise AssertionError("no chord of %r flips" % (idx,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_one_chord_pass_matches_the_fixpoint_loop(d):
+    """The same ambient, the same colouring in the same insertion order and
+    the same embedding as the loop that recomputed its chords, for every
+    index set, d+1 and the full set included."""
+    for r in range(1, d + 3):
+        for idx in itertools.combinations(range(d + 2), r):
+            amb, coloring, emb = ambient_with_induced_diamond_any(d, idx)
+            want_amb, want_coloring, want_emb = former_ambient(d, idx)
+            assert amb == want_amb, idx
+            assert list(coloring.items()) == list(want_coloring.items()), idx
+            assert emb == want_emb, idx
+
+
+@pytest.mark.parametrize("fault", ["no embedding", "flip refused", "not induced"])
+def test_each_chord_failure_is_typed(monkeypatch, fault):
+    """No embedding of a locus, a refused flip and a diamond complex left
+    not induced each raise ChordNotFlippable."""
+    def refuse(c, flip):
+        raise ComplexError("refused")
+
+    patch = {"no embedding": ("are_isomorphic", lambda a, b: None),
+             "flip refused": ("apply_cross_flip_detailed", refuse),
+             "not induced": ("_induced_in", lambda c, sub, vs: False)}[fault]
+    monkeypatch.setattr(catalog, *patch)
+    with pytest.raises(ChordNotFlippable, match=r"no chord of \(1, 2\) could be flipped"):
+        ambient_with_induced_diamond_any(2, (1, 2))
 
 
 def test_reducibility_compositions():

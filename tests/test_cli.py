@@ -73,6 +73,31 @@ def test_check_non_shelling_fixture(capsys):
     assert "boundary intersection" in text
 
 
+def test_removal_mode_builds_one_boundary_per_removal(tmp_path, capsys, monkeypatch):
+    """Each removal reuses the split that find_shelling_decomposition
+    checked against the current boundary: one boundary per removal."""
+    from crossflips import complexes, moves
+
+    built = []
+    boundary_complex = complexes.boundary_complex
+
+    def counting(c):
+        built.append(c.n_facets)
+        return boundary_complex(c)
+
+    monkeypatch.setattr(complexes, "boundary_complex", counting)
+    monkeypatch.setattr(moves, "boundary_complex", counting)
+    # a fan of five triangles around "o", removed from the far end down
+    # to the first
+    fan = [["o", "p%d" % i, "p%d" % (i + 1)] for i in range(5)]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"complex": {"facets": fan}, "order": fan[:0:-1],
+                                "mode": "removal"}))
+    code, text, _ = run(capsys, "check", str(path), "shelling-order")
+    assert (code, text) == (0, "PASS: 4 elementary shellings\n")
+    assert built == [5, 4, 3, 2]
+
+
 def test_check_certificate_pass(tmp_path, capsys):
     from crossflips.complexes import complex_to_doc
     from crossflips.diamond import absolute_shelling_order, diamond_closed_form

@@ -208,6 +208,9 @@ def test_face_queries_match_facet_scans():
     cases += [_random_complex(rng, pure=trial % 2 == 0) for trial in range(60)]
     for c in cases:
         faces = set(c.all_faces()) if c.facets else set()
+        for k in range(-2, 5):
+            assert c.faces(k) == {f for f in faces if len(f) == k + 1}, (c, k)
+        assert c.euler_characteristic() == sum((-1) ** (len(f) - 1) for f in faces if f)
         probes = faces | {face(), face("a", "z"), face("z"), face("b", "c", "d", "e", "f")}
         for f in probes:
             assert c.has_face(f) == any(f <= g for g in c.facets) == (f in faces), (c, f)
@@ -217,7 +220,11 @@ def test_face_queries_match_facet_scans():
                 with pytest.raises(FaceNotPresent):
                     star(c, f)
                 continue
-            assert link(c, f) == Complex.generated_by(g - f for g in c.facets if f <= g)
+            # link builds its facets g - f directly; generated_by would keep
+            # the maximal ones, and drops none
+            lk, want = link(c, f), Complex.generated_by(g - f for g in c.facets if f <= g)
+            assert lk == want
+            assert (lk.is_pure, lk.dimension) == (want.is_pure, want.dimension)
             assert star(c, f) == Complex(g for g in c.facets if f <= g)
 
 

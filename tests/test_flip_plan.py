@@ -215,3 +215,36 @@ def test_applying_a_flip_builds_no_site_view():
     res = apply_cross_flip_detailed(
         c, CrossFlip(d=3, spec=(3,), embedding={v: v for v in target}))
     assert c._view is None and res.complex._view is None
+
+
+def test_applying_a_flip_constructs_no_complex(monkeypatch):
+    """Once its class plan exists, a flip keeps the image and the glued
+    complement as facet sets: neither the application nor the site's
+    image facets build a Complex through __init__ or generated_by."""
+    walked, coloring, _ = run_walk(WalkConfig(steps=8, seed=5, dimension=2))
+    sites = [site for fc in enumerate_basic_flips(2)
+             for site in find_cross_flip_sites(walked, coloring, fc.canonical_index)]
+    assert len({site.spec for site in sites}) >= 5
+    for site in sites:
+        _flip_plan(2, site.spec)
+    built = []
+    init, generated_by = Complex.__init__, Complex.generated_by.__func__
+
+    def counting_init(self, facets=()):
+        built.append("__init__")
+        init(self, facets)
+
+    def counting_generated_by(cls, faces):
+        built.append("generated_by")
+        return generated_by(cls, faces)
+
+    monkeypatch.setattr(Complex, "__init__", counting_init)
+    monkeypatch.setattr(Complex, "generated_by", classmethod(counting_generated_by))
+    for site in sites:
+        res = apply_cross_flip_detailed(walked, site)
+        image = site.image_facets()
+        assert built == []
+        want = {frozenset(site.embedding[v] for v in f)
+                for f in _flip_plan(2, site.spec).abstract.facets}
+        assert image == want
+        assert res.complex.facets & walked.facets == walked.facets - image

@@ -4,8 +4,12 @@ Whatever a complex file holds, `complex_from_doc` either reads it or raises
 `ValueError`, and `cli.main` answers every `check`, `flip` and `walk` call
 with an exit code of the contract (0 pass, 1 fail, 2 undecided, 3 usage)
 instead of a traceback.  The documents mix arbitrary JSON with near-valid
-complex files, so that most calls get past the reader.  The search is
-derandomized and bounded, so every run tries the same examples.
+complex files, so that most calls get past the reader.  The same holds for
+`gen`, `catalog` and `verify` over dimensions from -2 to 7, non-integers
+and bad `--index` and `--copies` values; `verify` runs only up to D=3,
+where every suite is fast, and at D=7, where the cap answers at once.
+The search is derandomized and bounded, so every run tries the same
+examples.
 """
 
 import contextlib
@@ -15,7 +19,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossflips.cli import main
 from crossflips.complexes import complex_from_doc
@@ -94,3 +98,37 @@ def test_no_document_escapes_the_exit_code_contract(doc, script, dim):
         calls.append(["walk", path, "--dim", str(dim), "--steps", "2", "--out", out])
         for argv in calls:
             assert run(argv) in (0, 1, 2, 3), argv
+
+
+NOT_INTEGERS = ["2.5", "x", "", "1e1"]
+DIM_VALUES = [str(d) for d in range(-2, 8)] + NOT_INTEGERS
+INDEX_SETS = st.lists(st.sampled_from([str(i) for i in range(-2, 10)] + ["x", "", "1.5"]),
+                      max_size=4).map(",".join)
+COPIES = st.sampled_from([str(n) for n in range(-2, 4)] + NOT_INTEGERS)
+GEN = st.tuples(
+    st.sampled_from(["cross-polytope", "simplex-boundary", "diamond", "stacked",
+                     "barycentric", "sphere"]),
+    st.sampled_from([["--dim", d] for d in DIM_VALUES] + [[]]),
+    INDEX_SETS.map(lambda ix: ["--index", ix]) | st.just([]),
+    COPIES.map(lambda n: ["--copies", n]) | st.just([]),
+).map(lambda t: ["gen", t[0], *t[1], *t[2], *t[3]])
+CATALOG = st.tuples(st.sampled_from([[], ["--dim"]]), st.sampled_from(DIM_VALUES)).map(
+    lambda t: ["catalog", *t[0], t[1]])
+SUITES = ["count", "hvector", "complement", "shelling-theorem", "reducibility"]
+VERIFY = st.tuples(
+    st.sampled_from(SUITES + ["pentagon", "matroid"]),
+    st.sampled_from([str(d) for d in range(-2, 4)] + ["7"] + NOT_INTEGERS),
+).map(lambda t: ["verify", *t])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(argv=st.one_of(GEN, CATALOG, VERIFY), to_file=st.booleans())
+@example(argv=["verify", "shelling-theorem", "7"], to_file=False)
+def test_no_generator_or_suite_call_escapes_the_exit_code_contract(argv, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        if to_file and argv[0] != "verify":
+            argv = argv + ["--out", os.path.join(tmp, "out.json")]
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    if argv[0] == "verify" and argv[1] in SUITES and argv[2] == "7":
+        assert code == 2, argv

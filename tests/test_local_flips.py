@@ -10,7 +10,7 @@ pure of the flip's dimension with the validating construction.
 
 import gc
 import random
-import weakref
+import types
 
 import pytest
 
@@ -157,15 +157,31 @@ def test_coloring_extension_matches_former_comprehension(d, steps, seed):
         col = extend_coloring_after_cross_flip(col, res)
 
 
+def _reachable(root):
+    """Every object reachable from root through gc.get_referents, not
+    entering classes, modules or functions (shared by every value)."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen.values()
+
+
 def test_result_holds_no_reference_to_its_ambient():
-    refs = []
+    ambients, results = [], []
     for before, res in stacking(3, 5, 1):
         assert before._stars is not None
-        refs.append(weakref.ref(before))
-    del before
-    gc.collect()
-    assert [r() for r in refs] == [None] * 5
-    assert res.complex.n_facets == 16 + 14 * 5
+        ambients.append(before)
+        results.append(res)
+    assert results[-1].complex.n_facets == 16 + 14 * 5
+    for k, res in enumerate(results):
+        reached = {id(obj) for obj in _reachable(res)}
+        # the result record reaches its own complex, never an ambient
+        assert id(res.complex) in reached
+        assert not any(id(amb) in reached for amb in ambients[: k + 1])
 
 
 @pytest.mark.parametrize("ambient", ["non-pure", "above the flip dimension"])
