@@ -80,9 +80,12 @@ class FlipClass:
 
 
 def check_dimension(d: int) -> None:
-    """Refuse a negative dimension, and one above DIMENSION_CAP as undecided."""
+    """Refuse a negative dimension and D = 0, which has no basic flip, and
+    one above DIMENSION_CAP as undecided."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
+    if d == 0:
+        raise ValueError("dimension must be at least 1")
     if d > DIMENSION_CAP:
         raise DimensionCapExceeded("dimension %d exceeds the cap %d" % (d, DIMENSION_CAP))
 

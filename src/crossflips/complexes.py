@@ -475,9 +475,14 @@ def _induced_in(c: Complex, sub_facets: frozenset, vs) -> bool:
     """Whether the nonempty subcomplex of c with facets *sub_facets* and
     vertex set *vs* is induced in c.
 
-    Decided by the traces of the facets in the stars of vs only: any other
-    facet of c has the empty trace.  No ``Complex`` is built for the sub.
+    A one-facet sub is induced with no star read: every facet's trace on
+    the vertex set of a simplex is a face of that simplex.  Otherwise it
+    is decided by the traces of the facets in the stars of vs only: any
+    other facet of c has the empty trace.  No ``Complex`` is built for the
+    sub.
     """
+    if len(sub_facets) == 1:
+        return True
     stars = c._star_index()
     near = frozenset().union(*(stars.get(v, ()) for v in vs))
     return _traces_are_faces(near, sub_facets, vs)

@@ -183,6 +183,8 @@ def diamond_closed_form(d: int, indices) -> Complex:
     {0, ..., i-1, v_i} with the cross-polytope boundary on pairs i+1..d;
     index d+1 contributes the single facet {0, ..., d}.
     """
+    if d < 0:
+        raise ValueError("dimension must be nonnegative")
     idx = _check_index_set(d, indices, d + 1)
     facets: set[frozenset] = set()
     for i in idx:

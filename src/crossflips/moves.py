@@ -12,15 +12,19 @@ created by subdivisions and cross-flips are labeled "w<k>" by a monotone
 counter namespaced per complex.
 
 An application costs its region and builds no ``Complex`` for it: the
-image and the glued complement stay facet sets, both inducedness checks
-read the stars of their vertices, and the result inherits the ambient's
-vertex set, star index, common facet size and top "w<k>" label, patched
-at the exchanged facets (``Complex._replaced``).
+image and the glued complement stay facet sets, and the result inherits
+the ambient's vertex set, star index, common facet size and top "w<k>"
+label, patched at the exchanged facets (``Complex._replaced``).  The
+image's inducedness is read from the stars of its vertices, and needs no
+read at all for a one-facet image; whether the glued complement is induced
+in the result is decided only when ``CrossFlipResult.complement_induced``
+is read.
 
 Site search runs the class's ridge walk, compiled to integer slots, over
 the ambient's facet-neighbour table (``Complex._site_view``): each step is
-a list index and one dict lookup.  Each image is decided once, by the
-facet traces of its vertices' stars, after its first colour check passes.
+a list index and one dict lookup.  Each image is decided once, after its
+first colour check passes: by the facet traces of its vertices' stars, or
+at once when it is one facet.
 """
 
 from __future__ import annotations
@@ -116,10 +120,20 @@ class ShellingMove:
 
 @dataclass(frozen=True)
 class CrossFlipResult:
+    """The result complex, the total map from abstract cross-polytope
+    vertices to its labels, the fresh labels, and the glued complement's
+    facets.  Whether the glued complement is induced in the result is
+    decided each time ``complement_induced`` is read, not when the flip
+    is applied."""
+
     complex: Complex
     vertex_map: dict = field(hash=False)
-    fresh_vertices: tuple = ()
-    complement_induced: bool = True
+    fresh_vertices: tuple
+    glued: frozenset = field(repr=False)
+
+    @property
+    def complement_induced(self) -> bool:
+        return _induced_in(self.complex, self.glued, frozenset().union(*self.glued))
 
 
 def fresh_vertices(c: Complex, count: int) -> list:
@@ -357,8 +371,9 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     vertices, and the image is an induced subcomplex.  Both sides shell:
     the class's plan verified their certificates (``_FlipPlan``).  The
     returned record carries the total map from abstract cross-polytope
-    vertices to ambient labels and whether the glued complement sits
-    induced in the result.
+    vertices to ambient labels and the glued complement's facets; whether
+    those sit induced in the result is decided when the record's
+    ``complement_induced`` is read.
     """
     d = flip.d
     spec = _diamond._check_index_set(d, flip.spec, d)
@@ -393,13 +408,11 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     # glued facet: h would have image vertices only, so it would be a face
     # of some image facet F, itself a face of c; as c is an antichain,
     # h = F and h was removed.
-    result = c._replaced(image, glued)
-    glued_vertices = frozenset(total[v] for v in plan.complement.vertices)
     return CrossFlipResult(
-        complex=result,
+        complex=c._replaced(image, glued),
         vertex_map=total,
         fresh_vertices=tuple(total[v] for v in plan.unseen),
-        complement_induced=_induced_in(result, glued, glued_vertices),
+        glued=glued,
     )
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 from crossflips import catalog
 from crossflips.cli import main
@@ -287,8 +289,33 @@ def test_dimension_caps_are_undecided(tmp_path, capsys):
 def test_verify_dimension_is_capped_and_nonnegative(capsys):
     for target in ("count", "hvector", "complement", "shelling-theorem", "reducibility"):
         for dim, want in (("7", (2, "UNDECIDED: dimension 7 exceeds the cap 6\n", "")),
-                          ("-3", (1, "", "error: dimension must be nonnegative\n"))):
+                          ("-3", (1, "", "error: dimension must be nonnegative\n")),
+                          ("0", (1, "", "error: dimension must be at least 1\n"))):
             assert run(capsys, "verify", target, dim) == want, (target, dim)
+
+
+def test_gen_refuses_a_negative_dimension(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    for argv in (["diamond", "--dim", "-1", "--index", "0"], ["cross-polytope", "--dim", "-1"]):
+        got = run(capsys, "gen", *argv, "--out", str(out))
+        assert got == (1, "", "error: dimension must be nonnegative\n"), argv
+        assert not out.exists()
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", "crossflips", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+
+    done = call("verify", "count", "2")
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "PASS", "")
+    done = call("walk")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "usage error: walk requires --out\n")
 
 
 def test_void_and_empty_complexes_fail_with_a_message(tmp_path, capsys):

@@ -14,6 +14,7 @@ from crossflips.complexes import (
     NotPure,
     NotSubcomplex,
     VertexCollision,
+    _induced_in,
     are_isomorphic,
     boundary_complex,
     complex_from_doc,
@@ -192,6 +193,10 @@ def test_is_induced_matches_face_enumeration():
             got = is_induced(c, part)
             assert got == _induced_by_faces(c, part), (c.facets, part.facets)
             verdicts.append(got)
+        # a one-facet sub, a facet or any nonempty face, is always induced
+        for g in c.all_faces() - {face()}:
+            got = _induced_in(c, frozenset([g]), g)
+            assert got is True and _induced_by_faces(c, Complex([g])), (c.facets, g)
     assert True in verdicts and False in verdicts
     # the 4-cycle misses the chords of its opposite edges
     square = Complex([face("a", "b"), face("b", "c"), face("c", "d"), face("d", "a")])

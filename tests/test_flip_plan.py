@@ -7,7 +7,9 @@ flip.  They were recorded with the per-call rebuild of the diamond complex,
 its complement and both shellability searches, so the plans must reproduce
 every outcome exactly.  The `mixed-d2` digest was re-recorded when the
 search budget left the flip path and its sequence stopped probing it; the
-former code, run on the same sequence, gives the same digest.
+former code, run on the same sequence, gives the same digest.  Each
+application also checks the complement's inducedness, decided when read,
+against a trace scan over every result facet.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import (
     Complex,
     ComplexError,
+    _traces_are_faces,
     delete_subcomplex,
     face,
     pair_index,
@@ -52,6 +55,15 @@ def _outcome(c, flip, coloring):
     except (ComplexError, ValueError) as exc:
         return ["raised", type(exc).__name__, str(exc)], None, None
     col = extend_coloring_after_cross_flip(coloring, res)
+    # the complement's inducedness, decided when read, against the trace
+    # scan over every result facet; the glued facets are rebuilt from the
+    # complementary index set and the vertex map
+    rest = [i for i in range(flip.d + 2) if i not in flip.spec]
+    glued = frozenset(frozenset(res.vertex_map[v] for v in f)
+                      for f in diamond_closed_form(flip.d, rest).facets)
+    assert res.glued == glued
+    assert res.complement_induced == _traces_are_faces(
+        res.complex.facets, glued, frozenset().union(*glued))
     record = [
         "ok",
         res.complex.canonical_facets(),

@@ -14,6 +14,7 @@ import types
 
 import pytest
 
+from crossflips import complexes
 from crossflips.catalog import enumerate_basic_flips
 from crossflips.complexes import (
     Complex,
@@ -212,3 +213,25 @@ def test_other_ambients_match_the_validating_construction(ambient):
     glued_vertices = frozenset().union(*glued)
     assert res.complement_induced == _traces_are_faces(res.complex.facets, glued, glued_vertices)
     assert res.fresh_vertices == ("w0", "w1")
+
+
+def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):
+    """An application scans facet traces once for a multi-facet image and
+    not at all for a one-facet (class-(d)) image; the glued complement is
+    scanned once each time `complement_induced` is read."""
+    calls = []
+    scan = complexes._traces_are_faces
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(complexes, "_traces_are_faces", counted)
+    for d, spec, image_scans in ((2, (2,), 0), (3, (3,), 0), (2, (1,), 1), (3, (0,), 1)):
+        abstract = diamond_closed_form(d, spec)
+        emb = {v: v for v in abstract.vertices}
+        calls.clear()
+        res = apply_cross_flip_detailed(cross_polytope(d), CrossFlip(d=d, spec=spec, embedding=emb))
+        assert len(calls) == image_scans, (d, spec)
+        assert res.complement_induced
+        assert len(calls) == image_scans + 1, (d, spec)
