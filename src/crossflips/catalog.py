@@ -92,8 +92,6 @@ def check_dimension(d: int) -> None:
 
 def enumerate_basic_flips(d: int) -> list:
     """One class per nonempty subset of {0, ..., d}, ordered by facet count."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
     check_dimension(d)
     classes = []
     for r in range(1, d + 2):
@@ -142,8 +140,7 @@ def barycentric_sphere(d: int):
     face-dimension coloring; returns (complex, coloring)."""
     if d > 3:
         raise DimensionCapExceeded("barycentric spheres are built for d <= 3")
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    check_dimension(d)
     ground = tuple(range(d + 2))
 
     def token(subset) -> str:

@@ -14,17 +14,22 @@ counter namespaced per complex.
 An application costs its region and builds no ``Complex`` for it: the
 image and the glued complement stay facet sets, and the result inherits
 the ambient's vertex set, star index, common facet size and top "w<k>"
-label, patched at the exchanged facets (``Complex._replaced``).  The
-image's inducedness is read from the stars of its vertices, and needs no
-read at all for a one-facet image; whether the glued complement is induced
-in the result is decided only when ``CrossFlipResult.complement_induced``
-is read.
+label, patched at the exchanged facets (``Complex._replaced``).
+
+The image's inducedness is decided by the class's minimal non-faces, which
+its plan lists once (``_FlipPlan.nonfaces``): when emb embeds the diamond
+complex D into c with every image facet a face of c, the image is induced
+exactly when no minimal non-face N of D has emb(N) a face of c, that is,
+when the stars of N's images share no facet.  Most of these non-faces are
+partner pairs, each an edge test; a class-(d) image is one facet, has none
+and reads nothing.  Whether the glued complement is induced in the result
+is decided by facet traces, only when
+``CrossFlipResult.complement_induced`` is read.
 
 Site search runs the class's ridge walk, compiled to integer slots, over
 the ambient's facet-neighbour table (``Complex._site_view``): each step is
 a list index and one dict lookup.  Each image is decided once, after its
-first colour check passes: by the facet traces of its vertices' stars, or
-at once when it is one facet.
+first colour check passes, by the non-faces of the class.
 """
 
 from __future__ import annotations
@@ -368,8 +373,9 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     """Replace the embedded diamond complex by its cross-polytope complement.
 
     Checks, in order: the embedding is injective and covers the abstract
-    vertices, and the image is an induced subcomplex.  Both sides shell:
-    the class's plan verified their certificates (``_FlipPlan``).  The
+    vertices, the image is a subcomplex, and it is induced: no minimal
+    non-face of the class (``_FlipPlan.nonfaces``) maps to a face of c.
+    Both sides shell: the class's plan verified their certificates.  The
     returned record carries the total map from abstract cross-polytope
     vertices to ambient labels and the glued complement's facets; whether
     those sit induced in the result is decided when the record's
@@ -393,7 +399,8 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     facets = c.facets
     if not all(f in facets or c.has_face(f) for f in image):
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if not _induced_in(c, image, frozenset(image_of.values())):
+    if plan.nonfaces and _embeds_a_nonface(
+            c._star_index(), [image_of[v] for v in plan.order], plan.nonfaces):
         raise NotInduced("embedded complex is not induced in the ambient")
 
     total = dict(image_of)
@@ -455,6 +462,43 @@ def _compile_walk(abstract: Complex, root: frozenset):
     return tuple(order), tuple(steps)
 
 
+def _minimal_nonfaces(abstract: Complex, order: tuple) -> tuple:
+    """The minimal non-faces of *abstract*, as tuples of ascending slots in
+    *order*, edges first.
+
+    The abstract complex lies in the cross-polytope boundary, so each of its
+    partner pairs is a minimal non-face, and any other one takes at most one
+    vertex from each pair: at most 3^(d+1) candidates, not every subset of
+    the 2(d+1) vertices.  A candidate is minimal when it is no face but each
+    of its ridges is.
+    """
+    slot = {v: i for i, v in enumerate(order)}
+    by_pair: dict[int, list] = {}
+    for v in order:
+        by_pair.setdefault(pair_index(v), []).append(v)
+    faces = abstract.all_faces()
+    found = [frozenset(vs) for vs in by_pair.values() if len(vs) == 2]
+    for pick in itertools.product(*([None] + vs for vs in by_pair.values())):
+        n = frozenset(pick) - {None}
+        if n not in faces and all(n - {v} in faces for v in n):
+            found.append(n)
+    return tuple(sorted((tuple(sorted(slot[v] for v in n)) for n in found),
+                        key=lambda t: (len(t), t)))
+
+
+def _embeds_a_nonface(stars: dict, img: list, nonfaces: tuple) -> bool:
+    """Whether a non-face, mapped through *img* (the ambient vertex of each
+    slot), is a face of the ambient with star index *stars*: whether the
+    stars of its images share a facet."""
+    for n in nonfaces:
+        if len(n) == 2:
+            if not stars[img[n[0]]].isdisjoint(stars[img[n[1]]]):
+                return True
+        elif frozenset.intersection(*[stars[img[i]] for i in n]):
+            return True
+    return False
+
+
 class _FlipPlan:
     """What a cross-flip of one class needs that does not depend on the
     ambient complex: the abstract diamond complex of I with its ridge walk
@@ -467,10 +511,12 @@ class _FlipPlan:
     Site search walks from the first facet in ``sorted_face`` order
     (``order``, ``steps``, and ``pairs``, the pair index of each vertex
     slot); the anchored embedding of a flip script walks from the entry
-    facet of the lowest block (``anchor_order``, ``anchor_steps``)."""
+    facet of the lowest block (``anchor_order``, ``anchor_steps``).  An
+    image is induced unless one of ``nonfaces`` (``_minimal_nonfaces``, as
+    slots of ``order``) maps to a face of the ambient."""
 
-    __slots__ = ("abstract", "order", "steps", "pairs", "anchor_order",
-                 "anchor_steps", "complement", "unseen")
+    __slots__ = ("abstract", "order", "steps", "pairs", "nonfaces",
+                 "anchor_order", "anchor_steps", "complement", "unseen")
 
     def __init__(self, d: int, spec: tuple):
         rest = tuple(i for i in range(d + 2) if i not in spec)
@@ -484,6 +530,7 @@ class _FlipPlan:
             abstract, _diamond.entry_facet(d, spec[0]))
         self.abstract = abstract
         self.pairs = tuple(pair_index(v) for v in self.order)
+        self.nonfaces = _minimal_nonfaces(abstract, self.order)
         self.complement = complement
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
@@ -532,8 +579,9 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     site view's neighbour table, so it goes on only across ridges lying in
     exactly two facets.  Every image facet is a facet of c, so the image is
     a subcomplex by construction.  An image is decided once, after its
-    first colour check passes; its inducedness depends on its facets only
-    (its vertex set is their union), not on the embedding.
+    first colour check passes, by the class's minimal non-faces
+    (``_FlipPlan.nonfaces``); the verdict is whether the image is induced,
+    so it depends on the image only, not on the embedding that found it.
     """
     d = c.dimension
     if d is None:
@@ -543,9 +591,10 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
     except ValueError:
         return
     plan = _flip_plan(d, spec)
-    order, steps, pairs = plan.order, plan.steps, plan.pairs
+    order, steps, pairs, nonfaces = plan.order, plan.steps, plan.pairs, plan.nonfaces
     view = c._site_view()
     neighbours = view.neighbours
+    stars = c._star_index() if nonfaces else None
 
     decided: set[frozenset] = set()
     for target_sorted, target in view.ordered:
@@ -574,7 +623,7 @@ def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
                 if not _color_consistent(coloring, img, pairs):
                     continue
                 decided.add(image)
-                if _induced_in(c, image, frozenset(img)):
+                if not _embeds_a_nonface(stars, img, nonfaces):
                     yield CrossFlip(d=d, spec=spec, embedding=dict(zip(order, img)))
 
 

@@ -296,10 +296,22 @@ def test_verify_dimension_is_capped_and_nonnegative(capsys):
 
 def test_gen_refuses_a_negative_dimension(tmp_path, capsys):
     out = tmp_path / "g.json"
-    for argv in (["diamond", "--dim", "-1", "--index", "0"], ["cross-polytope", "--dim", "-1"]):
+    kinds = ("cross-polytope", "simplex-boundary", "stacked", "barycentric")
+    for argv in [["diamond", "--dim", "-1", "--index", "0"]] + [[k, "--dim", "-1"] for k in kinds]:
         got = run(capsys, "gen", *argv, "--out", str(out))
         assert got == (1, "", "error: dimension must be nonnegative\n"), argv
         assert not out.exists()
+    got = run(capsys, "gen", "barycentric", "--dim", "0", "--out", str(out))
+    assert got == (1, "", "error: dimension must be at least 1\n")
+
+
+def test_catalog_and_walk_read_negative_and_zero_dimensions_alike(tmp_path, capsys):
+    """Every D < 0 reads `nonnegative`, as in `gen` and `verify`; D = 0
+    reads `at least 1`."""
+    for argv in (["catalog"], ["walk", "--out", str(tmp_path / "w"), "--dim"]):
+        for dim, want in (("-1", "nonnegative"), ("-4", "nonnegative"), ("0", "at least 1")):
+            got = run(capsys, *argv, dim)
+            assert got == (1, "", "error: dimension must be %s\n" % want), (argv, dim)
 
 
 def test_package_runs_as_a_module(tmp_path):

@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from crossflips import complexes
+from crossflips import complexes, moves
 from crossflips.catalog import enumerate_basic_flips
 from crossflips.complexes import (
     Complex,
@@ -26,6 +26,7 @@ from crossflips.complexes import (
 from crossflips.diamond import cross_polytope, diamond_closed_form, standard_coloring
 from crossflips.moves import (
     CrossFlip,
+    NotInduced,
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
     find_cross_flip_sites,
@@ -216,22 +217,40 @@ def test_other_ambients_match_the_validating_construction(ambient):
 
 
 def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):
-    """An application scans facet traces once for a multi-facet image and
-    not at all for a one-facet (class-(d)) image; the glued complement is
-    scanned once each time `complement_induced` is read."""
-    calls = []
-    scan = complexes._traces_are_faces
+    """No application scans facet traces: the image is decided by the
+    class's minimal non-faces, and a one-facet (class-(d)) image, which has
+    none, tests nothing.  The glued complement is scanned once each time
+    `complement_induced` is read, and an image that is not induced still
+    raises `NotInduced`."""
+    scans, tests = [], []
+    scan, test = complexes._traces_are_faces, moves._embeds_a_nonface
 
-    def counted(*args):
-        calls.append(args)
+    def counted_scan(*args):
+        scans.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(complexes, "_traces_are_faces", counted)
-    for d, spec, image_scans in ((2, (2,), 0), (3, (3,), 0), (2, (1,), 1), (3, (0,), 1)):
+    def counted_test(*args):
+        tests.append(args)
+        return test(*args)
+
+    monkeypatch.setattr(complexes, "_traces_are_faces", counted_scan)
+    monkeypatch.setattr(moves, "_embeds_a_nonface", counted_test)
+    for d, spec, nonface_tests in ((2, (2,), 0), (3, (3,), 0), (2, (1,), 1), (3, (0,), 1)):
         abstract = diamond_closed_form(d, spec)
         emb = {v: v for v in abstract.vertices}
-        calls.clear()
+        scans.clear()
+        tests.clear()
         res = apply_cross_flip_detailed(cross_polytope(d), CrossFlip(d=d, spec=spec, embedding=emb))
-        assert len(calls) == image_scans, (d, spec)
+        assert (len(scans), len(tests)) == (0, nonface_tests), (d, spec)
         assert res.complement_induced
-        assert len(calls) == image_scans + 1, (d, spec)
+        assert len(scans) == 1, (d, spec)
+        assert res.complement_induced
+        assert len(scans) == 2, (d, spec)
+    for d, spec in ((1, (0, 1)), (2, (0, 2)), (3, (1, 2, 3))):
+        abstract = diamond_closed_form(d, spec)
+        scans.clear()
+        with pytest.raises(NotInduced, match="not induced"):
+            apply_cross_flip_detailed(
+                cross_polytope(d),
+                CrossFlip(d=d, spec=spec, embedding={v: v for v in abstract.vertices}))
+        assert not scans, (d, spec)

@@ -24,6 +24,7 @@ GOLDEN = {
     (2, 4, 30): "17357b8c465112baa29de384126e6f5d0b5e5507d0200e867d2bdf1e1a9129fb",
     (3, 1, 3): "198732bab8d80368a8e9f16e2621743a63a53143a51f9bb71b55bb4d64d1d9be",
     (3, 2, 3): "9b901988d6e7600724e47a49af15625576f84fda44e395a91fbec8931cb70640",
+    (4, 1, 2): "9e54f676f9d44e5ee931588a2b70e7401790a6f6f11a915fa1f767def6507960",
 }
 
 
