@@ -195,8 +195,9 @@ def _check_removal_order(c: Complex, order) -> int:
     """Validate a sequence of elementary shelling removals facet by facet.
 
     Reports the first facet admitting no interior/boundary decomposition,
-    together with its intersection with the current boundary.  A facet is
-    removed on the split found for it, already checked against that boundary.
+    together with its intersection with the current boundary, or that the
+    complex has none.  The boundary complex is built for that report only:
+    the splits are checked from the star index.
     """
     from .complexes import boundary_complex
 
@@ -207,13 +208,15 @@ def _check_removal_order(c: Complex, order) -> int:
             return 1
         if _moves.find_shelling_decomposition(cur, f) is None:
             bd = boundary_complex(cur)
-            inter = [g for g in bd.all_faces() if g and g <= f]
-            maxi = [g for g in inter if not any(g < h for h in inter)]
-            desc = ", ".join(str(list(sorted_face(g))) for g in sorted(maxi, key=sorted_face))
-            print(
-                "FAIL at facet %d: no elementary shelling decomposition; "
-                "boundary intersection is %s" % (pos, desc)
-            )
+            if bd.facets:
+                inter = [g for g in bd.all_faces() if g and g <= f]
+                maxi = [g for g in inter if not any(g < h for h in inter)]
+                desc = "boundary intersection is " + ", ".join(
+                    str(list(sorted_face(g))) for g in sorted(maxi, key=sorted_face))
+            else:
+                desc = "the complex has no boundary"
+            print("FAIL at facet %d: no elementary shelling decomposition; %s"
+                  % (pos, desc))
             return 1
         cur = cur._replaced(frozenset([f]), frozenset())
     print("PASS: %d elementary shellings" % len(order))

@@ -414,13 +414,18 @@ def join(a: Complex, b: Complex) -> Complex:
     return Complex(fa | fb for fa in a.facets for fb in b.facets)
 
 
-def boundary_complex(c: Complex) -> Complex:
-    """Complex generated by the ridges lying in exactly one facet."""
+def _require_boundary(c: Complex) -> None:
+    """Raise NotPure unless c is pure, nonempty and of dimension at least 1,
+    where its boundary is defined."""
     if not c.is_pure or not c.facets:
         raise NotPure("boundary complex requires a pure nonempty complex")
-    d = c.dimension
-    if d < 1:
+    if c.dimension < 1:
         raise NotPure("boundary complex requires dimension at least 1")
+
+
+def boundary_complex(c: Complex) -> Complex:
+    """Complex generated by the ridges lying in exactly one facet."""
+    _require_boundary(c)
     rim = [r for r, hs in _ridges(c.facets).items() if len(hs) == 1]
     if not rim:
         return Complex.empty()

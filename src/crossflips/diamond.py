@@ -185,11 +185,14 @@ def diamond_closed_form(d: int, indices) -> Complex:
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    idx = _check_index_set(d, indices, d + 1)
-    facets: set[frozenset] = set()
-    for i in idx:
-        facets.update(_block_facets(d, i))
-    return Complex(facets)
+    return _closed_form(d, _check_index_set(d, indices, d + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form(d: int, idx: tuple) -> Complex:
+    """The diamond complex of the checked index tuple, built once per
+    (d, I): at most 2^(d+2) - 1 complexes per dimension, shared as values."""
+    return Complex(frozenset().union(*[_block_facets(d, i) for i in idx]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,6 +257,21 @@ def deg_lex_key(d: int, ell: int, base_facet):
         return (sum(bits), bits)
 
     return key
+
+
+def _block_order(d: int, ell: int, f0: frozenset) -> list:
+    """The facets of block ell sorted by ``deg_lex_key(d, ell, f0)``.
+
+    f0 is checked once; the bits are read from the pair tokens v_j that
+    f0 holds, as in ``char_vector``, with no check per facet."""
+    _check_block_facet(d, ell, f0)
+    marks = [(sub(j), sub(j) in f0) for j in range(ell + 1, d + 1)]
+
+    def key(f):
+        bits = tuple([int((v in f) != held) for v, held in marks])
+        return (sum(bits), bits)
+
+    return sorted(_block_facets(d, ell), key=key)
 
 
 def deg_lex_less(d: int, ell: int, base_facet, a, b) -> bool:
@@ -336,7 +354,7 @@ def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
     for ell in range(1, len(seq) + 1):
         i_l = seq[ell - 1]
         f0 = initial_facet(d, seq, ell, boundary_facet_hint=hint if ell == 1 else None)
-        ordered = sorted(_block_facets(d, i_l), key=deg_lex_key(d, i_l, f0))
+        ordered = _block_order(d, i_l, f0)
         prior_low = frozenset(
             base(i_j) for i_j in seq[: ell - 1] if i_j < i_l
         )
@@ -375,7 +393,7 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
     rests: list = []
     for pos, i_l in enumerate(idx):
         f0 = entry_facet(d, i_l)
-        ordered = sorted(_block_facets(d, i_l), key=deg_lex_key(d, i_l, f0))
+        ordered = _block_order(d, i_l, f0)
         prior = frozenset(base(i_j) for i_j in idx[:pos])
         for f in ordered:
             order.append(f)

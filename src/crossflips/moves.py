@@ -26,6 +26,14 @@ and reads nothing.  Whether the glued complement is induced in the result
 is decided by facet traces, only when
 ``CrossFlipResult.complement_induced`` is read.
 
+An elementary shelling removes a facet F = A | R (A, R disjoint and
+nonempty) when (2) A is a face interior to the complex and (3) each
+(A - {x}) | R = F - {x}, x in A, is in its boundary.  Both are read from
+the star index, with no face of the boundary built: a ridge is on the
+boundary when one facet contains it, so (3) is one lookup per ridge of F,
+and A is on the boundary exactly when some facet h containing A has such
+a ridge h - {y} with y outside A (``_on_boundary``).
+
 Site search runs the class's ridge walk, compiled to integer slots, over
 the ambient's facet-neighbour table (``Complex._site_view``): each step is
 a list index and one dict lookup.  Each image is decided once, after its
@@ -46,6 +54,7 @@ from .complexes import (
     _adjacency,
     _as_face,
     _induced_in,
+    _require_boundary,
     boundary_complex,
     is_proper_coloring,
     link,
@@ -298,6 +307,14 @@ def list_bistellar(c: Complex) -> list:
 
 
 def _check_shelling_conditions(c: Complex, f, a, r) -> None:
+    """Conditions (1)-(3) for removing the facet f of c split as A | R.
+
+    (1) is checked first; c must then have a boundary complex
+    (``boundary_complex`` raises the same ``NotPure`` otherwise).  (2)
+    asks that no ridge of c lying in one facet contain A, (3) that each
+    ridge f - {x}, x in A, lie in f alone; its ridges are tried in
+    canonical order, so a violation names the first one.
+    """
     f, a, r = _as_face(f), _as_face(a), _as_face(r)
     if not a or not r:
         raise ConditionViolated(1, "both parts must be nonempty")
@@ -305,24 +322,35 @@ def _check_shelling_conditions(c: Complex, f, a, r) -> None:
         raise ConditionViolated(1, "facet must split as a disjoint union A | R")
     if f not in c.facets:
         raise ConditionViolated(1, "%r is not a facet" % (sorted_face(f),))
-    _check_split_against_boundary(c, a, r, _boundary_faces(c))
-
-
-def _boundary_faces(c: Complex) -> frozenset:
-    bd = boundary_complex(c)
-    return bd.all_faces() if bd.facets else frozenset()
-
-
-def _check_split_against_boundary(c: Complex, a, r, bd_faces) -> None:
-    """Conditions (2) and (3) for a split A | R of a facet of c."""
-    if not c.has_face(a) or a in bd_faces:
+    _require_boundary(c)
+    if _on_boundary(c, a):
         raise ConditionViolated(2, "A must be a face interior to the complex")
-    for x in a:
-        piece = (a - {x}) | r
-        if piece not in bd_faces:
+    for x in sorted_face(a):
+        if not _on_rim(c, f - {x}):
             raise ConditionViolated(
-                3, "%r is not in the boundary" % (sorted_face(piece),)
+                3, "%r is not in the boundary" % (sorted_face(f - {x}),)
             )
+
+
+def _on_rim(c: Complex, ridge: frozenset) -> bool:
+    """Whether the ridge lies in exactly one facet of c: one star lookup."""
+    return len(c._facets_containing(ridge)) == 1
+
+
+def _on_boundary(c: Complex, g: frozenset) -> bool:
+    """Whether g is a face of ``boundary_complex(c)``, for a c that passes
+    ``_require_boundary``.
+
+    The boundary is generated by the ridges lying in one facet, so g is on
+    it exactly when some facet h containing g has such a ridge h - {y}
+    with y outside g.  Both facts are read from the star index; no face of
+    the boundary is built.
+    """
+    for h in c._facets_containing(g):
+        for y in h - g:
+            if _on_rim(c, h - {y}):
+                return True
+    return False
 
 
 def shelling_move(c: Complex, f, a, r) -> Complex:
@@ -337,17 +365,15 @@ def find_shelling_decomposition(c: Complex, f):
     f = _as_face(f)
     if len(f) < 2 or f not in c.facets:
         return None
-    # condition (1) holds for every split below; the boundary is shared
-    bd_faces = _boundary_faces(c)
+    _require_boundary(c)
+    # condition (1) holds for every split below, and condition (3) is
+    # that A lies in the vertices opposite the rim ridges of f
+    rim = frozenset(x for x in f if _on_rim(c, f - {x}))
     for size in range(1, len(f)):
         for a_tuple in itertools.combinations(sorted_face(f), size):
             a = frozenset(a_tuple)
-            r = f - a
-            try:
-                _check_split_against_boundary(c, a, r, bd_faces)
-            except ConditionViolated:
-                continue
-            return a, r
+            if a <= rim and not _on_boundary(c, a):
+                return a, f - a
     return None
 
 

@@ -1,7 +1,25 @@
 """Shelling verification and exhaustive shellability search.
 
-The verifier never trusts caller-supplied restriction faces: at every step
-it extracts the minimal new faces directly and demands a unique minimum.
+The verifier never trusts caller-supplied restriction faces: it derives
+each one from the facet's ridges.  Let K be the faces covered so far (the
+faces of the removed part and of the facets placed), a set closed under
+taking subsets, and R = {x in f : f - {x} in K}.  Placing f extends the
+shelling exactly when R is not in K, and then R is its unique minimal new
+face:
+
+- every new face g contains R, since g is a face of f - {x} for any x in
+  R outside g, and f - {x} lies in K;
+- the new faces are closed upward inside f, so if R is new they are
+  exactly the faces between R and f;
+- if R is in K, a unique minimal new face g would contain R, and for x
+  in g the face f - {x} misses g, so it is no new face and x is in R:
+  g = R would be in K, a contradiction.
+
+Membership in K is read from a vertex -> facets index grown as facets are
+placed (``_Covered``): a step reads the star of one vertex y of f for the
+ridges through y, then makes one lookup for the ridge f - {y} and one for
+R.  The faces of f are enumerated only at a failing step, to report its
+minimal new faces.
 The search memoizes on the set of already-placed facets, which is sound
 because shellability of a prefix depends only on the faces it covers.
 """
@@ -66,31 +84,94 @@ class ShellingCertificate:
     restrictions: tuple
 
 
-def _new_faces(f: frozenset, covered) -> tuple:
-    """The faces of f missing from *covered*, and their minimal members by
-    size, then ``sorted_face``; placing f extends a shelling exactly when
-    there is one minimal member.  Every new face contains a minimal one,
-    so a single minimal member is the intersection of all new faces."""
-    new = {g for g in _subsets(f) if g not in covered}
-    if new:
-        low = frozenset.intersection(*new)
-        if low in new:
-            return new, [low]
+class _Covered:
+    """The faces K covered so far: every face of each facet added.
+
+    ``stars`` maps a vertex to the added facets containing it, in the
+    order added, so the latest addition can be taken back (``pop``); the
+    empty face is covered once any facet, the empty facet included, is.
+    """
+
+    __slots__ = ("stars", "count")
+
+    def __init__(self, facets=()):
+        self.stars: dict[str, list] = {}
+        self.count = 0
+        for h in facets:
+            self.add(h)
+
+    def add(self, h: frozenset) -> None:
+        for x in h:
+            self.stars.setdefault(x, []).append(h)
+        self.count += 1
+
+    def pop(self, h: frozenset) -> None:
+        """Take back h, the facet added last."""
+        for x in h:
+            self.stars[x].pop()
+        self.count -= 1
+
+    def __contains__(self, g: frozenset) -> bool:
+        if not g:
+            return self.count > 0
+        best = None
+        for x in g:
+            hs = self.stars.get(x)
+            if not hs:
+                return False
+            if best is None or len(hs) < len(best):
+                best = hs
+        for h in best:
+            if g <= h:
+                return True
+        return False
+
+    def restriction(self, f: frozenset):
+        """The unique minimal new face of placing f, or None when its new
+        faces have no unique minimum (see the module docstring).
+
+        R is read from the star of a vertex y of f of least degree: a
+        ridge f - {x} with x != y contains y, so it is covered when some
+        facet h there has f - h = {x}, or when f itself is covered, and
+        then R, a face of f, is covered and the step fails either way.  The
+        ridge f - {y} takes one more lookup, and R itself one more.
+        """
+        if not f:
+            return None if self.count else f
+        stars = self.stars
+        y = min(f, key=lambda x: len(stars.get(x, ())))
+        r = set()
+        for h in stars.get(y, ()):
+            m = f - h
+            if len(m) == 1:
+                r |= m
+        if f - {y} in self:
+            r.add(y)
+        r = frozenset(r)
+        return None if r in self else r
+
+
+def _new_faces(f: frozenset, covered) -> list:
+    """The minimal faces of f missing from *covered*, by size, then
+    ``sorted_face``: what a failing step reports."""
+    new = [g for g in _subsets(f) if g not in covered]
     minimal = [g for g in new if not any(h < g for h in new)]
-    return new, sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
+    return sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
 
 
-def _run(order, excluded) -> ShellingVerdict:
-    seen: set = set(excluded)
+def _run(order, removed) -> ShellingVerdict:
+    """Place the facets of *order* after the facets *removed*."""
+    covered = _Covered(removed)
     restrictions = []
     for idx, f in enumerate(order):
-        new, minimal = _new_faces(f, seen)
-        if len(minimal) != 1:
+        r = covered.restriction(f)
+        if r is None:
             return ShellingVerdict(
-                ok=False, failing_index=idx, minimal_new_faces=tuple(minimal)
+                ok=False, failing_index=idx,
+                minimal_new_faces=tuple(_new_faces(f, covered)),
             )
-        restrictions.append(minimal[0])
-        seen.update(new)
+        restrictions.append(r)
+        covered.add(f)
     return ShellingVerdict(ok=True, restrictions=tuple(restrictions))
 
 
@@ -99,7 +180,8 @@ def is_shelling(c: Complex, order) -> ShellingVerdict:
     order = [_as_face(f) for f in order]
     if len(order) != len(set(order)) or set(order) != set(c.facets):
         raise NotAPermutation("order must be a permutation of the facets")
-    return _run(order, frozenset())
+    return _run(order, ())
+
 
 def is_relative_shelling(rc: RelativeComplex, order) -> ShellingVerdict:
     """Check an ordering of the facets outside the removed lower ideal."""
@@ -109,13 +191,10 @@ def is_relative_shelling(rc: RelativeComplex, order) -> ShellingVerdict:
         raise NotAPermutation(
             "order must be a permutation of the ambient facets outside the removed part"
         )
-    # _run asks only for faces of placed facets, so the removed part's
-    # faces are needed only inside the span of the order
+    # every face _run asks about lies in the span of the order, so the
+    # removed facets count by their traces on it
     span = frozenset().union(*order)
-    excluded = set()
-    for h in rc.removed.facets:
-        excluded.update(_subsets(h & span))
-    return _run(order, excluded)
+    return _run(order, [h & span for h in rc.removed.facets])
 
 
 def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:
@@ -174,7 +253,7 @@ def find_shelling(c: Complex, budget: int = 24):
 
     order: list = []
     placed: set = set()
-    covered: set = set()
+    covered = _Covered()
 
     def attempt() -> bool:
         if len(order) == len(facets):
@@ -185,17 +264,16 @@ def find_shelling(c: Complex, budget: int = 24):
         for f in facets:
             if f in placed:
                 continue
-            new, minimal = _new_faces(f, covered)
-            if len(minimal) != 1:
+            if covered.restriction(f) is None:
                 continue
             order.append(f)
             placed.add(f)
-            covered.update(new)
+            covered.add(f)
             if attempt():
                 return True
             order.pop()
             placed.discard(f)
-            covered.difference_update(new)
+            covered.pop(f)
         dead.add(state)
         return False
 

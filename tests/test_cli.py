@@ -75,9 +75,10 @@ def test_check_non_shelling_fixture(capsys):
     assert "boundary intersection" in text
 
 
-def test_removal_mode_builds_one_boundary_per_removal(tmp_path, capsys, monkeypatch):
-    """Each removal reuses the split that find_shelling_decomposition
-    checked against the current boundary: one boundary per removal."""
+def test_removal_mode_builds_a_boundary_only_for_its_report(tmp_path, capsys, monkeypatch):
+    """Removal mode decides each split from the star index: a passing run
+    builds no boundary complex, and a failing one builds one, for the
+    boundary intersection it reports."""
     from crossflips import complexes, moves
 
     built = []
@@ -97,7 +98,48 @@ def test_removal_mode_builds_one_boundary_per_removal(tmp_path, capsys, monkeypa
                                 "mode": "removal"}))
     code, text, _ = run(capsys, "check", str(path), "shelling-order")
     assert (code, text) == (0, "PASS: 4 elementary shellings\n")
-    assert built == [5, 4, 3, 2]
+    assert built == []
+    # the middle triangle meets the boundary in an edge and a vertex
+    path.write_text(json.dumps({"complex": {"facets": fan}, "order": [fan[2]],
+                                "mode": "removal"}))
+    code, text, _ = run(capsys, "check", str(path), "shelling-order")
+    assert (code, text) == (1, "FAIL at facet 1: no elementary shelling decomposition; "
+                               "boundary intersection is ['o'], ['p2', 'p3']\n")
+    assert built == [5]
+
+
+def test_removal_mode_on_a_closed_complex_says_it_has_no_boundary(tmp_path, capsys):
+    octahedron = tmp_path / "octahedron.json"
+    assert run(capsys, "gen", "cross-polytope", "--dim", "2",
+               "--out", str(octahedron))[0] == 0
+    doc = json.loads(octahedron.read_text())
+    path = tmp_path / "removal.json"
+    path.write_text(json.dumps({"complex": doc, "order": doc["facets"][:1],
+                                "mode": "removal"}))
+    assert run(capsys, "check", str(path), "shelling-order") == (
+        1, "FAIL at facet 1: no elementary shelling decomposition; "
+           "the complex has no boundary\n", "")
+
+
+def test_shelling_condition_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    """Condition (3) names the first failing ridge in canonical order,
+    whatever order PYTHONHASHSEED gives a set of strings; here both ridges
+    of the split fail."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    doc = tmp_path / "ball.json"
+    doc.write_text(json.dumps({"facets": [["a", "b", "c"], ["a", "b", "e"], ["a", "e", "h"],
+                                          ["b", "e", "f"], ["e", "h", "i"]]}))
+    script = tmp_path / "moves.txt"
+    script.write_text("shell F=a,b,e A=a,b R=e\n")
+    for seed in ("0", "1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-m", "crossflips", "flip", str(doc), "--script", str(script),
+             "--out", str(tmp_path / "out.json")],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (
+            1, "FAIL at line 1: condition (3): ('b', 'e') is not in the boundary\n"), seed
 
 
 def test_check_certificate_pass(tmp_path, capsys):
