@@ -195,9 +195,10 @@ def _check_removal_order(c: Complex, order) -> int:
     """Validate a sequence of elementary shelling removals facet by facet.
 
     Reports the first facet admitting no interior/boundary decomposition,
-    together with its intersection with the current boundary, or that the
-    complex has none.  The boundary complex is built for that report only:
-    the splits are checked from the star index.
+    together with its intersection with the current boundary, or that it
+    does not meet that boundary, or that the complex has none.  The
+    boundary complex is built for that report only: the splits are checked
+    from the star index.
     """
     from .complexes import boundary_complex
 
@@ -208,11 +209,13 @@ def _check_removal_order(c: Complex, order) -> int:
             return 1
         if _moves.find_shelling_decomposition(cur, f) is None:
             bd = boundary_complex(cur)
-            if bd.facets:
-                inter = [g for g in bd.all_faces() if g and g <= f]
-                maxi = [g for g in inter if not any(g < h for h in inter)]
+            inter = [g for g in bd.all_faces() if g and g <= f]
+            maxi = [g for g in inter if not any(g < h for h in inter)]
+            if maxi:
                 desc = "boundary intersection is " + ", ".join(
                     str(list(sorted_face(g))) for g in sorted(maxi, key=sorted_face))
+            elif bd.facets:
+                desc = "the facet does not meet the boundary"
             else:
                 desc = "the complex has no boundary"
             print("FAIL at facet %d: no elementary shelling decomposition; %s"
@@ -349,14 +352,17 @@ def run_walk(config: WalkConfig):
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
-        per_class = [
-            spec for spec in allowed
-            if _moves.has_cross_flip_site(cur, coloring, spec)
-        ]
+        # each class's search stops at its first site; the drawn one resumes
+        per_class = []
+        for spec in allowed:
+            search = _moves._iter_cross_flip_sites(cur, coloring, spec)
+            first = next(search, None)
+            if first is not None:
+                per_class.append((spec, first, search))
         if not per_class:
             raise StepFailed(step, "no applicable flip site")
-        spec = per_class[rng.randrange(len(per_class))]
-        sites = _moves.find_cross_flip_sites(cur, coloring, spec)
+        spec, first, search = per_class[rng.randrange(len(per_class))]
+        sites = [first, *search]
         site = sites[rng.randrange(len(sites))]
         res = _moves.apply_cross_flip_detailed(cur, site)
         coloring = _moves.extend_coloring_after_cross_flip(coloring, res)

@@ -22,10 +22,10 @@ facets in canonical order and a facet-neighbour table (facet h -> for each
 vertex x of h whose ridge h - {x} lies in exactly two facets, the other
 facet and its vertex off the ridge).  A complex made from another by
 exchanging a few facets (``Complex._replaced``, the result of a
-cross-flip) inherits the vertex set and star index of the other, and its
-common size and top label if the other had built them, patched at the
-vertices of the exchanged facets only; an inherited slot always equals a
-fresh build; its site view is built afresh.
+cross-flip or a shelling move) inherits the vertex set and star index of
+the other, and its common size and top label if the other had built
+them, patched at the vertices of the exchanged facets only; an inherited
+slot always equals a fresh build; its site view is built afresh.
 """
 
 from __future__ import annotations
@@ -527,19 +527,6 @@ def _adjacency(c: Complex) -> dict:
     return adj
 
 
-def is_connected(c: Complex) -> bool:
-    adj = _adjacency(c)
-    if len(adj) <= 1:
-        return True
-    start = next(iter(adj))
-    seen, todo = {start}, [start]
-    while todo:
-        fresh = adj[todo.pop()] - seen
-        seen |= fresh
-        todo.extend(fresh)
-    return len(seen) == len(adj)
-
-
 # ---------------------------------------------------------------------------
 # colorings
 
@@ -562,7 +549,8 @@ def find_balanced_coloring(c: Complex) -> dict | None:
     """Exact backtracking search for a proper (dim+1)-coloring.
 
     Returns the first coloring in canonical vertex order, or None when no
-    proper coloring with dim+1 colors exists.
+    proper coloring with dim+1 colors exists.  The search is iterative, so
+    no recursion limit bounds its depth.
     """
     d = c.dimension
     if d is None:
@@ -571,21 +559,21 @@ def find_balanced_coloring(c: Complex) -> dict | None:
     verts = sorted(c.vertices, key=vertex_key)
     adj = _adjacency(c)
     coloring: dict[str, int] = {}
-
-    def attempt(i: int) -> bool:
-        if i == len(verts):
-            return True
+    tried = [0] * len(verts)  # the least color vertex i may still take
+    i = 0
+    while 0 <= i < len(verts):
         v = verts[i]
         used = {coloring[w] for w in adj[v] if w in coloring}
-        for col in range(m):
-            if col not in used:
-                coloring[v] = col
-                if attempt(i + 1):
-                    return True
-                del coloring[v]
-        return False
-
-    return dict(coloring) if attempt(0) else None
+        col = next((k for k in range(tried[i], m) if k not in used), None)
+        if col is None:  # backtrack: v's next attempt starts afresh
+            coloring.pop(v, None)
+            tried[i] = 0
+            i -= 1
+        else:
+            coloring[v] = col
+            tried[i] = col + 1
+            i += 1
+    return coloring if i == len(verts) else None
 
 
 # ---------------------------------------------------------------------------
@@ -677,61 +665,58 @@ class ManifoldVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-def _classify_dim0(c: Complex) -> str | None:
-    n = len(c.vertices)
-    if n == 2:
-        return "sphere"
-    if n == 1:
-        return "ball"
-    return None
+def _is_connected(facets) -> bool:
+    """Whether any two vertices of the given facets are joined by a chain
+    of facets, each meeting the next; true with at most one vertex."""
+    stars: dict[str, list] = {}
+    for h in facets:
+        for x in h:
+            stars.setdefault(x, []).append(h)
+    seen, todo = set(), list(stars)[:1]
+    while todo:
+        for h in stars[todo.pop()]:
+            fresh = h - seen
+            seen |= fresh
+            todo.extend(fresh)
+    return len(seen) == len(stars)
 
 
-def _classify_dim1(c: Complex) -> str | None:
-    if c.dimension != 1 or not c.is_pure or not is_connected(c):
-        return None
-    deg = {v: len(hs) for v, hs in c._star_index().items()}
-    ones = sum(1 for d in deg.values() if d == 1)
-    if any(d > 2 for d in deg.values()):
-        return None
-    if ones == 0:
-        return "sphere"
-    if ones == 2:
-        return "ball"
-    return None
+def _sphere_or_ball(facets: list, k: int) -> str | None:
+    """"sphere" or "ball" when the distinct facets of k + 1 vertices each,
+    k <= 2, form a combinatorial k-sphere or k-ball; None otherwise.
 
-
-def _classify_dim2(c: Complex) -> str | None:
-    if c.dimension != 2 or not c.is_pure or not is_connected(c):
+    For k >= 1 the facets must be connected, with each ridge in at most two
+    of them and in one exactly when they form a ball; for k = 2 each vertex
+    link must pass at k = 1 and V - E + F be 2 (sphere) or 1 (ball), as a
+    compact connected surface with that Euler characteristic is one.
+    """
+    if k == 0:
+        return {2: "sphere", 1: "ball"}.get(len(facets))
+    if not _is_connected(facets):
         return None
-    counts = [len(hs) for hs in _ridges(c.facets).values()]
-    if any(n > 2 for n in counts):
+    ridges = _ridges(facets)
+    if any(len(hs) > 2 for hs in ridges.values()):
         return None
-    has_boundary = 1 in counts
-    for v in c.vertices:
-        kind = _classify_dim1(link(c, {v}))
-        if kind is None:
+    kind = "ball" if any(len(hs) == 1 for hs in ridges.values()) else "sphere"
+    if k == 2:
+        links: dict[str, list] = {}
+        for h in facets:
+            for x in h:
+                links.setdefault(x, []).append(h - {x})
+        if any(_sphere_or_ball(lk, 1) is None for lk in links.values()):
             return None
-        if kind == "sphere" and has_boundary:
-            continue
-        if kind == "ball" and not has_boundary:
+        if len(links) - len(ridges) + len(facets) != (1 if kind == "ball" else 2):
             return None
-    chi = c.euler_characteristic()
-    if not has_boundary:
-        return "sphere" if chi == 2 else None
-    # compact connected surface with boundary and chi = 1 is a disc
-    return "ball" if chi == 1 else None
-
-
-_LINK_CLASSIFIERS = {0: _classify_dim0, 1: _classify_dim1, 2: _classify_dim2}
+    return kind
 
 
 def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
     """Exact verdict for dimension <= 3; Undecided above that.
 
-    Vertex links are classified recursively: one-dimensional links must be
-    single cycles or paths, two-dimensional links closed or bounded surfaces
-    with Euler characteristic 2 or 1 and all of their own vertex links
-    cycles or paths.
+    The complex must be connected and the link of each vertex, read from
+    the star index as the facet list ``[g - {v} for g in stars[v]]``, a
+    sphere or a ball (``_sphere_or_ball``); a ball link puts the vertex on
+    the boundary.  No ``Complex`` is built.
     """
     if not c.is_pure or not c.facets:
         raise NotPure("manifold check requires a pure nonempty complex")
@@ -740,14 +725,14 @@ def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
         raise NotPure("manifold check requires dimension at least 0")
     if d >= 4:
         return ManifoldVerdict.UNDECIDED
-    if not is_connected(c):
+    if not _is_connected(c.facets):
         return ManifoldVerdict.NO
     if d == 0:
-        return ManifoldVerdict.CLOSED if len(c.vertices) == 1 else ManifoldVerdict.NO
-    classify = _LINK_CLASSIFIERS[d - 1]
+        return ManifoldVerdict.CLOSED  # connected: a single point
+    stars = c._star_index()
     saw_ball = False
-    for v in sorted(c.vertices, key=vertex_key):
-        kind = classify(link(c, {v}))
+    for v in sorted(stars, key=vertex_key):
+        kind = _sphere_or_ball([g - {v} for g in stars[v]], d - 1)
         if kind is None:
             return ManifoldVerdict.NO
         if kind == "ball":

@@ -32,7 +32,9 @@ nonempty) when (2) A is a face interior to the complex and (3) each
 the star index, with no face of the boundary built: a ridge is on the
 boundary when one facet contains it, so (3) is one lookup per ridge of F,
 and A is on the boundary exactly when some facet h containing A has such
-a ridge h - {y} with y outside A (``_on_boundary``).
+a ridge h - {y} with y outside A (``_on_boundary``).  Removing the
+facet, or adding it in an inverse shelling, exchanges facets with
+``Complex._replaced``, so a shelling move costs its facet's region.
 
 Site search runs the class's ridge walk, compiled to integer slots, over
 the ambient's facet-neighbour table (``Complex._site_view``): each step is
@@ -356,7 +358,7 @@ def _on_boundary(c: Complex, g: frozenset) -> bool:
 def shelling_move(c: Complex, f, a, r) -> Complex:
     """Remove a facet whose decomposition satisfies the three conditions."""
     _check_shelling_conditions(c, f, a, r)
-    return Complex(c.facets - {_as_face(f)})
+    return c._replaced(frozenset([_as_face(f)]), frozenset())
 
 
 def find_shelling_decomposition(c: Complex, f):
@@ -382,7 +384,11 @@ def inverse_shelling(c: Complex, f_new, a, r) -> Complex:
     f_new = _as_face(f_new)
     if c.has_face(f_new):
         raise ConditionViolated(1, "facet %r already present" % (sorted_face(f_new),))
-    grown = Complex.generated_by(list(c.facets) + [f_new])
+    # f_new swallows the facets inside it: those in the stars of its
+    # vertices, and the void complex's empty facet, which is in no star
+    stars = c._star_index()
+    swallowed = frozenset(h for x in f_new for h in stars.get(x, ()) if h < f_new)
+    grown = c._replaced(swallowed | {frozenset()}, frozenset([f_new]))
     _check_shelling_conditions(grown, f_new, a, r)
     return grown
 

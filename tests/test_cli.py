@@ -121,6 +121,15 @@ def test_removal_mode_on_a_closed_complex_says_it_has_no_boundary(tmp_path, caps
            "the complex has no boundary\n", "")
 
 
+def test_removal_mode_names_a_facet_that_misses_the_boundary(capsys):
+    """The octahedron without the facet {0, 1, 2} has that triangle for its
+    boundary, which the opposite facet {v0, v1, v2} does not meet."""
+    path = os.path.join(FIXTURES, "holed_octahedron_removal.json")
+    assert run(capsys, "check", path, "shelling-order") == (
+        1, "FAIL at facet 1: no elementary shelling decomposition; "
+           "the facet does not meet the boundary\n", "")
+
+
 def test_shelling_condition_messages_do_not_depend_on_the_hash_seed(tmp_path):
     """Condition (3) names the first failing ridge in canonical order,
     whatever order PYTHONHASHSEED gives a set of strings; here both ridges
@@ -269,6 +278,19 @@ def test_walk_start_without_coloring_searches_for_one(tmp_path, capsys):
     assert (code, err) == (1, "")
     assert text == "FAIL: the start complex has no proper 3-coloring\n"
     assert not out.exists()
+
+
+def test_a_long_polygon_is_balanced_and_walks(tmp_path, capsys):
+    """The coloring search is as deep as the vertex count, here above the
+    interpreter's default recursion limit."""
+    src, out = tmp_path / "gon.json", tmp_path / "w.json"
+    n = 1200
+    src.write_text(json.dumps({"facets": [[str(i), str((i + 1) % n)] for i in range(n)]}))
+    assert run(capsys, "check", str(src), "balanced") == (
+        0, "balanced: True (coloring search, 2 colors)\n", "")
+    assert run(capsys, "walk", str(src), "--dim", "1", "--steps", "1",
+               "--out", str(out)) == (0, "", "")
+    assert len(json.loads(out.read_text())["facets"]) == n
 
 
 def test_walk_dimension_must_match_start(tmp_path, capsys):

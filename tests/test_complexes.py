@@ -32,6 +32,7 @@ from crossflips.complexes import (
     link,
     relabel,
     star,
+    vertex_key,
 )
 from crossflips.diamond import (
     cross_polytope,
@@ -298,6 +299,65 @@ def test_find_balanced_coloring():
     assert is_proper_coloring(c2, col, 3)
     # the 3-simplex boundary is a 2-sphere that needs four colors
     assert find_balanced_coloring(simplex_boundary(2)) is None
+
+
+def _recursive_balanced_coloring(c):
+    """The coloring search as it was, one recursive call per vertex."""
+    d = c.dimension
+    if d is None:
+        return {}
+    m = d + 1
+    verts = sorted(c.vertices, key=vertex_key)
+    adj = {v: set() for v in verts}
+    for h in c.facets:
+        for v in h:
+            adj[v].update(h - {v})
+    coloring = {}
+
+    def attempt(i):
+        if i == len(verts):
+            return True
+        v = verts[i]
+        used = {coloring[w] for w in adj[v] if w in coloring}
+        for col in range(m):
+            if col not in used:
+                coloring[v] = col
+                if attempt(i + 1):
+                    return True
+                del coloring[v]
+        return False
+
+    return dict(coloring) if attempt(0) else None
+
+
+def _polygon(n):
+    return Complex(face(i, (i + 1) % n) for i in range(n))
+
+
+def test_balanced_coloring_search_matches_the_recursive_search():
+    cases = [_polygon(n) for n in range(3, 10)] + [
+        cross_polytope(d) for d in (1, 2, 3)] + [
+        simplex_boundary(d) for d in (1, 2, 3)] + [
+        diamond_closed_form(d, idx) for d in (1, 2, 3)
+        for r in range(1, d + 2) for idx in itertools.combinations(range(d + 2), r)]
+    rng = random.Random(4)
+    for _ in range(60):
+        n = rng.randint(4, 8)
+        cases.append(Complex.generated_by(
+            frozenset(map(str, rng.sample(range(n), 3))) for _ in range(rng.randint(1, 8))))
+    cases += [Complex.empty(), Complex.void(), Complex([face("a")])]
+    found = []
+    for c in cases:
+        want = _recursive_balanced_coloring(c)
+        assert find_balanced_coloring(c) == want, c.canonical_facets()
+        found.append(want is not None)
+    assert True in found and False in found
+
+
+def test_balanced_coloring_search_is_not_bound_by_the_recursion_limit():
+    col = find_balanced_coloring(_polygon(1200))
+    assert col == {str(i): i % 2 for i in range(1200)}
+    assert find_balanced_coloring(_polygon(1201)) is None
 
 
 def test_are_isomorphic_examples():

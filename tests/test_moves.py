@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from crossflips import moves
 from crossflips.complexes import (
     Complex,
+    ComplexError,
     FaceNotPresent,
     ManifoldVerdict,
     boundary_complex,
@@ -247,6 +249,68 @@ def test_shelling_conditions_named():
             face("d"),
         )
     assert err.value.condition == 3
+
+
+def _grown_by_generation(c, f_new, a, r):
+    """inverse_shelling as it was: the grown complex generated afresh from
+    every facet of c and the new one."""
+    f_new = frozenset(f_new)
+    if c.has_face(f_new):
+        raise ConditionViolated(1, "facet %r already present" % (sorted_face(f_new),))
+    grown = Complex.generated_by(list(c.facets) + [f_new])
+    moves._check_shelling_conditions(grown, f_new, a, r)
+    return grown
+
+
+def _state(fn, *args):
+    """The facets and every derived slot of fn's result, built on demand
+    where the result has not inherited them, or the error it raised."""
+    try:
+        out = fn(*args)
+    except ComplexError as exc:
+        return type(exc), str(exc)
+    return (out.facets, out.vertices, out._star_index(), out._common_size(),
+            out._top_w_label())
+
+
+def test_shelling_moves_equal_the_generated_complexes():
+    """On every boundary ridge e of seeded balls, growing the facet e | {z}
+    gives the complex, star index and labels of a fresh generation, and so
+    does removing each facet again by its first split."""
+    grown = removed = 0
+    for d in (1, 2, 3):
+        for seed in range(3):
+            rng = random.Random(seed)
+            c = Complex([frozenset("abcd"[: d + 1])])
+            for k in range(8):
+                c._top_w_label()  # inherited when built
+                z = "w%d" % k
+                rim = sorted(boundary_complex(c).facets, key=sorted_face)
+                for e in rim:
+                    args = (c, e | {z}, e, frozenset([z]))
+                    assert _state(inverse_shelling, *args) == _state(_grown_by_generation, *args)
+                    grown += 1
+                for f in sorted(c.facets, key=sorted_face):
+                    split = find_shelling_decomposition(c, f)
+                    if split is not None:
+                        assert _state(shelling_move, c, f, *split) == _state(
+                            Complex, c.facets - {f})
+                        removed += 1
+                e = rim[rng.randrange(len(rim))]
+                c = inverse_shelling(c, e | {z}, e, frozenset([z]))
+    assert grown > 100 and removed > 50
+    # a new facet swallowing smaller facets, the void complex's empty
+    # facet, and failing conditions
+    odd = [
+        (Complex([face("a", "b"), face("c")]), face("b", "c"), face("c"), face("b")),
+        (Complex([face("a", "b", "c"), face("d")]), face("b", "c", "d"), face("b", "c"), face("d")),
+        (Complex.void(), face("a", "b"), face("a"), face("b")),
+        (Complex.empty(), face(), face(), face()),
+        (TWO_TRIANGLES, face("a", "b", "d"), face("a"), face("b", "d")),
+        (TWO_TRIANGLES, face("b", "c"), face("b"), face("c")),
+    ]
+    for args in odd:
+        assert _state(inverse_shelling, *args) == _state(_grown_by_generation, *args)
 
 
 def test_non_shelling_fixture_rejected_at_facet_six():
