@@ -18,11 +18,11 @@ from .complexes import (
     Complex,
     ComplexError,
     _induced_in,
-    _subsets,
     are_isomorphic,
     boundary_complex,
     delete_subcomplex,
     h_vector,
+    pair_index,
     sorted_face,
     sub,
 )
@@ -33,6 +33,7 @@ from .diamond import (
     cross_polytope,
     diamond_closed_form,
     h_vector_formula,
+    minimal_nonfaces,
     shift_down_map,
     standard_coloring,
     swap_top_map,
@@ -175,10 +176,11 @@ def barycentric_sphere(d: int):
 # of its minimal representative, and stars in the cross-polytope boundary
 # are simplex-times-cross-polytope joins, i.e. single-index diamond shapes,
 # so flipping those stars removes every chord without ever creating one.
-# A chord lies in a facet, so it is a subset of that facet's trace on the
-# span of the diamond complex.  So the chords are collected once, each one
-# still present is flipped in turn, and a final check confirms that the
-# diamond complex came out induced.
+# A chord is no face once a smaller chord inside it is gone, so only the
+# minimal ones are flipped: the minimal non-faces of the diamond complex
+# other than its partner pairs (``diamond.minimal_nonfaces``, read from the
+# index set).  Each one still present is flipped in turn, smallest first,
+# and a final check confirms that the diamond complex came out induced.
 
 
 def ambient_with_induced_diamond(d: int, indices):
@@ -232,28 +234,23 @@ def ambient_with_induced_diamond_any(d: int, indices):
     contain d+1."""
     idx = _check_index_set(d, indices, d + 1)
     dcomp = diamond_closed_form(d, idx)
-    dfaces = dcomp.all_faces()
     span = dcomp.vertices
     amb = cross_polytope(d)
     coloring = standard_coloring(d)
-    traces = {h & span for h in amb.facets} - dfaces
-    chords = sorted(
-        {f for t in traces for f in _subsets(t) if f not in dfaces},
-        key=lambda f: (len(f), sorted_face(f)),
-    )
+    chords = sorted((n for n in minimal_nonfaces(d, idx)
+                     if len({pair_index(v) for v in n}) == len(n)),
+                    key=lambda f: (len(f), sorted_face(f)))
     stuck = ChordNotFlippable("no chord of %r could be flipped away" % (idx,))
     for f in chords:
         star = amb._facets_containing(f)
         if not star:
             continue
-        shape = _flip_plan(d, (len(f) - 1,)).abstract
-        iso = are_isomorphic(shape, Complex(star))
+        spec = (len(f) - 1,)
+        iso = are_isomorphic(_flip_plan(d, spec).abstract, Complex(star))
         if iso is None:
             raise stuck
         try:
-            res = apply_cross_flip_detailed(
-                amb, CrossFlip(d=d, spec=(len(f) - 1,), embedding=iso)
-            )
+            res = apply_cross_flip_detailed(amb, CrossFlip(d=d, spec=spec, embedding=iso))
         except ComplexError:
             raise stuck from None
         coloring = extend_coloring_after_cross_flip(coloring, res)

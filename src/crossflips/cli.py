@@ -23,6 +23,7 @@ from .complexes import (
     ComplexError,
     ManifoldVerdict,
     _faces_from_doc,
+    _subsets,
     complex_from_doc,
     complex_to_doc,
     find_balanced_coloring,
@@ -197,8 +198,8 @@ def _check_removal_order(c: Complex, order) -> int:
     Reports the first facet admitting no interior/boundary decomposition,
     together with its intersection with the current boundary, or that it
     does not meet that boundary, or that the complex has none.  The
-    boundary complex is built for that report only: the splits are checked
-    from the star index.
+    boundary complex is built for that report only, and only the facet's
+    subsets are tested on it: the splits are checked from the star index.
     """
     from .complexes import boundary_complex
 
@@ -209,7 +210,7 @@ def _check_removal_order(c: Complex, order) -> int:
             return 1
         if _moves.find_shelling_decomposition(cur, f) is None:
             bd = boundary_complex(cur)
-            inter = [g for g in bd.all_faces() if g and g <= f]
+            inter = [g for g in _subsets(f) if g and bd.has_face(g)]
             maxi = [g for g in inter if not any(g < h for h in inter)]
             if maxi:
                 desc = "boundary intersection is " + ", ".join(

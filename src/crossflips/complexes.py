@@ -11,8 +11,9 @@ functions, so any value may be shared freely across threads.  Derived slots
 are filled lazily; a concurrent recomputation produces the identical value,
 so readers always observe a consistent result.
 
-Faces are not cached: ``all_faces`` and ``faces`` build them on each call,
-and the f-vector and Euler characteristic count them by size in one pass.
+Faces are not cached: ``all_faces`` and ``faces`` build them on each call;
+the f-vector and Euler characteristic build none, but count the distinct
+k-subsets of the facets taken as sorted tuples, size by size.
 A complex keeps only its facets and, each built on first use: its vertex set,
 its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
@@ -341,9 +341,18 @@ class Complex:
     def has_face(self, f) -> bool:
         return bool(self._facets_containing(_as_face(f)))
 
+    def _face_counts(self) -> list:
+        """The number of faces of each size, 0 up to the largest facet's:
+        the distinct k-combinations of the facets as sorted tuples."""
+        rows = [tuple(sorted(h)) for h in self._facets]
+        top = max(map(len, rows), default=-1)
+        return [len(set(itertools.chain.from_iterable(
+                    itertools.combinations(row, k) for row in rows)))
+                for k in range(top + 1)]
+
     def euler_characteristic(self) -> int:
-        counts = Counter(map(len, self.all_faces()))
-        return sum((-1) ** (size - 1) * n for size, n in counts.items() if size)
+        return sum((-1) ** (size - 1) * n
+                   for size, n in enumerate(self._face_counts()) if size)
 
     def is_subcomplex_of(self, other: "Complex") -> bool:
         return all(f in other._facets or other.has_face(f) for f in self._facets)
@@ -438,23 +447,14 @@ def f_vector(c: Complex) -> tuple:
         raise NotPure("the empty complex has no f-vector")
     if not c.is_pure:
         raise NotPure("f-vector requires a pure complex")
-    counts = Counter(map(len, c.all_faces()))
-    return tuple(counts[size] for size in range(c.dimension + 2))
+    return tuple(c._face_counts())
 
 
 def h_vector(c: Complex) -> tuple:
     """(h_0, ..., h_{d+1}) via the alternating binomial transform of f."""
-    fv = f_vector(c)
-    d = c.dimension
-    out = []
-    for j in range(d + 2):
-        out.append(
-            sum(
-                (-1) ** (j - i) * math.comb(d + 1 - i, d + 1 - j) * fv[i]
-                for i in range(j + 1)
-            )
-        )
-    return tuple(out)
+    fv, n = f_vector(c), c.dimension + 1
+    return tuple(sum((-1) ** (j - i) * math.comb(n - i, n - j) * fv[i] for i in range(j + 1))
+                 for j in range(n + 1))
 
 
 def _traces_are_faces(facets, sub_facets: frozenset, vs) -> bool:

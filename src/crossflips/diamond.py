@@ -222,6 +222,23 @@ def block_of_facet(d: int, f) -> int:
     return min(subs) if subs else d + 1
 
 
+def minimal_nonfaces(d: int, indices) -> list:
+    """The minimal non-faces of the diamond complex of I on its vertex set,
+    partner pairs {j, v_j} first, read from I with no face built.  A facet
+    takes one token per pair, its first v_j at an index of I (index d+1 if
+    it has none), so the others are {v_a} with the indices of I below a,
+    for a outside I and below some index of I, and the indices of I when
+    d+1 is not in I; each set is kept when its tokens are vertices."""
+    idx = _check_index_set(d, indices, d + 1)
+    found = [frozenset([base(j), sub(j)]) for j in range(d + 1)]
+    found += [frozenset([sub(a)] + [base(j) for j in idx if j < a])
+              for a in range(idx[-1]) if a not in idx]
+    if idx[-1] <= d:
+        found.append(frozenset(map(base, idx)))
+    vs = _closed_form(d, idx).vertices
+    return [n for n in found if n <= vs]
+
+
 # ---------------------------------------------------------------------------
 # characteristic vectors and the degree-lexicographic order
 

@@ -17,7 +17,8 @@ the ambient's vertex set, star index, common facet size and top "w<k>"
 label, patched at the exchanged facets (``Complex._replaced``).
 
 The image's inducedness is decided by the class's minimal non-faces, which
-its plan lists once (``_FlipPlan.nonfaces``): when emb embeds the diamond
+its plan lists once (``_FlipPlan.nonfaces``), read in closed form from the
+index set (``diamond.minimal_nonfaces``): when emb embeds the diamond
 complex D into c with every image facet a face of c, the image is induced
 exactly when no minimal non-face N of D has emb(N) a face of c, that is,
 when the stars of N's images share no facet.  Most of these non-faces are
@@ -384,13 +385,17 @@ def inverse_shelling(c: Complex, f_new, a, r) -> Complex:
     f_new = _as_face(f_new)
     if c.has_face(f_new):
         raise ConditionViolated(1, "facet %r already present" % (sorted_face(f_new),))
-    # f_new swallows the facets inside it: those in the stars of its
-    # vertices, and the void complex's empty facet, which is in no star
-    stars = c._star_index()
-    swallowed = frozenset(h for x in f_new for h in stars.get(x, ()) if h < f_new)
-    grown = c._replaced(swallowed | {frozenset()}, frozenset([f_new]))
+    grown = _with_facet(c, f_new)
     _check_shelling_conditions(grown, f_new, a, r)
     return grown
+
+
+def _with_facet(c: Complex, f_new: frozenset) -> Complex:
+    """c with its non-face f_new added, swallowing the facets inside it: those
+    in the stars of its vertices, and the void complex's empty facet."""
+    stars = c._star_index()
+    swallowed = frozenset(h for x in f_new for h in stars.get(x, ()) if h < f_new)
+    return c._replaced(swallowed | {frozenset()}, frozenset([f_new]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,30 +499,6 @@ def _compile_walk(abstract: Complex, root: frozenset):
     return tuple(order), tuple(steps)
 
 
-def _minimal_nonfaces(abstract: Complex, order: tuple) -> tuple:
-    """The minimal non-faces of *abstract*, as tuples of ascending slots in
-    *order*, edges first.
-
-    The abstract complex lies in the cross-polytope boundary, so each of its
-    partner pairs is a minimal non-face, and any other one takes at most one
-    vertex from each pair: at most 3^(d+1) candidates, not every subset of
-    the 2(d+1) vertices.  A candidate is minimal when it is no face but each
-    of its ridges is.
-    """
-    slot = {v: i for i, v in enumerate(order)}
-    by_pair: dict[int, list] = {}
-    for v in order:
-        by_pair.setdefault(pair_index(v), []).append(v)
-    faces = abstract.all_faces()
-    found = [frozenset(vs) for vs in by_pair.values() if len(vs) == 2]
-    for pick in itertools.product(*([None] + vs for vs in by_pair.values())):
-        n = frozenset(pick) - {None}
-        if n not in faces and all(n - {v} in faces for v in n):
-            found.append(n)
-    return tuple(sorted((tuple(sorted(slot[v] for v in n)) for n in found),
-                        key=lambda t: (len(t), t)))
-
-
 def _embeds_a_nonface(stars: dict, img: list, nonfaces: tuple) -> bool:
     """Whether a non-face, mapped through *img* (the ambient vertex of each
     slot), is a face of the ambient with star index *stars*: whether the
@@ -544,8 +525,9 @@ class _FlipPlan:
     (``order``, ``steps``, and ``pairs``, the pair index of each vertex
     slot); the anchored embedding of a flip script walks from the entry
     facet of the lowest block (``anchor_order``, ``anchor_steps``).  An
-    image is induced unless one of ``nonfaces`` (``_minimal_nonfaces``, as
-    slots of ``order``) maps to a face of the ambient."""
+    image is induced unless one of ``nonfaces`` (the minimal non-faces of
+    ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
+    first) maps to a face of the ambient."""
 
     __slots__ = ("abstract", "order", "steps", "pairs", "nonfaces",
                  "anchor_order", "anchor_steps", "complement", "unseen")
@@ -562,7 +544,10 @@ class _FlipPlan:
             abstract, _diamond.entry_facet(d, spec[0]))
         self.abstract = abstract
         self.pairs = tuple(pair_index(v) for v in self.order)
-        self.nonfaces = _minimal_nonfaces(abstract, self.order)
+        slot = {v: i for i, v in enumerate(self.order)}
+        self.nonfaces = tuple(sorted((tuple(sorted(slot[v] for v in n))
+                                      for n in _diamond.minimal_nonfaces(d, spec)),
+                                     key=lambda t: (len(t), t)))
         self.complement = complement
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
@@ -734,9 +719,9 @@ def boundary_bistellar_realization(c: Complex, a, b) -> Complex:
     if c.has_face(f_full):
         if f_full not in c.facets:
             raise NotApplicableOnBoundary("flip region is not a single facet")
-        result = Complex(c.facets - {f_full})
+        result = c._replaced(frozenset([f_full]), frozenset())
     else:
-        result = Complex.generated_by(list(c.facets) + [f_full])
+        result = _with_facet(c, f_full)
     want = apply_bistellar(bd, BistellarFlip(A=a, B=b))
     got = boundary_complex(result)
     if got != want:

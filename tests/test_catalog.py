@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from crossflips import catalog
+from crossflips import catalog, cli, complexes, moves, shelling
 from crossflips.catalog import (
     ChordNotFlippable,
     DimensionCapExceeded,
@@ -31,6 +31,7 @@ from crossflips.complexes import (
     are_isomorphic,
     boundary_complex,
     delete_subcomplex,
+    f_vector,
     h_vector,
     is_combinatorial_manifold,
     is_induced,
@@ -173,6 +174,32 @@ def test_one_chord_pass_matches_the_fixpoint_loop(d):
             assert amb == want_amb, idx
             assert list(coloring.items()) == list(want_coloring.items()), idx
             assert emb == want_emb, idx
+
+
+def test_face_counts_and_the_chord_pass_build_no_faces(monkeypatch):
+    """The f-vector, h-vector and Euler characteristic count faces from
+    facet tuples, and the chord pass reads its chords from the index set:
+    none of them calls ``Complex.all_faces`` or ``_subsets``."""
+    calls = []
+    for d in range(1, 5):
+        for k in range(d + 1):
+            _flip_plan(d, (k,))
+    real_all_faces = Complex.all_faces
+    monkeypatch.setattr(Complex, "all_faces",
+                        lambda self: calls.append("all_faces") or real_all_faces(self))
+    for mod in (complexes, shelling, catalog, moves, cli):
+        if hasattr(mod, "_subsets"):
+            monkeypatch.setattr(mod, "_subsets", lambda f, real=mod._subsets:
+                                calls.append("_subsets") or real(f))
+    for d in range(1, 5):
+        for r in range(1, d + 3):
+            for idx in itertools.combinations(range(d + 2), r):
+                dc = diamond_closed_form(d, idx)
+                f_vector(dc), h_vector(dc), dc.euler_characteristic()
+                ambient_with_induced_diamond_any(d, idx)
+    assert calls == []
+    diamond_closed_form(1, (0,)).faces(0)  # the counters do count
+    assert set(calls) == {"all_faces", "_subsets"}
 
 
 @pytest.mark.parametrize("fault", ["no embedding", "flip refused", "not induced"])

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossflips.complexes import (
@@ -487,6 +488,31 @@ def test_h_sums_to_facet_count(c):
 @settings(max_examples=60, deadline=None)
 def test_f_matches_brute_force(c):
     assert f_vector(c) == brute_force_f_vector(c)
+
+
+# pure complexes of one facet size 0..4, and mixed ones (the empty and
+# void complexes among them) closed under faces by ``generated_by``
+_POOL = st.sampled_from(["0", "v0", "1", "v1", "a", "b", "w3", "x"])
+ANY_COMPLEXES = st.one_of(
+    st.integers(0, 4).flatmap(lambda k: st.lists(
+        st.frozensets(_POOL, min_size=k, max_size=k), max_size=8)).map(Complex),
+    st.lists(st.frozensets(_POOL, max_size=5), max_size=8).map(Complex.generated_by),
+)
+
+
+@given(ANY_COMPLEXES)
+@example(Complex.empty())
+@example(Complex.void())
+@settings(max_examples=150, deadline=None)
+def test_face_counts_match_the_all_faces_oracle(c):
+    counts = Counter(map(len, c.all_faces()))
+    assert c.euler_characteristic() == sum(
+        (-1) ** (size - 1) * n for size, n in counts.items() if size)
+    if not c.facets or not c.is_pure:
+        with pytest.raises(NotPure):
+            f_vector(c)
+    else:
+        assert f_vector(c) == tuple(counts[size] for size in range(c.dimension + 2))
 
 
 @given(small_pure_2_complexes())

@@ -513,6 +513,33 @@ def test_boundary_bistellar_realization():
         boundary_bistellar_realization(ball, face("b", "c"), face("x"))
 
 
+def test_boundary_realization_matches_the_generated_construction():
+    """Seeded 2-balls grown on random boundary edges and trimmed at random
+    facet splits: each result has the facets of the complex generated by
+    the input's facets and A | B (or of the input without A | B), and its
+    inherited star index equals a fresh build."""
+    removed = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        c = Complex([face("a", "b", "c")])
+        for k in range(40):
+            f = sorted(c.facets, key=sorted_face)[rng.randrange(c.n_facets)]
+            a = frozenset(rng.sample(sorted_face(f), rng.randint(1, 2)))
+            try:
+                out = boundary_bistellar_realization(c, a, f - a)
+                assert out.facets == c.facets - {f}
+                removed += 1
+            except NotApplicableOnBoundary:
+                rim = sorted(boundary_complex(c).facets, key=sorted_face)
+                e, x = rim[rng.randrange(len(rim))], face("n%d" % k)
+                out = boundary_bistellar_realization(c, e, x)
+                assert out.facets == Complex.generated_by(list(c.facets) + [e | x]).facets
+            assert out._star_index() == Complex(out.facets)._star_index()
+            assert out.vertices == Complex(out.facets).vertices
+            c = out
+    assert removed > 0
+
+
 def test_triangle_to_square_boundary_walk():
     # realize boundary edge subdivisions facet by facet on a 2-ball filling
     ball = Complex([face("a", "b", "c")])

@@ -1,11 +1,13 @@
 """Inducedness by minimal non-faces, against brute force and facet traces.
 
-A flip class's plan lists the minimal non-faces of its diamond complex once
-(`_FlipPlan.nonfaces`).  An embedded image, every facet of it a face of the
-ambient, is induced exactly when no listed non-face maps to a face of the
-ambient.  These tests check the list against every vertex subset, the
-verdict against the public facet-trace `is_induced`, and the site lists of
-seeded walks against a search that decides each image by facet traces.
+The minimal non-faces of a diamond complex are read from its index set in
+closed form (`diamond.minimal_nonfaces`), and a flip class's plan lists
+them once (`_FlipPlan.nonfaces`).  An embedded image, every facet of it a
+face of the ambient, is induced exactly when no listed non-face maps to a
+face of the ambient.  These tests check the closed form and the plan's
+list against every vertex subset, the verdict against the public
+facet-trace `is_induced`, and the site lists of seeded walks against a
+search that decides each image by facet traces.
 """
 
 import itertools
@@ -15,8 +17,13 @@ import pytest
 
 from crossflips import moves
 from crossflips.catalog import ambient_with_induced_diamond_any, enumerate_basic_flips
-from crossflips.complexes import Complex, is_induced
-from crossflips.diamond import cross_polytope, standard_coloring
+from crossflips.complexes import Complex, is_induced, pair_index
+from crossflips.diamond import (
+    cross_polytope,
+    diamond_closed_form,
+    minimal_nonfaces,
+    standard_coloring,
+)
 from crossflips.moves import (
     CrossFlip,
     NotInduced,
@@ -32,6 +39,7 @@ def _specs(d):
 
 
 def brute_minimal_nonfaces(c: Complex) -> set:
+    """Every vertex subset that is no face while each of its ridges is."""
     faces = c.all_faces()
     vs = sorted(c.vertices)
     return {
@@ -40,6 +48,21 @@ def brute_minimal_nonfaces(c: Complex) -> set:
         for n in map(frozenset, itertools.combinations(vs, r))
         if n not in faces and all(n - {v} in faces for v in n)
     }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_closed_form_lists_exactly_the_minimal_nonfaces(d):
+    """For every nonempty I in {0..d+1}: one-index sets, sets with d+1 and
+    the full set (the whole cross-polytope boundary) included."""
+    for r in range(1, d + 3):
+        for idx in itertools.combinations(range(d + 2), r):
+            got = minimal_nonfaces(d, idx)
+            assert len(set(got)) == len(got), idx
+            assert set(got) == brute_minimal_nonfaces(diamond_closed_form(d, idx)), idx
+            # partner pairs first, then sets with one token per pair at most
+            pairs = [len({pair_index(v) for v in n}) == 1 for n in got]
+            assert pairs == sorted(pairs, reverse=True), idx
+            assert all(len(n) == 2 for n, p in zip(got, pairs) if p), idx
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -48,3 +48,9 @@ def test_d4_suites_pass(capsys):
     assert len(lines) == 16
     assert all(line.startswith("reducibility d=4 I=[") and line.endswith("]: ok")
                for line in lines[:-1])
+    for target, want in (
+        ("count", "catalog size d=4: 31 (expected 31)"),
+        ("hvector", "h-vector formula agreed on 63 index sets (d=4)"),
+        ("complement", "complement identity verified on 31 canonical index sets (d=4)"),
+    ):
+        assert run(capsys, "verify", target, "4") == (0, want + "\nPASS\n", ""), target
