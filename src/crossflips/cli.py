@@ -560,10 +560,7 @@ def main(argv=None) -> int:
         if getattr(args, "dim_flag", None) is not None:
             args.dim = args.dim_flag
         return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a FILE, --script or --out unusable
         print("usage error: %s" % exc, file=sys.stderr)
         return 3
     except json.JSONDecodeError as exc:

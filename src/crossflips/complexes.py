@@ -31,6 +31,7 @@ slot always equals a fresh build; its site view is built afresh.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -168,19 +169,15 @@ class Complex:
     __slots__ = ("_facets", "_vertices", "_view", "_stars", "_size", "_top_w")
 
     def __init__(self, facets=()):
-        fs = frozenset(_as_face(f) for f in facets)
-        sizes = {len(f) for f in fs}
+        self._unbuilt(frozenset(_as_face(f) for f in facets))
+        sizes = {len(f) for f in self._facets}
         if len(sizes) > 1:
-            # mixed dimensions: verify no facet swallows another
-            by_size = sorted(fs, key=len)
-            for i, small in enumerate(by_size):
-                for big in by_size[i + 1 :]:
-                    if len(small) < len(big) and small < big:
-                        raise ValueError(
-                            "facet list is not an antichain: %r is contained in %r"
-                            % (sorted_face(small), sorted_face(big))
-                        )
-        self._unbuilt(fs)
+            # mixed sizes: name the least nested pair by (size, sorted vertices)
+            nested = [(len(f), sorted_face(f), len(g), sorted_face(g))
+                      for f in self._facets for g in self._facets_containing(f) if g != f]
+            if nested:
+                raise ValueError("facet list is not an antichain: %r is contained in %r"
+                                 % min(nested)[1::2])
         self._size = sizes.pop() if len(sizes) == 1 else -1
 
     def _unbuilt(self, facets: frozenset) -> None:
@@ -588,70 +585,76 @@ def _vertex_invariant(c: Complex, v: str) -> tuple:
     return (len(star), len(frozenset().union(*star)) - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _placement_steps(facets: frozenset, known: frozenset) -> list:
+    """Steps (facet, its new vertices sorted, it and the next facets with none
+    new) over facets each with a vertex outside *known*: each next facet shares
+    a ridge with a placed one (depth first), else has the most known vertices."""
+    ridges, known, rest = _ridges(sorted(facets, key=sorted)), set(known), set(facets)
+    steps, todo = [], []
+    while rest:
+        h = todo.pop() if todo else min(rest, key=lambda g: (-len(g & known), sorted(g)))
+        if h in rest:
+            rest.remove(h)
+            new = sorted(h - known, key=vertex_key)
+            if new:
+                steps.append((h, new, []))
+            steps[-1][2].append(h)
+            known.update(new)
+            todo += [g for x in sorted(h, reverse=True) for g, _ in ridges[h - {x}] if g in rest]
+    return steps
+
+
 def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
-    """Search for a vertex bijection inducing a facet bijection.
+    """The first vertex bijection inducing a facet bijection, or None.
 
-    Returns the first map found in the deterministic backtracking order, or
-    None.  With ``respect_colors=(ka, kb)`` the map must preserve colors;
-    ``fixed`` pre-assigns part of the map (used for locus-fixing checks).
-    """
-    if len(a.vertices) != len(b.vertices) or len(a.facets) != len(b.facets):
+    ``fixed`` pre-assigns part of the map (for locus-fixing checks).  Each
+    other facet of a goes, in ``_placement_steps`` order, onto a facet of b
+    containing the images of its mapped vertices, its new vertices mapped in
+    every order keeping vertex invariants and, with ``respect_colors=(ka,
+    kb)``, colors.  Between pseudomanifolds a facet sharing a ridge with a
+    placed one has one image at most: at most |F_b|·(d+1)!·|F_a| placements."""
+    if sorted(map(len, a.facets)) != sorted(map(len, b.facets)):
         return None
-    if sorted(len(f) for f in a.facets) != sorted(len(f) for f in b.facets):
+    ka, kb = respect_colors or ({}, {})
+    sig_a = {v: (_vertex_invariant(a, v), ka.get(v)) for v in a.vertices}
+    sig_b = {v: (_vertex_invariant(b, v), kb.get(v)) for v in b.vertices}
+    if sorted(s[0] for s in sig_a.values()) != sorted(s[0] for s in sig_b.values()):
+        return None
+    mapping = dict(fixed or {})
+    used = set(mapping.values())
+
+    def images_are_facets(hs) -> bool:
+        return all(frozenset(map(mapping.__getitem__, h)) in b.facets for h in hs)
+
+    pinned = [h for h in a.facets if h <= mapping.keys()]
+    if len(used) < len(mapping) or not (images_are_facets(pinned) and all(
+            sig_a.get(u, 0) == sig_b.get(w, 1) for u, w in mapping.items())):
         return None
 
-    inv_a = {v: _vertex_invariant(a, v) for v in a.vertices}
-    inv_b = {v: _vertex_invariant(b, v) for v in b.vertices}
-    if sorted(inv_a.values()) != sorted(inv_b.values()):
-        return None
+    def placements(h, new, checks):
+        img = frozenset(map(mapping.__getitem__, h.difference(new)))
+        for g in sorted(b._facets_containing(img), key=sorted):
+            free = g - img
+            if len(free) == len(new) and used.isdisjoint(free):
+                for perm in itertools.permutations(sorted(free, key=vertex_key)):
+                    if all(sig_a[u] == sig_b[w] for u, w in zip(new, perm)):
+                        mapping.update(zip(new, perm))
+                        used.update(perm)
+                        if images_are_facets(checks):
+                            yield True
+                        for u in new:
+                            del mapping[u]
+                        used.difference_update(perm)
 
-    ka, kb = respect_colors if respect_colors is not None else (None, None)
-
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    if fixed:
-        for u, w in fixed.items():
-            if u not in a.vertices or w not in b.vertices:
-                return None
-            if inv_a[u] != inv_b[w] or w in used:
-                return None
-            mapping[u] = w
-            used.add(w)
-
-    def compatible(u: str, w: str) -> bool:
-        if inv_a[u] != inv_b[w]:
-            return False
-        if ka is not None and ka.get(u) != kb.get(w):
-            return False
-        for u2, w2 in mapping.items():
-            if (u2 in adj_a[u]) != (w2 in adj_b[w]):
-                return False
-        return True
-
-    order = sorted((v for v in a.vertices if v not in mapping), key=vertex_key)
-    b_sorted = sorted(b.vertices, key=vertex_key)
-
-    def attempt(i: int) -> bool:
-        if i == len(order):
-            image = frozenset(frozenset(mapping[v] for v in f) for f in a.facets)
-            return image == b.facets
-        u = order[i]
-        for w in b_sorted:
-            if w in used or not compatible(u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            if attempt(i + 1):
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    if attempt(0):
-        return dict(mapping)
-    return None
+    steps, stack = _placement_steps(a.facets.difference(pinned), frozenset(mapping)), []
+    while len(stack) < len(steps):
+        stack.append(placements(*steps[len(stack)]))
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            return None
+    return mapping
 
 
 # ---------------------------------------------------------------------------

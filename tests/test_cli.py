@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from crossflips import catalog
 from crossflips.cli import main
 from crossflips.moves import NotInduced
@@ -149,6 +151,46 @@ def test_shelling_condition_messages_do_not_depend_on_the_hash_seed(tmp_path):
             capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (
             1, "FAIL at line 1: condition (3): ('b', 'e') is not in the boundary\n"), seed
+
+
+def _module_run(argv, seed="0", cwd=None):
+    """`python -m crossflips` in a fresh interpreter with the given hash seed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "crossflips", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                          capture_output=True, text=True)
+
+
+def test_antichain_message_does_not_depend_on_the_hash_seed(tmp_path):
+    """Four facets lie in others; the message names the least of them by
+    (size, sorted vertices) and its least container, here one of three
+    vertices although a four-vertex container sorts first."""
+    doc = tmp_path / "nested.json"
+    doc.write_text(json.dumps({"facets": [
+        ["j", "k"], ["j", "k", "l"], ["g", "h"], ["g", "h", "i"], ["d", "e"], ["d", "e", "f"],
+        ["a", "b"], ["a", "b", "x", "y"], ["a", "b", "z"]]}))
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        done = _module_run(["check", str(doc), "manifold"], seed)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: facet list is not an antichain: "
+                   "('a', 'b') is contained in ('a', 'b', 'z')\n"), seed
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}", "manifold"],
+    ["flip", "{file}", "--script", "{dir}", "--out", "{dir}/out.json"],
+    ["walk", "--dim", "2", "--steps", "1", "--out", "{dir}"],
+], ids=["check-file", "flip-script", "walk-out"])
+def test_a_directory_for_a_file_is_a_usage_error(tmp_path, argv):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [["0", "1"]]}))
+    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    done = _module_run(argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("usage error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 def test_check_certificate_pass(tmp_path, capsys):

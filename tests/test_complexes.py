@@ -79,6 +79,17 @@ def test_antichain_rejected():
         Complex([face("a", "b", "c"), face("a", "b")])
 
 
+def test_antichain_check_of_a_large_mixed_list_reads_vertex_stars():
+    """8000 facets of two sizes: nested facets are found through vertex
+    stars, not by comparing every pair."""
+    triangles = [face("t%d" % i, "u%d" % i, "w%d" % i) for i in range(4000)]
+    edges = [face("t%d" % i, "x%d" % i) for i in range(4000)]
+    assert len(Complex(triangles + edges).facets) == 8000
+    with pytest.raises(ValueError, match=r"\('t3999', 'w3999'\) is contained in "
+                                         r"\('t3999', 'u3999', 'w3999'\)"):
+        Complex(triangles + edges + [face("t3999", "w3999")])
+
+
 def test_link_of_cross_polytope_vertex():
     c2 = cross_polytope(2)
     lk = link(c2, face(0))

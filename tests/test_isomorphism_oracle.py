@@ -3,18 +3,22 @@
 Two complexes are isomorphic exactly when their vertex-facet incidence
 graphs are isomorphic by a map that sends vertices to vertices and facets
 to facets; networkx decides the latter independently of the library.
+Colours and pins (``fixed``) become node attributes that the map must keep.
 
 `former_vertex_invariant` is an earlier `_vertex_invariant`: the counts of
 the faces containing the vertex, by size, next to the face counts of a link
 rebuilt from every facet.  The current one, the vertex degree and number of
 neighbours, is coarser on arbitrary complexes.  Both are isomorphism
-invariants and the search tries candidates in one fixed order, so pruning
-by either cannot change the first map it finds: the maps must be identical.
-On manifolds of dimension at most 3 both split the vertices alike.
+invariants, and the search places facets in one fixed order and uses the
+invariant only to reject images of new vertices that no isomorphism could
+give, so filtering by either cannot change the first map it finds: the maps
+must be identical.  On manifolds of dimension at most 3 both split the
+vertices alike.
 """
 
 import itertools
 import random
+import time
 
 import networkx as nx
 
@@ -134,3 +138,134 @@ def test_degree_and_neighbours_split_manifold_vertices_like_link_counts():
         new = {v: complexes._vertex_invariant(c, v) for v in c.vertices}
         pairs = {(old[v], new[v]) for v in c.vertices}
         assert len(pairs) == len(set(old.values())) == len(set(new.values()))
+
+
+def stacked_sphere(seed, d, stacks):
+    """A seeded stacked cross-polytopal d-sphere and its proper colouring:
+    the boundary of the (d+1)-cross-polytope, then `stacks` times a random
+    facet replaced by the other facets of a cross-polytope boundary on it,
+    whose new vertices take their partners' colours."""
+    rng = random.Random(seed)
+    facets = [frozenset(str(i) if m >> i & 1 else "v%d" % i for i in range(d + 1))
+              for m in range(2 ** (d + 1))]
+    coloring = {v: int(v.lstrip("v")) for h in facets for v in h}
+    for k in range(stacks):
+        t = sorted(facets.pop(rng.randrange(len(facets))))
+        coloring.update(("s%d_%s" % (k, v), coloring[v]) for v in t)
+        facets += [frozenset("s%d_%s" % (k, v) if m >> i & 1 else v for i, v in enumerate(t))
+                   for m in range(1, 2 ** (d + 1))]
+    return Complex(facets), coloring
+
+
+def test_relabelled_stacked_spheres_are_matched_in_few_placements(monkeypatch):
+    """Every vertex of a stacked sphere shares its invariant with many
+    others, so the invariant alone cannot guide the search.  Each placement
+    reads b's facets through the images of its mapped vertices once, so the
+    reads count the placements: about one per vertex."""
+    reads = []
+    facets_containing = Complex._facets_containing
+    monkeypatch.setattr(Complex, "_facets_containing",
+                        lambda c, f: reads.append(f) or facets_containing(c, f))
+    for d, stacks, n_facets in ((3, 39, 562), (2, 159, 962)):
+        c, _ = stacked_sphere(d, d, stacks)
+        assert len(c.facets) == n_facets
+        other = shuffled(random.Random(d), c)
+        reads.clear()
+        start = time.perf_counter()
+        got = are_isomorphic(c, other)
+        assert time.perf_counter() - start < 30
+        assert got is not None and is_isomorphism(c, other, got)
+        assert 0 < len(reads) <= 2 * len(c.vertices)
+
+
+def test_stackings_with_equal_f_vectors_agree_with_the_oracle(monkeypatch):
+    verdicts, hard = set(), 0
+    for d, stacks in ((2, 3), (2, 5), (3, 3)):
+        spheres = [stacked_sphere(seed, d, stacks)[0] for seed in range(6)]
+        for a, b in itertools.combinations(spheres, 2):
+            assert f_vector(a) == f_vector(b)
+            got, former = both_invariants(monkeypatch, a, b)
+            assert got == former
+            assert (got is not None) == oracle(a, b)
+            assert got is None or is_isomorphism(a, b, got)
+            verdicts.add(got is not None)
+            same = [sorted(complexes._vertex_invariant(c, v) for v in c.vertices)
+                    for c in (a, b)]
+            hard += got is None and same[0] == same[1]
+    assert verdicts == {True, False}
+    # some non-isomorphic pairs pass the vertex-invariant test: the search decides
+    assert hard > 0
+
+
+def attributed_graph(c, colors, pins):
+    g = incidence_graph(c)
+    for v in c.vertices:
+        g.nodes["v", v].update(color=colors.get(v), pin=pins.get(v))
+    return g
+
+
+def attributed_oracle(a, b, ka, kb, fixed) -> bool:
+    """networkx with the colours and the pins as vertex attributes: pin i
+    sits on the i-th key of ``fixed`` in a and on its value in b."""
+    pins_a = {u: i for i, u in enumerate(fixed)}
+    pins_b = {w: i for i, w in enumerate(fixed.values())}
+    return nx.is_isomorphic(attributed_graph(a, ka, pins_a), attributed_graph(b, kb, pins_b),
+                            node_match=lambda x, y: x == y)
+
+
+def test_colors_and_pins_agree_with_the_oracle():
+    rng = random.Random(3)
+    verdicts = set()
+    for seed in range(4):
+        c, ka = stacked_sphere(seed, 2, 4)
+        other = shuffled(rng, c)
+        m = are_isomorphic(c, other)
+        kb = {m[v]: col for v, col in ka.items()}
+        rotated = {w: (col + 1) % 3 for w, col in kb.items()}
+        verts = sorted(c.vertices, key=vertex_key)
+        # a pin must keep its colour too
+        recolored = dict(kb)
+        recolored[m[verts[0]]] = (kb[m[verts[0]]] + 1) % 3
+        for colors in (kb, rotated, recolored):
+            for fixed in ({}, {verts[0]: m[verts[0]]}, {verts[0]: m[verts[1]]},
+                          {u: m[u] for u in verts[:3]}, {verts[1]: m[verts[0]]}):
+                got = are_isomorphic(c, other, respect_colors=(ka, colors), fixed=fixed)
+                assert (got is not None) == attributed_oracle(c, other, ka, colors, fixed)
+                if got is not None:
+                    assert is_isomorphism(c, other, got)
+                    assert all(got[u] == w for u, w in fixed.items())
+                    assert all(colors[got[v]] == col for v, col in ka.items())
+                verdicts.add(got is not None)
+    assert verdicts == {True, False}
+
+
+def test_empty_void_one_facet_disconnected_and_mixed_complexes():
+    empty, void = Complex.empty(), Complex.void()
+    assert are_isomorphic(empty, empty) == {} and are_isomorphic(void, void) == {}
+    assert are_isomorphic(empty, void) is None and are_isomorphic(void, empty) is None
+    assert are_isomorphic(void, void, fixed={"a": "a"}) is None
+    tri, other = Complex([("a", "b", "c")]), Complex([("x", "y", "z")])
+    assert are_isomorphic(tri, other) == {"a": "x", "b": "y", "c": "z"}
+    assert are_isomorphic(tri, other, fixed={"b": "x"}) == {"a": "y", "b": "x", "c": "z"}
+    assert are_isomorphic(tri, Complex([("x", "y")])) is None
+    cases = [
+        Complex([("a", "b", "c"), ("d", "e", "f")]),  # two triangles apart
+        Complex([("a", "b", "c"), ("c", "d", "e")]),  # two triangles at a vertex
+        Complex([("a", "b", "c"), ("d", "e")]),  # a triangle and an edge apart
+        Complex([("a", "b", "c"), ("c", "d")]),  # a triangle with a pendant edge
+        Complex([("a", "b", "c"), ("b", "d")]),
+        Complex([("a", "b", "c"), ("d",)]),  # a triangle and a point
+        Complex([("a", "b"), ("c", "d"), ("e",)]),
+        Complex([("a", "b"), ("b", "c"), ("d",)]),
+        Complex([("a", "b", "c", "d"), ("a", "e"), ("e", "f", "g")]),
+        Complex([("a", "b", "c", "d"), ("e", "f"), ("a", "e", "g")]),
+    ]
+    rng = random.Random(5)
+    verdicts = set()
+    for a, b in itertools.product(cases, repeat=2):
+        b = shuffled(rng, b)
+        got = are_isomorphic(a, b)
+        assert (got is not None) == oracle(a, b)
+        assert got is None or is_isomorphism(a, b, got)
+        verdicts.add(got is not None)
+    assert verdicts == {True, False}
