@@ -31,7 +31,6 @@ slot always equals a fresh build; its site view is built afresh.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -176,8 +175,9 @@ class Complex:
             nested = [(len(f), sorted_face(f), len(g), sorted_face(g))
                       for f in self._facets for g in self._facets_containing(f) if g != f]
             if nested:
+                _, f, _, g = min(nested)
                 raise ValueError("facet list is not an antichain: %r is contained in %r"
-                                 % min(nested)[1::2])
+                                 % (f, g))
         self._size = sizes.pop() if len(sizes) == 1 else -1
 
     def _unbuilt(self, facets: frozenset) -> None:
@@ -578,31 +578,38 @@ def find_balanced_coloring(c: Complex) -> dict | None:
 
 
 def _vertex_invariant(c: Complex, v: str) -> tuple:
-    """The degree of v (facets containing it) and its number of neighbours,
-    read from the star index.  On manifolds of dimension at most 3 and on
-    closed 4-manifolds these fix the face numbers of the link of v."""
+    """The degree of v (facets containing it, which ``are_isomorphic`` needs
+    to keep whole components together) and its number of neighbours, read
+    from the star index.  On manifolds of dimension at most 3 and on closed
+    4-manifolds these fix the face numbers of the link of v."""
     star = c._star_index()[v]
     return (len(star), len(frozenset().union(*star)) - 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _placement_steps(facets: frozenset, known: frozenset) -> list:
-    """Steps (facet, its new vertices sorted, it and the next facets with none
-    new) over facets each with a vertex outside *known*: each next facet shares
-    a ridge with a placed one (depth first), else has the most known vertices."""
-    ridges, known, rest = _ridges(sorted(facets, key=sorted)), set(known), set(facets)
-    steps, todo = [], []
+def _placement_steps(facets, known) -> list:
+    """Blocks of steps (facet, its new vertices sorted, it and the next
+    facets with none new) over facets each with a vertex outside *known*:
+    each next facet shares a ridge with a placed one (depth first), else has
+    the most known vertices.  A facet with no known vertex starts a block:
+    the facets before it and those inside *known* make up whole components."""
+    order = sorted(facets, key=sorted)
+    ridges = _ridges(order)
+    known, rest = set(known), set(facets)
+    blocks, todo = [], []
     while rest:
-        h = todo.pop() if todo else min(rest, key=lambda g: (-len(g & known), sorted(g)))
+        h = todo.pop() if todo else max((g for g in order if g in rest),
+                                        key=lambda g: len(g & known))
         if h in rest:
             rest.remove(h)
+            if not blocks or h.isdisjoint(known):
+                blocks.append([])
             new = sorted(h - known, key=vertex_key)
             if new:
-                steps.append((h, new, []))
-            steps[-1][2].append(h)
+                blocks[-1].append((h, new, []))
+            blocks[-1][-1][2].append(h)
             known.update(new)
             todo += [g for x in sorted(h, reverse=True) for g, _ in ridges[h - {x}] if g in rest]
-    return steps
+    return blocks
 
 
 def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
@@ -612,8 +619,13 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
     other facet of a goes, in ``_placement_steps`` order, onto a facet of b
     containing the images of its mapped vertices, its new vertices mapped in
     every order keeping vertex invariants and, with ``respect_colors=(ka,
-    kb)``, colors.  Between pseudomanifolds a facet sharing a ridge with a
-    placed one has one image at most: at most |F_b|·(d+1)!·|F_a| placements."""
+    kb)``, colors.  A placed block is never undone: with the pinned facets
+    it makes up whole components of a, and as each image vertex keeps its
+    degree, their images make up whole components of b, so the rest has an
+    isomorphism if any map does.  Between pseudomanifolds a facet sharing a
+    ridge with a placed one has one image at most, so a block costs at most
+    |F_b|·(d+1)!·|F_a| placements, or that bound to the power k if its
+    unpinned facets form k ridge-connected pieces."""
     if sorted(map(len, a.facets)) != sorted(map(len, b.facets)):
         return None
     ka, kb = respect_colors or ({}, {})
@@ -623,14 +635,12 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
         return None
     mapping = dict(fixed or {})
     used = set(mapping.values())
+    if not (mapping.keys() <= a.vertices and used <= b.vertices and len(used) == len(mapping)
+            and all(sig_a[u] == sig_b[w] for u, w in mapping.items())):
+        return None
 
     def images_are_facets(hs) -> bool:
         return all(frozenset(map(mapping.__getitem__, h)) in b.facets for h in hs)
-
-    pinned = [h for h in a.facets if h <= mapping.keys()]
-    if len(used) < len(mapping) or not (images_are_facets(pinned) and all(
-            sig_a.get(u, 0) == sig_b.get(w, 1) for u, w in mapping.items())):
-        return None
 
     def placements(h, new, checks):
         img = frozenset(map(mapping.__getitem__, h.difference(new)))
@@ -647,13 +657,17 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
                             del mapping[u]
                         used.difference_update(perm)
 
-    steps, stack = _placement_steps(a.facets.difference(pinned), frozenset(mapping)), []
-    while len(stack) < len(steps):
-        stack.append(placements(*steps[len(stack)]))
-        while stack and not next(stack[-1], False):
-            stack.pop()
-        if not stack:
-            return None
+    pinned = [h for h in a.facets if h <= mapping.keys()]
+    if not images_are_facets(pinned):
+        return None
+    for steps in _placement_steps(a.facets.difference(pinned), frozenset(mapping)):
+        stack = []
+        while len(stack) < len(steps):
+            stack.append(placements(*steps[len(stack)]))
+            while stack and not next(stack[-1], False):
+                stack.pop()
+            if not stack:
+                return None
     return mapping
 
 

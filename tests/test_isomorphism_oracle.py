@@ -12,7 +12,9 @@ neighbours, is coarser on arbitrary complexes.  Both are isomorphism
 invariants, and the search places facets in one fixed order and uses the
 invariant only to reject images of new vertices that no isomorphism could
 give, so filtering by either cannot change the first map it finds: the maps
-must be identical.  On manifolds of dimension at most 3 both split the
+must be identical.  Both also fix how many facets contain a vertex (the
+former through its face counts), which lets the search keep a placed
+component for good.  On manifolds of dimension at most 3 both split the
 vertices alike.
 """
 
@@ -267,5 +269,66 @@ def test_empty_void_one_facet_disconnected_and_mixed_complexes():
         got = are_isomorphic(a, b)
         assert (got is not None) == oracle(a, b)
         assert got is None or is_isomorphism(a, b, got)
+        verdicts.add(got is not None)
+    assert verdicts == {True, False}
+
+
+def cycles(tag, lengths):
+    """Disjoint cycles of the given lengths, as a 1-dimensional complex."""
+    return Complex([("%s%d_%d" % (tag, k, i), "%s%d_%d" % (tag, k, (i + 1) % n))
+                    for k, n in enumerate(lengths) for i in range(n)])
+
+
+def test_components_are_matched_once_each(monkeypatch):
+    """Four-cycles next to two hexagons, against four-cycles next to one
+    dodecagon: equal facet sizes and vertex invariants, not isomorphic, as
+    their components differ in size (networkx's isomorphism test is itself
+    slow on so many alike components).  Once a component is placed it is
+    never placed again, so the failing hexagon does not make the search
+    retry every placement of the four-cycles before it."""
+    reads = []
+    facets_containing = Complex._facets_containing
+    monkeypatch.setattr(Complex, "_facets_containing",
+                        lambda c, f: reads.append(f) or facets_containing(c, f))
+    for m in (2, 8):
+        a = cycles("a", [4] * m + [6, 6])
+        b = shuffled(random.Random(m), cycles("b", [4] * m + [12]))
+        same = shuffled(random.Random(m), a)
+        sizes = [sorted(map(len, nx.connected_components(incidence_graph(c)))) for c in (a, b)]
+        assert sizes[0] != sizes[1]
+        reads.clear()
+        start = time.perf_counter()
+        assert are_isomorphic(a, b) is None
+        assert time.perf_counter() - start < 30
+        assert len(reads) <= len(a.facets) * len(b.facets)
+        got = are_isomorphic(a, same)
+        assert got is not None and is_isomorphism(a, same, got)
+
+
+def test_pins_on_disconnected_complexes_agree_with_the_oracle():
+    """Two copies of one stacked sphere and a third sphere: a pin may send
+    the first copy onto the image of the second, which the search must then
+    find for the unpinned copy."""
+    rng = random.Random(13)
+    s, t = stacked_sphere(1, 2, 3)[0], stacked_sphere(2, 2, 4)[0]
+    parts = [relabel(c, {v: "%s_%s" % (tag, v) for v in c.vertices})
+             for tag, c in (("p", s), ("q", s), ("r", t))]
+    a = Complex([h for c in parts for h in c.facets])
+    other = shuffled(rng, a)
+    m = are_isomorphic(a, other)
+    assert m is not None and is_isomorphism(a, other, m)
+    swap = {u: m["q" + u[1:]] if u[0] == "p" else m["p" + u[1:]] if u[0] == "q" else m[u]
+            for u in a.vertices}
+    assert is_isomorphism(a, other, swap)
+    verts = sorted(a.vertices, key=vertex_key)
+    p0, q0, r0 = (next(v for v in verts if v.startswith(tag)) for tag in "pqr")
+    verdicts = set()
+    for fixed in ({p0: swap[p0]}, {q0: swap[q0]}, {p0: m[p0], q0: swap[q0]},
+                  {p0: swap[p0], r0: m[r0]}, {r0: m[p0]}, {p0: m[r0]}):
+        got = are_isomorphic(a, other, fixed=fixed)
+        assert (got is not None) == attributed_oracle(a, other, {}, {}, fixed)
+        if got is not None:
+            assert is_isomorphism(a, other, got)
+            assert all(got[u] == w for u, w in fixed.items())
         verdicts.add(got is not None)
     assert verdicts == {True, False}
