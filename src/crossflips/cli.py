@@ -164,9 +164,13 @@ def cmd_check(args) -> int:
                 "shelling-order check wants {\"complex\": ..., \"order\": ...,"
                 " \"removed\"?: ..., \"restrictions\"?: ..., \"mode\"?: ...}"
             )
+        mode = doc.get("mode")
+        if mode not in (None, "removal"):
+            raise UsageError("unknown shelling-order mode %r (want \"removal\" or none)"
+                             % (mode,))
         c, _ = complex_from_doc(doc["complex"])
         order = _faces_from_doc(doc, "order")
-        if doc.get("mode") == "removal":
+        if mode == "removal":
             return _check_removal_order(c, order)
         try:
             if "removed" in doc and doc["removed"] is not None:
@@ -353,18 +357,22 @@ def run_walk(config: WalkConfig):
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
-        # each class's search stops at its first site; the drawn one resumes
+        # each class's search stops at its first image; the drawn one
+        # resumes, and only the image drawn becomes a CrossFlip
         per_class = []
         for spec in allowed:
-            search = _moves._iter_cross_flip_sites(cur, coloring, spec)
-            first = next(search, None)
+            found = _moves._site_class(cur, spec)
+            if found is None:
+                continue
+            images = _moves._site_images(cur, coloring, *found)
+            first = next(images, None)
             if first is not None:
-                per_class.append((spec, first, search))
+                per_class.append((spec, found, first, images))
         if not per_class:
             raise StepFailed(step, "no applicable flip site")
-        spec, first, search = per_class[rng.randrange(len(per_class))]
-        sites = [first, *search]
-        site = sites[rng.randrange(len(sites))]
+        spec, found, first, images = per_class[rng.randrange(len(per_class))]
+        drawn = [first, *images]
+        site = _moves._image_site(*found, drawn[rng.randrange(len(drawn))])
         res = _moves.apply_cross_flip_detailed(cur, site)
         coloring = _moves.extend_coloring_after_cross_flip(coloring, res)
         cur = res.complex
@@ -393,12 +401,14 @@ def cmd_walk(args) -> int:
         raise UsageError("walk requires --dim")
     if args.steps is not None and args.steps < 0:
         raise UsageError("--steps must be nonnegative")
-    for idx in args.index or []:
+    for n, idx in enumerate(args.index or []):
         if not idx or idx[0] < 0 or idx[-1] > args.dim:
             raise UsageError(
                 "--index %s is not a nonempty subset of 0..%d"
                 % (",".join(str(i) for i in idx), args.dim)
             )
+        if idx in args.index[:n]:
+            raise UsageError("--index %s is given twice" % ",".join(str(i) for i in idx))
     start = None
     start_coloring = None
     if args.file is not None:

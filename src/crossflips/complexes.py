@@ -325,7 +325,8 @@ class Complex:
         facet-neighbour table, built on first use and shared by every
         flip-site search over this complex."""
         if self._view is None:
-            ordered = tuple(sorted((sorted_face(h), h) for h in self._facets))
+            key = {v: vertex_key(v) for v in self.vertices}.__getitem__
+            ordered = tuple(sorted((tuple(sorted(h, key=key)), h) for h in self._facets))
             neighbours: dict[frozenset, dict] = {h: {} for h in self._facets}
             for pair in _ridges(self._facets).values():
                 if len(pair) == 2:

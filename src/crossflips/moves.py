@@ -37,10 +37,18 @@ a ridge h - {y} with y outside A (``_on_boundary``).  Removing the
 facet, or adding it in an inverse shelling, exchanges facets with
 ``Complex._replaced``, so a shelling move costs its facet's region.
 
-Site search runs the class's ridge walk, compiled to integer slots, over
-the ambient's facet-neighbour table (``Complex._site_view``): each step is
-a list index and one dict lookup.  Each image is decided once, after its
-first colour check passes, by the non-faces of the class.
+Site search runs the class's ridge walk over the ambient's
+facet-neighbour table (``Complex._site_view``).  Each class's plan
+compiles the walk once into a generated straight-line function
+(``_compile_site_walk``): one dict lookup per step, the test that a new
+vertex is unused unrolled.  The colour test is exact in two halves: the
+root facet holds each pair once, so a facet with an uncoloured vertex or
+a repeated colour roots no image and none of its vertex orders is walked;
+every walk step swaps a vertex for its partner, so a completed walk only
+compares each later vertex with the root vertex of its pair.  Each image
+is decided once, after its colour test passes, by the non-faces of the
+class.  The search yields images as vertex lists (``_site_images``); only
+the callers that hand out sites wrap them in a ``CrossFlip``.
 """
 
 from __future__ import annotations
@@ -470,7 +478,8 @@ def _compile_walk(abstract: Complex, root: frozenset):
     and abstract facets in walk order (the root is 0).  Step k reaches
     facet k + 1 and is ``(new vertex slot, dropped vertex slot, origin
     facet slot)``: the new facet is the origin minus the dropped vertex
-    plus the new one.
+    plus the new one.  Facets of the cross-polytope boundary that share a
+    ridge differ in one pair, so every step swaps a vertex for its partner.
     """
     d = len(root) - 1
     afacets = sorted(abstract.facets, key=sorted_face)
@@ -499,6 +508,46 @@ def _compile_walk(abstract: Complex, root: frozenset):
     return tuple(order), tuple(steps)
 
 
+def _compile_site_walk(steps: tuple, d: int, name: str):
+    """The site walk of *steps* as a generated straight-line generator
+    ``walk(nb, f0, perms)``, its code labelled *name*.
+
+    ``nb`` is a site view's neighbour table and ``perms`` the vertex orders
+    of the facet ``f0``, each read as the images of the root's d + 1 slots.
+    Each step is one ``get`` on the origin facet's neighbours; a step
+    reaching a placed slot compares it, one placing a new slot tests it
+    against every placed one.  An order stops where a ridge does not lie in
+    exactly two facets or the map would not be injective; for each order
+    that completes, ``walk`` yields ``(img, fmap)``, the ambient vertex of
+    each vertex slot and the ambient facet of each facet slot.
+    """
+    slots = ["a%d" % i for i in range(d + 1)]
+    lines = ["def walk(nb, f0, perms):",
+             "    n0 = nb[f0]",
+             "    for %s, in perms:" % ", ".join(slots)]
+    fetched = {0}
+    for k, (x_new, x_drop, origin) in enumerate(steps, 1):
+        if origin not in fetched:
+            fetched.add(origin)
+            lines.append("        n%d = nb[f%d]" % (origin, origin))
+        lines.append("        hit = n%d.get(a%d)" % (origin, x_drop))
+        lines.append("        if hit is None: continue")
+        if x_new < len(slots):
+            lines.append("        f%d, w = hit" % k)
+            lines.append("        if w != a%d: continue" % x_new)
+        else:
+            new = "a%d" % x_new
+            lines.append("        f%d, %s = hit" % (k, new))
+            lines.append("        if %s: continue"
+                         % " or ".join("%s == %s" % (new, s) for s in slots))
+            slots.append(new)
+    lines.append("        yield [%s], (%s,)" % (
+        ", ".join(slots), ", ".join("f%d" % k for k in range(len(steps) + 1))))
+    namespace: dict = {}
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["walk"]
+
+
 def _embeds_a_nonface(stars: dict, img: list, nonfaces: tuple) -> bool:
     """Whether a non-face, mapped through *img* (the ambient vertex of each
     slot), is a face of the ambient with star index *stars*: whether the
@@ -522,14 +571,16 @@ class _FlipPlan:
     failing one raises, so a plan exists only when both sides shell.
 
     Site search walks from the first facet in ``sorted_face`` order
-    (``order``, ``steps``, and ``pairs``, the pair index of each vertex
-    slot); the anchored embedding of a flip script walks from the entry
-    facet of the lowest block (``anchor_order``, ``anchor_steps``).  An
-    image is induced unless one of ``nonfaces`` (the minimal non-faces of
+    (``order``, and ``walk``, its steps as one generated function:
+    ``_compile_site_walk``); ``later`` pairs each vertex slot
+    after the root's with the root slot of its pair.  The anchored
+    embedding of a flip script walks from the entry facet of the lowest
+    block (``anchor_order``, ``anchor_steps``).  An image is induced unless
+    one of ``nonfaces`` (the minimal non-faces of
     ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
     first) maps to a face of the ambient."""
 
-    __slots__ = ("abstract", "order", "steps", "pairs", "nonfaces",
+    __slots__ = ("abstract", "order", "walk", "later", "nonfaces",
                  "anchor_order", "anchor_steps", "complement", "unseen")
 
     def __init__(self, d: int, spec: tuple):
@@ -539,11 +590,14 @@ class _FlipPlan:
         for side, idx in ((abstract, spec), (complement, rest)):
             verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
         root = min(abstract.facets, key=sorted_face)
-        self.order, self.steps = _compile_walk(abstract, root)
+        self.order, steps = _compile_walk(abstract, root)
+        self.walk = _compile_site_walk(steps, d, "<site walk d=%d I=%s>" % (d, spec))
         self.anchor_order, self.anchor_steps = _compile_walk(
             abstract, _diamond.entry_facet(d, spec[0]))
         self.abstract = abstract
-        self.pairs = tuple(pair_index(v) for v in self.order)
+        root_slot = {pair_index(v): i for i, v in enumerate(self.order[:d + 1])}
+        self.later = tuple((i, root_slot[pair_index(v)])
+                           for i, v in enumerate(self.order) if i > d)
         slot = {v: i for i, v in enumerate(self.order)}
         self.nonfaces = tuple(sorted((tuple(sorted(slot[v] for v in n))
                                       for n in _diamond.minimal_nonfaces(d, spec)),
@@ -579,80 +633,75 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
 def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
     """All color-consistent induced embeddings of the diamond complex of the
     given index set, deduplicated by image, in a deterministic order."""
-    return list(_iter_cross_flip_sites(c, coloring, indices))
+    found = _site_class(c, indices)
+    if found is None:
+        return []
+    return [_image_site(*found, img) for img in _site_images(c, coloring, *found)]
 
 
 def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
     """Whether find_cross_flip_sites would be nonempty; stops at the first
     site."""
-    return next(_iter_cross_flip_sites(c, coloring, indices), None) is not None
+    found = _site_class(c, indices)
+    return found is not None and next(_site_images(c, coloring, *found), None) is not None
 
 
-def _iter_cross_flip_sites(c: Complex, coloring: dict, indices):
-    """The sites of find_cross_flip_sites, yielded one at a time in order.
-
-    Each root is a facet of c in canonical order with its vertices in
-    every order; the plan's ridge walk then crosses each ridge through the
-    site view's neighbour table, so it goes on only across ridges lying in
-    exactly two facets.  Every image facet is a facet of c, so the image is
-    a subcomplex by construction.  An image is decided once, after its
-    first colour check passes, by the class's minimal non-faces
-    (``_FlipPlan.nonfaces``); the verdict is whether the image is induced,
-    so it depends on the image only, not on the embedding that found it.
-    """
+def _site_class(c: Complex, indices):
+    """(d, checked index set) of a site search on c, or None when c is
+    empty or the index set is no class of its dimension."""
     d = c.dimension
     if d is None:
-        return
+        return None
     try:
-        spec = _diamond._check_index_set(d, indices, d)
+        return d, _diamond._check_index_set(d, indices, d)
     except ValueError:
-        return
+        return None
+
+
+def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
+    """The site of an image yielded by ``_site_images``: its embedding
+    maps the plan's ``order`` to *img*, in that order."""
+    return CrossFlip(d=d, spec=spec, embedding=dict(zip(_flip_plan(d, spec).order, img)))
+
+
+def _site_images(c: Complex, coloring: dict, d: int, spec: tuple):
+    """The images of the sites of find_cross_flip_sites, yielded one at a
+    time in order, each as the ambient vertex of every slot of the plan's
+    ``order``.
+
+    Each root is a facet of c in canonical order, with its vertices in
+    every order, walked by the plan's compiled walk; every image facet is
+    a facet of c, so the image is a subcomplex by construction.  The
+    colour test is split as the module docstring says.  An image is
+    decided once, after it passes, by the class's minimal non-faces
+    (``_FlipPlan.nonfaces``): the verdict is whether the image is induced,
+    so it does not depend on the embedding that found it.
+    """
     plan = _flip_plan(d, spec)
-    order, steps, pairs, nonfaces = plan.order, plan.steps, plan.pairs, plan.nonfaces
+    walk, later, nonfaces = plan.walk, plan.later, plan.nonfaces
     view = c._site_view()
-    neighbours = view.neighbours
+    nb = view.neighbours
     stars = c._star_index() if nonfaces else None
+    colour = coloring.get
 
     decided: set[frozenset] = set()
     for target_sorted, target in view.ordered:
         if len(target_sorted) != d + 1:
             continue  # a smaller facet of a non-pure complex is no image
-        for perm in itertools.permutations(target_sorted):
-            img = list(perm)  # ambient vertex of each abstract vertex slot
-            fmap = [target]  # ambient facet of each abstract facet slot
-            for x_new, x_drop, origin in steps:
-                hit = neighbours[fmap[origin]].get(img[x_drop])
-                if hit is None:
+        colours = {colour(w) for w in target_sorted}
+        if len(colours) != d + 1 or None in colours:
+            continue
+        for img, fmap in walk(nb, target, itertools.permutations(target_sorted)):
+            image = frozenset(fmap)  # the map is injective: no facet repeats
+            if image in decided:
+                continue
+            for i, r in later:
+                if colour(img[i]) != colour(img[r]):
                     break
-                img_new, w_new = hit
-                if x_new < len(img):
-                    if img[x_new] != w_new:
-                        break
-                elif w_new in img:
-                    break
-                else:
-                    img.append(w_new)
-                fmap.append(img_new)
-            else:  # the walk placed every abstract facet
-                image = frozenset(fmap)
-                if image in decided or len(image) != len(fmap):
-                    continue
-                if not _color_consistent(coloring, img, pairs):
-                    continue
+            else:
                 decided.add(image)
                 if not _embeds_a_nonface(stars, img, nonfaces):
-                    yield CrossFlip(d=d, spec=spec, embedding=dict(zip(order, img)))
-
-
-def _color_consistent(coloring: dict, img: list, pairs: tuple) -> bool:
-    """Whether the two images of each abstract pair share one color and
-    different pairs have different colors."""
-    pair_color: dict[int, int] = {}
-    for w, i in zip(img, pairs):
-        col = coloring.get(w)
-        if col is None or pair_color.setdefault(i, col) != col:
-            return False
-    return len(set(pair_color.values())) == len(pair_color)
+                    yield img
 
 
 # ---------------------------------------------------------------------------

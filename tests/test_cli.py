@@ -123,6 +123,21 @@ def test_removal_mode_on_a_closed_complex_says_it_has_no_boundary(tmp_path, caps
            "the complex has no boundary\n", "")
 
 
+def test_unknown_shelling_order_mode_is_usage_error(tmp_path, capsys):
+    """Only an absent or null mode checks an addition order; any other
+    mode than "removal", a misspelling say, is refused."""
+    path = tmp_path / "mode.json"
+    edge = {"complex": {"facets": [["a", "b"]]}, "order": [["a", "b"]]}
+    for mode in (None, "removel", "bogus", 1, ["removal"]):
+        path.write_text(json.dumps(dict(edge, mode=mode)))
+        code, text, err = run(capsys, "check", str(path), "shelling-order")
+        if mode is None:
+            assert (code, text, err) == (0, "PASS: shelling of 1 facets\n", "")
+        else:
+            assert code == 3 and text == ""
+            assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_removal_mode_names_a_facet_that_misses_the_boundary(capsys):
     """The octahedron without the facet {0, 1, 2} has that triangle for its
     boundary, which the opposite facet {v0, v1, v2} does not meet."""
@@ -296,6 +311,19 @@ def test_walk_index_outside_dimension_is_usage_error(tmp_path, capsys):
     for index in ("3", "0,5", ""):
         code, text, err = run(capsys, "walk", "--dim", "2", "--steps", "2",
                               "--index", "2", "--index", index, "--out", str(out))
+        assert code == 3 and text == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_walk_repeated_index_is_usage_error(tmp_path, capsys):
+    # a class given twice would be searched twice and drawn with double weight
+    out = tmp_path / "w.json"
+    for indices in (["0", "0"], ["0,1", "1,0"], ["2", "0,1", "1,,0"]):
+        argv = ["walk", "--dim", "2", "--steps", "2", "--out", str(out)]
+        for index in indices:
+            argv += ["--index", index]
+        code, text, err = run(capsys, *argv)
         assert code == 3 and text == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
     assert not out.exists()

@@ -229,6 +229,24 @@ def test_applying_a_flip_builds_no_site_view():
     assert c._view is None and res.complex._view is None
 
 
+def test_a_walk_step_builds_one_cross_flip(monkeypatch):
+    """A step draws from its class's site images and wraps only the one it
+    applies in a CrossFlip; the walk is the same as unpatched."""
+    config = WalkConfig(steps=12, seed=3, dimension=2)
+    want = run_walk(config)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["spec"])
+        return CrossFlip(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "CrossFlip", counting)
+    got = run_walk(config)
+    assert got == want
+    assert built == [tuple(int(i) for i in row["flip_index"].split("-"))
+                     for row in want[2]]
+
+
 def test_applying_a_flip_constructs_no_complex(monkeypatch):
     """Once its class plan exists, a flip keeps the image and the glued
     complement as facet sets: neither the application nor the site's

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored
+from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import Complex, face, is_induced, pair_index, sorted_face
 from crossflips.diamond import _check_index_set, cross_polytope, diamond_closed_form, standard_coloring
 from crossflips.moves import (
@@ -136,6 +137,13 @@ def test_every_step_of_a_seeded_walk_matches_the_former_search(d, seed, steps):
         res = apply_cross_flip_detailed(cur, rng.choice(sites))
         cur, col = res.complex, extend_coloring_after_cross_flip(col, res)
     assert assert_same_sites(cur, col, specs) > 0
+
+
+def test_a_d4_walk_state_matches_the_former_search():
+    # d=4 has the longest compiled walks: 31 classes, up to 30 steps
+    cur, col, rows = run_walk(WalkConfig(steps=1, seed=1, dimension=4))
+    assert cur.n_facets == 60 and rows[0]["flip_index"] == "3"
+    assert assert_same_sites(cur, col, _specs(4)) > 0
 
 
 def test_ridge_in_three_facets_and_boundary_match_the_former_search():
