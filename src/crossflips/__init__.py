@@ -76,7 +76,6 @@ from .shelling import (
     ShellingVerdict,
     find_shelling,
     h_from_shelling,
-    is_co_shellable_in_crosspolytope,
     is_relative_shelling,
     is_shellable,
     is_shelling,

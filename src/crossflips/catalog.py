@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .complexes import (
     Complex,
     ComplexError,
-    _induced_in,
     are_isomorphic,
     boundary_complex,
     delete_subcomplex,
@@ -41,7 +40,9 @@ from .diamond import (
 )
 from .moves import (
     CrossFlip,
+    _embeds_a_nonface,
     _flip_plan,
+    _image_embedding,
     apply_cross_flip,
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
@@ -180,7 +181,9 @@ def barycentric_sphere(d: int):
 # minimal ones are flipped: the minimal non-faces of the diamond complex
 # other than its partner pairs (``diamond.minimal_nonfaces``, read from the
 # index set).  Each one still present is flipped in turn, smallest first,
-# and a final check confirms that the diamond complex came out induced.
+# its star embedded by its class plan's walk (``moves._image_embedding``);
+# a final check confirms that no minimal non-face of the diamond complex,
+# partner pairs included, is a face of the ambient: it came out induced.
 
 
 def ambient_with_induced_diamond(d: int, indices):
@@ -233,12 +236,11 @@ def ambient_with_induced_diamond_any(d: int, indices):
     """One chord-killing pass (see above); accepts index sets that may
     contain d+1."""
     idx = _check_index_set(d, indices, d + 1)
-    dcomp = diamond_closed_form(d, idx)
-    span = dcomp.vertices
+    span = diamond_closed_form(d, idx).vertices
     amb = cross_polytope(d)
     coloring = standard_coloring(d)
-    chords = sorted((n for n in minimal_nonfaces(d, idx)
-                     if len({pair_index(v) for v in n}) == len(n)),
+    nonfaces = minimal_nonfaces(d, idx)
+    chords = sorted((n for n in nonfaces if len({pair_index(v) for v in n}) == len(n)),
                     key=lambda f: (len(f), sorted_face(f)))
     stuck = ChordNotFlippable("no chord of %r could be flipped away" % (idx,))
     for f in chords:
@@ -246,18 +248,19 @@ def ambient_with_induced_diamond_any(d: int, indices):
         if not star:
             continue
         spec = (len(f) - 1,)
-        iso = are_isomorphic(_flip_plan(d, spec).abstract, Complex(star))
-        if iso is None:
+        emb = _image_embedding(_flip_plan(d, spec), Complex(star))
+        if emb is None:
             raise stuck
         try:
-            res = apply_cross_flip_detailed(amb, CrossFlip(d=d, spec=spec, embedding=iso))
+            res = apply_cross_flip_detailed(amb, CrossFlip(d=d, spec=spec, embedding=emb))
         except ComplexError:
             raise stuck from None
         coloring = extend_coloring_after_cross_flip(coloring, res)
         amb = res.complex
-    if not _induced_in(amb, dcomp.facets, span):
+    identity = {v: v for v in span}
+    if _embeds_a_nonface(amb._star_index(), identity, [tuple(n) for n in nonfaces]):
         raise stuck
-    return amb, coloring, {v: v for v in span}
+    return amb, coloring, identity
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +379,8 @@ def verify_pentagon_composition(ambient: Complex, site: CrossFlip,
             direct, fixed_vertices, max_depth=3,
         )
     # reversed reading: flip the glued complement copy of {0,2} back
-    comp = delete_subcomplex(cross_polytope(2), diamond_closed_form(2, (1, 2)))
-    shape = diamond_closed_form(2, (0, 2))
-    iso = are_isomorphic(shape, comp)
-    back_emb = {u: res.vertex_map[iso[u]] for u in shape.vertices}
+    iso = _image_embedding(_flip_plan(2, (0, 2)), _flip_plan(2, (1, 2)).complement)
+    back_emb = {u: res.vertex_map[w] for u, w in iso.items()}
     back_site = CrossFlip(d=2, spec=(0, 2), embedding=back_emb)
     back_coloring = extend_coloring_after_cross_flip(coloring, res)
     res2 = apply_cross_flip_detailed(direct, back_site)

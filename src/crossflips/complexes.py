@@ -474,23 +474,6 @@ def _traces_are_faces(facets, sub_facets: frozenset, vs) -> bool:
     return True
 
 
-def _induced_in(c: Complex, sub_facets: frozenset, vs) -> bool:
-    """Whether the nonempty subcomplex of c with facets *sub_facets* and
-    vertex set *vs* is induced in c.
-
-    A one-facet sub is induced with no star read: every facet's trace on
-    the vertex set of a simplex is a face of that simplex.  Otherwise it
-    is decided by the traces of the facets in the stars of vs only: any
-    other facet of c has the empty trace.  No ``Complex`` is built for the
-    sub.
-    """
-    if len(sub_facets) == 1:
-        return True
-    stars = c._star_index()
-    near = frozenset().union(*(stars.get(v, ()) for v in vs))
-    return _traces_are_faces(near, sub_facets, vs)
-
-
 def is_induced(c: Complex, subc: Complex) -> bool:
     """True when every face of c spanned by the sub's vertices lies in it.
 

@@ -24,7 +24,8 @@ exactly when no minimal non-face N of D has emb(N) a face of c, that is,
 when the stars of N's images share no facet.  Most of these non-faces are
 partner pairs, each an edge test; a class-(d) image is one facet, has none
 and reads nothing.  Whether the glued complement is induced in the result
-is decided by facet traces, only when
+is decided the same way, by the minimal non-faces of the complement class
+(``_FlipPlan.complement_nonfaces``), only when
 ``CrossFlipResult.complement_induced`` is read.
 
 An elementary shelling removes a facet F = A | R (A, R disjoint and
@@ -48,7 +49,8 @@ every walk step swaps a vertex for its partner, so a completed walk only
 compares each later vertex with the root vertex of its pair.  Each image
 is decided once, after its colour test passes, by the non-faces of the
 class.  The search yields images as vertex lists (``_site_images``); only
-the callers that hand out sites wrap them in a ``CrossFlip``.
+the callers that hand out sites wrap them in a ``CrossFlip``.  The same
+walk embeds a diamond complex onto one image of it (``_image_embedding``).
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .complexes import (
     FaceNotPresent,
     _adjacency,
     _as_face,
-    _induced_in,
     _require_boundary,
     boundary_complex,
     is_proper_coloring,
@@ -146,19 +147,20 @@ class ShellingMove:
 @dataclass(frozen=True)
 class CrossFlipResult:
     """The result complex, the total map from abstract cross-polytope
-    vertices to its labels, the fresh labels, and the glued complement's
-    facets.  Whether the glued complement is induced in the result is
-    decided each time ``complement_induced`` is read, not when the flip
-    is applied."""
+    vertices to its labels, the fresh labels, the glued complement's facets
+    and the complement class's minimal non-faces.  Whether the glued
+    complement is induced in the result is decided from these each time
+    ``complement_induced`` is read, not when the flip is applied."""
 
     complex: Complex
     vertex_map: dict = field(hash=False)
     fresh_vertices: tuple
     glued: frozenset = field(repr=False)
+    nonfaces: tuple = field(repr=False)
 
     @property
     def complement_induced(self) -> bool:
-        return _induced_in(self.complex, self.glued, frozenset().union(*self.glued))
+        return not _embeds_a_nonface(self.complex._star_index(), self.vertex_map, self.nonfaces)
 
 
 def fresh_vertices(c: Complex, count: int) -> list:
@@ -465,6 +467,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
         vertex_map=total,
         fresh_vertices=tuple(total[v] for v in plan.unseen),
         glued=glued,
+        nonfaces=plan.complement_nonfaces,
     )
 
 
@@ -548,10 +551,10 @@ def _compile_site_walk(steps: tuple, d: int, name: str):
     return namespace["walk"]
 
 
-def _embeds_a_nonface(stars: dict, img: list, nonfaces: tuple) -> bool:
+def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
     """Whether a non-face, mapped through *img* (the ambient vertex of each
-    slot), is a face of the ambient with star index *stars*: whether the
-    stars of its images share a facet."""
+    slot or abstract vertex), is a face of the ambient with star index
+    *stars*: whether the stars of its images share a facet."""
     for n in nonfaces:
         if len(n) == 2:
             if not stars[img[n[0]]].isdisjoint(stars[img[n[1]]]):
@@ -578,10 +581,11 @@ class _FlipPlan:
     block (``anchor_order``, ``anchor_steps``).  An image is induced unless
     one of ``nonfaces`` (the minimal non-faces of
     ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
-    first) maps to a face of the ambient."""
+    first) maps to a face of the ambient; the glued complement likewise by
+    ``complement_nonfaces``, those of the complement on abstract vertices."""
 
-    __slots__ = ("abstract", "order", "walk", "later", "nonfaces",
-                 "anchor_order", "anchor_steps", "complement", "unseen")
+    __slots__ = ("abstract", "order", "walk", "later", "nonfaces", "anchor_order",
+                 "anchor_steps", "complement", "complement_nonfaces", "unseen")
 
     def __init__(self, d: int, spec: tuple):
         rest = tuple(i for i in range(d + 2) if i not in spec)
@@ -603,6 +607,7 @@ class _FlipPlan:
                                       for n in _diamond.minimal_nonfaces(d, spec)),
                                      key=lambda t: (len(t), t)))
         self.complement = complement
+        self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
         self.unseen = tuple(
             sorted(complement.vertices - abstract.vertices, key=vertex_key)
         )
@@ -613,6 +618,26 @@ def _flip_plan(d: int, spec: tuple) -> _FlipPlan:
     """The plan of the class with the checked index set *spec*; one per
     class, so the cache holds at most 2^(d+1)-1 plans per dimension."""
     return _FlipPlan(d, spec)
+
+
+def _image_embedding(plan: _FlipPlan, k: Complex):
+    """The embedding of the plan's diamond complex onto *k*, when k is one
+    image of it, or None.
+
+    With the facet counts and sizes equal, a walk of ``plan.walk`` that
+    completes places each facet of the diamond complex on a distinct facet
+    of k, so it maps onto k.  Roots are k's facets in ``sorted_face`` order,
+    each in every vertex order, as in site search; the first completed walk
+    wins.  Not every class is facet-transitive, so a root may complete no
+    walk while a later one does."""
+    abstract = plan.abstract
+    if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
+        return None
+    view = k._site_view()
+    for root_sorted, root in view.ordered:
+        for img, _fmap in plan.walk(view.neighbours, root, itertools.permutations(root_sorted)):
+            return dict(zip(plan.order, img))
+    return None
 
 
 def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) -> dict:
@@ -648,14 +673,16 @@ def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
 
 def _site_class(c: Complex, indices):
     """(d, checked index set) of a site search on c, or None when c is
-    empty or the index set is no class of its dimension."""
+    empty or the index set names no class of its dimension: it is empty, or
+    has an entry that is no integer or lies outside 0..d."""
     d = c.dimension
     if d is None:
         return None
     try:
-        return d, _diamond._check_index_set(d, indices, d)
-    except ValueError:
+        spec = _diamond._check_index_set(d, indices, d)
+    except (_diamond.EmptyIndexSet, TypeError, ValueError):
         return None
+    return (d, spec) if all(isinstance(i, int) for i in spec) else None
 
 
 def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:

@@ -286,21 +286,6 @@ def is_shellable(c: Complex, budget: int = 24) -> bool:
     return find_shelling(c, budget=budget) is not None
 
 
-def is_co_shellable_in_crosspolytope(d_ball: Complex, d: int, budget: int = 24) -> bool:
-    """True when the cross-polytope complement of the given subcomplex shells."""
-    from .diamond import cross_polytope
-
-    cd = cross_polytope(d)
-    if not d_ball.is_subcomplex_of(cd):
-        raise ValueError("not a subcomplex of the cross-polytope boundary")
-    from .complexes import delete_subcomplex
-
-    rest = delete_subcomplex(cd, d_ball)
-    if not rest.facets:
-        return False
-    return is_shellable(rest, budget=budget)
-
-
 def h_from_shelling(c: Complex, order) -> tuple:
     """Histogram of restriction-face sizes along an accepted shelling."""
     verdict = is_shelling(c, order)

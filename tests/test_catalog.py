@@ -20,6 +20,7 @@ from crossflips.catalog import (
     relative_shelling_setting,
     stacked_cross_sphere,
     stacked_cross_sphere_colored,
+    verify_pentagon,
     verify_pentagon_composition,
     verify_reducibility_composition,
 )
@@ -42,6 +43,7 @@ from crossflips.diamond import (
     block_of_facet,
     cross_polytope,
     diamond_closed_form,
+    minimal_nonfaces,
     standard_coloring,
 )
 from crossflips.moves import (
@@ -131,7 +133,7 @@ def test_ambient_builder_without_chords():
                 assert emb == {v: v for v in dc.vertices}
 
 
-def former_ambient(d, idx):
+def fixpoint_ambient(d, idx):
     """The chord loop as it was before it took its chords once: recompute
     every chord after each flip, flip the first one that flips, and stop
     when none is left."""
@@ -170,10 +172,75 @@ def test_one_chord_pass_matches_the_fixpoint_loop(d):
     for r in range(1, d + 3):
         for idx in itertools.combinations(range(d + 2), r):
             amb, coloring, emb = ambient_with_induced_diamond_any(d, idx)
+            want_amb, want_coloring, want_emb = fixpoint_ambient(d, idx)
+            assert amb == want_amb, idx
+            assert list(coloring.items()) == list(want_coloring.items()), idx
+            assert emb == want_emb, idx
+
+
+def former_ambient(d, idx):
+    """The chord pass as it was before it ran the class plans' walks: each
+    chord's star embedded by the general isomorphism search, and the
+    diamond complex's inducedness decided at the end by a facet-trace scan
+    (``is_induced``)."""
+    dcomp = diamond_closed_form(d, idx)
+    amb, coloring = cross_polytope(d), standard_coloring(d)
+    chords = sorted((n for n in minimal_nonfaces(d, idx)
+                     if len({complexes.pair_index(v) for v in n}) == len(n)),
+                    key=lambda f: (len(f), sorted_face(f)))
+    for f in chords:
+        star = amb._facets_containing(f)
+        if not star:
+            continue
+        spec = (len(f) - 1,)
+        iso = are_isomorphic(_flip_plan(d, spec).abstract, Complex(star))
+        assert iso is not None, (idx, f)
+        res = apply_cross_flip_detailed(amb, CrossFlip(d=d, spec=spec, embedding=iso))
+        coloring = extend_coloring_after_cross_flip(coloring, res)
+        amb = res.complex
+    assert is_induced(amb, dcomp), idx
+    return amb, coloring, {v: v for v in dcomp.vertices}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_chord_pass_matches_the_former_isomorphism_pass(d):
+    """Embedding each chord's star by its class plan's walk and deciding
+    the final inducedness by minimal non-faces give the same ambient facets,
+    colouring (in insertion order) and embedding as the general isomorphism
+    search and the trace scan, for every index set, d+1 and the full set
+    included."""
+    for r in range(1, d + 3):
+        for idx in itertools.combinations(range(d + 2), r):
+            amb, coloring, emb = ambient_with_induced_diamond_any(d, idx)
             want_amb, want_coloring, want_emb = former_ambient(d, idx)
             assert amb == want_amb, idx
             assert list(coloring.items()) == list(want_coloring.items()), idx
             assert emb == want_emb, idx
+
+
+def test_chord_pass_and_pentagon_use_no_general_search_or_trace_scan(monkeypatch):
+    """The ambients at d <= 4 and ``verify pentagon`` build with every
+    unpinned isomorphism search and every facet-trace scan refused.  The
+    pentagon's composition search keeps its locus-fixing (pinned)
+    isomorphism tests, which decide whether two flip sequences agree."""
+    real = catalog.are_isomorphic
+
+    def pinned_only(a, b, fixed=None):
+        if fixed is None:
+            raise AssertionError("unpinned isomorphism search")
+        return real(a, b, fixed=fixed)
+
+    def no_scan(*args):
+        raise AssertionError("facet-trace scan")
+
+    monkeypatch.setattr(catalog, "are_isomorphic", pinned_only)
+    monkeypatch.setattr(complexes, "_traces_are_faces", no_scan)
+    for d in range(1, 5):
+        for r in range(1, d + 3):
+            for idx in itertools.combinations(range(d + 2), r):
+                ambient_with_induced_diamond_any(d, idx)
+    ok, lines = verify_pentagon()
+    assert ok and all(line.endswith(": ok") for line in lines), lines
 
 
 def test_face_counts_and_the_chord_pass_build_no_faces(monkeypatch):
@@ -209,9 +276,9 @@ def test_each_chord_failure_is_typed(monkeypatch, fault):
     def refuse(c, flip):
         raise ComplexError("refused")
 
-    patch = {"no embedding": ("are_isomorphic", lambda a, b: None),
+    patch = {"no embedding": ("_image_embedding", lambda plan, k: None),
              "flip refused": ("apply_cross_flip_detailed", refuse),
-             "not induced": ("_induced_in", lambda c, sub, vs: False)}[fault]
+             "not induced": ("_embeds_a_nonface", lambda stars, img, nonfaces: True)}[fault]
     monkeypatch.setattr(catalog, *patch)
     with pytest.raises(ChordNotFlippable, match=r"no chord of \(1, 2\) could be flipped"):
         ambient_with_induced_diamond_any(2, (1, 2))

@@ -15,7 +15,6 @@ from crossflips.complexes import (
     NotPure,
     NotSubcomplex,
     VertexCollision,
-    _induced_in,
     are_isomorphic,
     boundary_complex,
     complex_from_doc,
@@ -208,7 +207,7 @@ def test_is_induced_matches_face_enumeration():
             verdicts.append(got)
         # a one-facet sub, a facet or any nonempty face, is always induced
         for g in c.all_faces() - {face()}:
-            got = _induced_in(c, frozenset([g]), g)
+            got = is_induced(c, Complex([g]))
             assert got is True and _induced_by_faces(c, Complex([g])), (c.facets, g)
     assert True in verdicts and False in verdicts
     # the 4-cycle misses the chords of its opposite edges

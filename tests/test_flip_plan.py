@@ -278,3 +278,33 @@ def test_applying_a_flip_constructs_no_complex(monkeypatch):
                 for f in _flip_plan(2, site.spec).abstract.facets}
         assert image == want
         assert res.complex.facets & walked.facets == walked.facets - image
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_image_embedding_maps_onto_exactly_one_image(d):
+    """On a relabelled copy of a class's diamond complex the plan's walk
+    finds a map onto it; a complex with a facet more or less, or with the
+    same facet count and size but another shape, is no image."""
+    rng = random.Random(d)
+    for r in range(1, d + 2):
+        for spec in itertools.combinations(range(d + 1), r):
+            plan = _flip_plan(d, spec)
+            abstract = plan.abstract
+            names = ["x%d" % i for i in range(len(abstract.vertices))]
+            rng.shuffle(names)
+            label = dict(zip(sorted(abstract.vertices, key=vertex_key), names))
+            k = Complex(frozenset(label[v] for v in f) for f in abstract.facets)
+            emb = moves._image_embedding(plan, k)
+            assert set(emb) == abstract.vertices and len(set(emb.values())) == len(emb)
+            assert Complex(frozenset(emb[v] for v in f) for f in abstract.facets) == k
+            extra = frozenset("y%d" % i for i in range(d + 1))
+            assert moves._image_embedding(plan, Complex(k.facets | {extra})) is None
+            fewer = sorted(k.facets, key=sorted_face)[1:]
+            if fewer:
+                assert moves._image_embedding(plan, Complex(fewer)) is None
+                apart = Complex(frozenset("y%d_%d" % (n, i) for i in range(d + 1))
+                                for n in range(k.n_facets))
+                assert moves._image_embedding(plan, apart) is None
+    one_facet = _flip_plan(d, (d,))
+    assert moves._image_embedding(one_facet, Complex.void()) is None
+    assert moves._image_embedding(one_facet, Complex([face("y")])) is None

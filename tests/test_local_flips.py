@@ -27,6 +27,7 @@ from crossflips.diamond import cross_polytope, diamond_closed_form, standard_col
 from crossflips.moves import (
     CrossFlip,
     NotInduced,
+    _flip_plan,
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
     find_cross_flip_sites,
@@ -217,11 +218,12 @@ def test_other_ambients_match_the_validating_construction(ambient):
 
 
 def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):
-    """No application scans facet traces: the image is decided by the
-    class's minimal non-faces, and a one-facet (class-(d)) image, which has
-    none, tests nothing.  The glued complement is scanned once each time
-    `complement_induced` is read, and an image that is not induced still
-    raises `NotInduced`."""
+    """No application and no reading scans facet traces: the image is
+    decided by the class's minimal non-faces, and a one-facet (class-(d))
+    image, which has none, tests nothing.  Each reading of
+    `complement_induced` runs one test of the complement class's minimal
+    non-faces, and an image that is not induced still raises
+    `NotInduced`."""
     scans, tests = [], []
     scan, test = complexes._traces_are_faces, moves._embeds_a_nonface
 
@@ -243,9 +245,17 @@ def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):
         res = apply_cross_flip_detailed(cross_polytope(d), CrossFlip(d=d, spec=spec, embedding=emb))
         assert (len(scans), len(tests)) == (0, nonface_tests), (d, spec)
         assert res.complement_induced
-        assert len(scans) == 1, (d, spec)
+        assert (len(scans), len(tests)) == (0, nonface_tests + 1), (d, spec)
+        assert tests[-1][2] is _flip_plan(d, spec).complement_nonfaces
         assert res.complement_induced
-        assert len(scans) == 2, (d, spec)
+        assert (len(scans), len(tests)) == (0, nonface_tests + 2), (d, spec)
+    # a facet outside the image on one of its interior edges leaves that
+    # edge in the result, where it is no face of the glued complement
+    abstract = diamond_closed_form(2, (1,))
+    c = Complex(cross_polytope(2).facets | {face("0", "v1", "x")})
+    res = apply_cross_flip_detailed(
+        c, CrossFlip(d=2, spec=(1,), embedding={v: v for v in abstract.vertices}))
+    assert res.complement_induced is False
     for d, spec in ((1, (0, 1)), (2, (0, 2)), (3, (1, 2, 3))):
         abstract = diamond_closed_form(d, spec)
         scans.clear()

@@ -22,6 +22,7 @@ from crossflips.moves import (
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
     find_cross_flip_sites,
+    has_cross_flip_site,
 )
 
 
@@ -181,3 +182,17 @@ def test_improper_partial_and_non_pure_colourings_match_the_former_search():
         abstract = diamond_closed_form(2, spec)
         for site in find_cross_flip_sites(non_pure, coloring, spec):
             assert set(site.embedding) == abstract.vertices
+
+
+@pytest.mark.parametrize("indices", [(), ("a",), (1.5,), ("a", 1), (5,), (-1,)],
+                         ids=["empty", "text", "float", "mixed", "above-d", "negative"])
+def test_an_index_set_that_names_no_class_has_no_site(indices):
+    """An empty set, a non-integer entry and an entry outside 0..d name no
+    class: both searches find nothing, and a walk skips the set as it skips
+    a class with no site."""
+    c, coloring = cross_polytope(2), standard_coloring(2)
+    assert find_cross_flip_sites(c, coloring, indices) == []
+    assert not has_cross_flip_site(c, coloring, indices)
+    walked = run_walk(WalkConfig(steps=1, seed=0, dimension=2, allowed_flips=[(0,), indices]))
+    alone = run_walk(WalkConfig(steps=1, seed=0, dimension=2, allowed_flips=[(0,)]))
+    assert walked[0] == alone[0] and walked[2] == alone[2]
