@@ -344,27 +344,30 @@ def run_walk(config: WalkConfig):
 
     Each step picks uniformly among the allowed flip classes that have at
     least one site, then uniformly from that class's deterministic site
-    list.  Returns (complex, coloring, stats rows).
+    list.  Returns (complex, coloring, stats rows).  A start complex of
+    another dimension than ``config.dimension`` raises ``ValueError``.
     """
     d = config.dimension
     cur = config.start if config.start is not None else cross_polytope(d)
+    if cur.dimension != d:
+        raise ValueError("the start complex has dimension %s, not %d" % (cur.dimension, d))
     coloring = (
         dict(config.start_coloring)
         if config.start_coloring is not None
         else standard_coloring(d)
     )
-    allowed = config.allowed_flips or _basic_flip_indices(d)
+    classes = [(spec, found, _moves._flip_plan(d, found))
+               for spec in config.allowed_flips or _basic_flip_indices(d)
+               if (found := _moves._site_class(d, spec)) is not None]
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
-        # each class's search stops at its first image; the drawn one
-        # resumes, and only the image drawn becomes a CrossFlip
+        # every class searches from the step's roots and stops at its first
+        # image; the drawn one resumes, and only its drawn image is a CrossFlip
+        roots = _moves._rainbow_roots(cur, coloring, d)
         per_class = []
-        for spec in allowed:
-            found = _moves._site_class(cur, spec)
-            if found is None:
-                continue
-            images = _moves._site_images(cur, coloring, *found)
+        for spec, found, plan in classes:
+            images = _moves._site_images(cur, coloring, plan, roots)
             first = next(images, None)
             if first is not None:
                 per_class.append((spec, found, first, images))
@@ -372,7 +375,7 @@ def run_walk(config: WalkConfig):
             raise StepFailed(step, "no applicable flip site")
         spec, found, first, images = per_class[rng.randrange(len(per_class))]
         drawn = [first, *images]
-        site = _moves._image_site(*found, drawn[rng.randrange(len(drawn))])
+        site = _moves._image_site(d, found, drawn[rng.randrange(len(drawn))])
         res = _moves.apply_cross_flip_detailed(cur, site)
         coloring = _moves.extend_coloring_after_cross_flip(coloring, res)
         cur = res.complex

@@ -341,12 +341,16 @@ class Complex:
 
     def _face_counts(self) -> list:
         """The number of faces of each size, 0 up to the largest facet's:
-        the distinct k-combinations of the facets as sorted tuples."""
-        rows = [tuple(sorted(h)) for h in self._facets]
-        top = max(map(len, rows), default=-1)
-        return [len(set(itertools.chain.from_iterable(
-                    itertools.combinations(row, k) for row in rows)))
-                for k in range(top + 1)]
+        the empty face, the vertices, the distinct k-combinations of the
+        facets as sorted tuples for each size k in between, and the facets
+        of the largest size (no face of that size lies in a larger one)."""
+        d = self.dimension
+        top = -1 if d is None else d + 1
+        rows = [tuple(sorted(h)) for h in self._facets] if top > 2 else []
+        between = [len(set(itertools.chain.from_iterable(
+                       itertools.combinations(row, k) for row in rows))) for k in range(2, top)]
+        top_count = sum(len(h) == top for h in self._facets)
+        return ([1, len(self.vertices)] + between + [top_count])[:top + 1]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (size - 1) * n

@@ -40,21 +40,25 @@ facet, or adding it in an inverse shelling, exchanges facets with
 
 Site search runs the class's ridge walk over the ambient's
 facet-neighbour table (``Complex._site_view``).  Each class's plan
-compiles the walk once into a generated straight-line function
-(``_compile_site_walk``): one dict lookup per step, the test that a new
-vertex is unused unrolled.  The colour test is exact in two halves: the
-root facet holds each pair once, so a facet with an uncoloured vertex or
-a repeated colour roots no image and none of its vertex orders is walked;
-every walk step swaps a vertex for its partner, so a completed walk only
-compares each later vertex with the root vertex of its pair.  Each image
-is decided once, after its colour test passes, by the non-faces of the
-class.  The search yields images as vertex lists (``_site_images``); only
-the callers that hand out sites wrap them in a ``CrossFlip``.  The same
-walk embeds a diamond complex onto one image of it (``_image_embedding``).
+compiles its whole search once into one generated generator
+(``_compile_site_search``): it loops over the roots and their vertex
+orders, takes one dict lookup per walk step with the test that a new
+vertex is unused unrolled, deduplicates images by their facet sets, and
+tests colours and non-faces in line.  The colour test is exact in two
+halves: the root facet holds each pair once, so only a rainbow facet (d + 1
+distinct colours, ``_rainbow_roots``) roots an image, and a walk step lists
+those once for every class; every walk step swaps a vertex for its
+partner, so a completed walk only compares each later vertex with the root
+vertex of its pair.  Each image is decided once, after its colour test
+passes, by the non-faces of the class.  The search yields images as vertex
+lists (``_site_images``); only the callers that hand out sites wrap them in
+a ``CrossFlip``.  The same search, uncoloured and from every facet, embeds
+a diamond complex onto one image of it (``_image_embedding``).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -511,44 +515,59 @@ def _compile_walk(abstract: Complex, root: frozenset):
     return tuple(order), tuple(steps)
 
 
-def _compile_site_walk(steps: tuple, d: int, name: str):
-    """The site walk of *steps* as a generated straight-line generator
-    ``walk(nb, f0, perms)``, its code labelled *name*.
-
-    ``nb`` is a site view's neighbour table and ``perms`` the vertex orders
-    of the facet ``f0``, each read as the images of the root's d + 1 slots.
-    Each step is one ``get`` on the origin facet's neighbours; a step
+def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, name: str):
+    """The site search along the ridge walk (*order*, *steps*) as one
+    generated generator ``search(nb, roots, colour, stars)`` labelled
+    *name*.  Each of the ``(sorted_face(h), h)`` *roots* is walked in every
+    vertex order over the neighbour table *nb*, one ``get`` per step; a step
     reaching a placed slot compares it, one placing a new slot tests it
-    against every placed one.  An order stops where a ridge does not lie in
-    exactly two facets or the map would not be injective; for each order
-    that completes, ``walk`` yields ``(img, fmap)``, the ambient vertex of
-    each vertex slot and the ambient facet of each facet slot.
-    """
+    against the placed slots off its origin facet (*nb* never maps a facet
+    to a vertex of its own).  A walk that completes is skipped when its
+    facet set was decided before or a later slot's ``colour`` differs from
+    its root slot's; otherwise it is decided, and yielded as the ambient
+    vertex of each slot unless one of *nonfaces* maps to a face: the stars
+    (*stars*) of a pair meet, or those of a larger non-face share a facet."""
+    root_slot = {pair_index(v): i for i, v in enumerate(order[:d + 1])}
+    later = [(i, root_slot[pair_index(v)]) for i, v in enumerate(order) if i > d]
     slots = ["a%d" % i for i in range(d + 1)]
-    lines = ["def walk(nb, f0, perms):",
-             "    n0 = nb[f0]",
-             "    for %s, in perms:" % ", ".join(slots)]
-    fetched = {0}
+    lines = ["def search(nb, roots, colour, stars):",
+             "    decided = set()",
+             "    for order, f0 in roots:",
+             "        n0 = nb[f0]",
+             "        for %s, in permutations(order):" % ", ".join(slots)]
+    fetched, fslots = {0}, [set(range(d + 1))]  # the vertex slots of each facet slot
     for k, (x_new, x_drop, origin) in enumerate(steps, 1):
+        fslots.append(fslots[origin] - {x_drop} | {x_new})
         if origin not in fetched:
             fetched.add(origin)
-            lines.append("        n%d = nb[f%d]" % (origin, origin))
-        lines.append("        hit = n%d.get(a%d)" % (origin, x_drop))
-        lines.append("        if hit is None: continue")
+            lines.append("            n%d = nb[f%d]" % (origin, origin))
+        lines.append("            hit = n%d.get(a%d)" % (origin, x_drop))
+        lines.append("            if hit is None: continue")
         if x_new < len(slots):
-            lines.append("        f%d, w = hit" % k)
-            lines.append("        if w != a%d: continue" % x_new)
+            lines.append("            f%d, w = hit" % k)
+            lines.append("            if w != a%d: continue" % x_new)
         else:
             new = "a%d" % x_new
-            lines.append("        f%d, %s = hit" % (k, new))
-            lines.append("        if %s: continue"
-                         % " or ".join("%s == %s" % (new, s) for s in slots))
+            lines.append("            f%d, %s = hit" % (k, new))
+            others = [s for i, s in enumerate(slots) if i not in fslots[origin]]
+            if others:
+                lines.append("            if %s: continue"
+                             % " or ".join("%s == %s" % (new, s) for s in others))
             slots.append(new)
-    lines.append("        yield [%s], (%s,)" % (
-        ", ".join(slots), ", ".join("f%d" % k for k in range(len(steps) + 1))))
-    namespace: dict = {}
+    tests = ["image in decided"] + ["colour(a%d) != colour(a%d)" % p for p in later]
+    lines.append("            image = frozenset((%s,))"
+                 % ", ".join("f%d" % k for k in range(len(steps) + 1)))
+    lines.append("            if %s: continue" % " or ".join(tests))
+    lines.append("            decided.add(image)")
+    for n in nonfaces:
+        if len(n) == 2:
+            lines.append("            if not stars[a%d].isdisjoint(stars[a%d]): continue" % n)
+        else:
+            lines.append("            if %s: continue" % " & ".join("stars[a%d]" % i for i in n))
+    lines.append("            yield [%s]" % ", ".join(slots))
+    namespace: dict = {"permutations": itertools.permutations}
     exec(compile("\n".join(lines), name, "exec"), namespace)
-    return namespace["walk"]
+    return namespace["search"]
 
 
 def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
@@ -574,17 +593,16 @@ class _FlipPlan:
     failing one raises, so a plan exists only when both sides shell.
 
     Site search walks from the first facet in ``sorted_face`` order
-    (``order``, and ``walk``, its steps as one generated function:
-    ``_compile_site_walk``); ``later`` pairs each vertex slot
-    after the root's with the root slot of its pair.  The anchored
-    embedding of a flip script walks from the entry facet of the lowest
-    block (``anchor_order``, ``anchor_steps``).  An image is induced unless
-    one of ``nonfaces`` (the minimal non-faces of
-    ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
-    first) maps to a face of the ambient; the glued complement likewise by
-    ``complement_nonfaces``, those of the complement on abstract vertices."""
+    (``order``; ``search`` is the whole search as one generated function,
+    ``_compile_site_search``).  The anchored embedding of a flip script
+    walks from the entry facet of the lowest block (``anchor_order``,
+    ``anchor_steps``).  An image is induced unless one of ``nonfaces`` (the
+    minimal non-faces of ``diamond.minimal_nonfaces``, as ascending slots
+    of ``order``, edges first) maps to a face of the ambient; the glued
+    complement likewise by ``complement_nonfaces``, those of the
+    complement on abstract vertices."""
 
-    __slots__ = ("abstract", "order", "walk", "later", "nonfaces", "anchor_order",
+    __slots__ = ("abstract", "order", "search", "nonfaces", "anchor_order",
                  "anchor_steps", "complement", "complement_nonfaces", "unseen")
 
     def __init__(self, d: int, spec: tuple):
@@ -593,24 +611,20 @@ class _FlipPlan:
         complement = _diamond.diamond_closed_form(d, rest)
         for side, idx in ((abstract, spec), (complement, rest)):
             verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
-        root = min(abstract.facets, key=sorted_face)
-        self.order, steps = _compile_walk(abstract, root)
-        self.walk = _compile_site_walk(steps, d, "<site walk d=%d I=%s>" % (d, spec))
+        self.order, steps = _compile_walk(abstract, min(abstract.facets, key=sorted_face))
         self.anchor_order, self.anchor_steps = _compile_walk(
             abstract, _diamond.entry_facet(d, spec[0]))
         self.abstract = abstract
-        root_slot = {pair_index(v): i for i, v in enumerate(self.order[:d + 1])}
-        self.later = tuple((i, root_slot[pair_index(v)])
-                           for i, v in enumerate(self.order) if i > d)
         slot = {v: i for i, v in enumerate(self.order)}
         self.nonfaces = tuple(sorted((tuple(sorted(slot[v] for v in n))
                                       for n in _diamond.minimal_nonfaces(d, spec)),
                                      key=lambda t: (len(t), t)))
+        self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
+                                           "<site search d=%d I=%s>" % (d, spec))
         self.complement = complement
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
-        self.unseen = tuple(
-            sorted(complement.vertices - abstract.vertices, key=vertex_key)
-        )
+        self.unseen = tuple(sorted(complement.vertices - abstract.vertices,
+                                   key=vertex_key))
 
 
 @functools.lru_cache(maxsize=None)
@@ -622,22 +636,18 @@ def _flip_plan(d: int, spec: tuple) -> _FlipPlan:
 
 def _image_embedding(plan: _FlipPlan, k: Complex):
     """The embedding of the plan's diamond complex onto *k*, when k is one
-    image of it, or None.
-
-    With the facet counts and sizes equal, a walk of ``plan.walk`` that
-    completes places each facet of the diamond complex on a distinct facet
-    of k, so it maps onto k.  Roots are k's facets in ``sorted_face`` order,
-    each in every vertex order, as in site search; the first completed walk
-    wins.  Not every class is facet-transitive, so a root may complete no
-    walk while a later one does."""
+    image of it, or None.  With the facet counts and sizes equal, a walk
+    that completes places each abstract facet on a distinct facet of k, so
+    it maps onto k and no non-face maps to a face of k: the search reads
+    every star as empty and runs uncoloured from every facet of k (a class
+    need not be facet-transitive); the first image wins."""
     abstract = plan.abstract
     if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
         return None
     view = k._site_view()
-    for root_sorted, root in view.ordered:
-        for img, _fmap in plan.walk(view.neighbours, root, itertools.permutations(root_sorted)):
-            return dict(zip(plan.order, img))
-    return None
+    img = next(plan.search(view.neighbours, view.ordered, {}.get,
+                           collections.defaultdict(frozenset)), None)
+    return None if img is None else dict(zip(plan.order, img))
 
 
 def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) -> dict:
@@ -658,31 +668,34 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
 def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
     """All color-consistent induced embeddings of the diamond complex of the
     given index set, deduplicated by image, in a deterministic order."""
-    found = _site_class(c, indices)
-    if found is None:
+    d = c.dimension
+    spec = _site_class(d, indices)
+    if spec is None:
         return []
-    return [_image_site(*found, img) for img in _site_images(c, coloring, *found)]
+    images = _site_images(c, coloring, _flip_plan(d, spec), _rainbow_roots(c, coloring, d))
+    return [_image_site(d, spec, img) for img in images]
 
 
 def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
     """Whether find_cross_flip_sites would be nonempty; stops at the first
     site."""
-    found = _site_class(c, indices)
-    return found is not None and next(_site_images(c, coloring, *found), None) is not None
-
-
-def _site_class(c: Complex, indices):
-    """(d, checked index set) of a site search on c, or None when c is
-    empty or the index set names no class of its dimension: it is empty, or
-    has an entry that is no integer or lies outside 0..d."""
     d = c.dimension
+    spec = _site_class(d, indices)
+    return spec is not None and next(_site_images(
+        c, coloring, _flip_plan(d, spec), _rainbow_roots(c, coloring, d)), None) is not None
+
+
+def _site_class(d, indices):
+    """The checked index set of a site search in dimension d, or None when
+    d is None (an empty complex) or the index set names no class: it is
+    empty, or has an entry that is no integer or lies outside 0..d."""
     if d is None:
         return None
     try:
         spec = _diamond._check_index_set(d, indices, d)
     except (_diamond.EmptyIndexSet, TypeError, ValueError):
         return None
-    return (d, spec) if all(isinstance(i, int) for i in spec) else None
+    return spec if all(isinstance(i, int) for i in spec) else None
 
 
 def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
@@ -691,44 +704,22 @@ def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
     return CrossFlip(d=d, spec=spec, embedding=dict(zip(_flip_plan(d, spec).order, img)))
 
 
-def _site_images(c: Complex, coloring: dict, d: int, spec: tuple):
-    """The images of the sites of find_cross_flip_sites, yielded one at a
-    time in order, each as the ambient vertex of every slot of the plan's
-    ``order``.
-
-    Each root is a facet of c in canonical order, with its vertices in
-    every order, walked by the plan's compiled walk; every image facet is
-    a facet of c, so the image is a subcomplex by construction.  The
-    colour test is split as the module docstring says.  An image is
-    decided once, after it passes, by the class's minimal non-faces
-    (``_FlipPlan.nonfaces``): the verdict is whether the image is induced,
-    so it does not depend on the embedding that found it.
-    """
-    plan = _flip_plan(d, spec)
-    walk, later, nonfaces = plan.walk, plan.later, plan.nonfaces
-    view = c._site_view()
-    nb = view.neighbours
-    stars = c._star_index() if nonfaces else None
+def _rainbow_roots(c: Complex, coloring: dict, d: int) -> list:
+    """The facets of c whose d + 1 vertices have d + 1 distinct colours, as
+    ``(sorted_face(h), h)`` in canonical order: the roots of every class."""
     colour = coloring.get
+    return [root for root in c._site_view().ordered
+            if len(cols := set(map(colour, root[0]))) == d + 1 and None not in cols]
 
-    decided: set[frozenset] = set()
-    for target_sorted, target in view.ordered:
-        if len(target_sorted) != d + 1:
-            continue  # a smaller facet of a non-pure complex is no image
-        colours = {colour(w) for w in target_sorted}
-        if len(colours) != d + 1 or None in colours:
-            continue
-        for img, fmap in walk(nb, target, itertools.permutations(target_sorted)):
-            image = frozenset(fmap)  # the map is injective: no facet repeats
-            if image in decided:
-                continue
-            for i, r in later:
-                if colour(img[i]) != colour(img[r]):
-                    break
-            else:
-                decided.add(image)
-                if not _embeds_a_nonface(stars, img, nonfaces):
-                    yield img
+
+def _site_images(c: Complex, coloring: dict, plan: _FlipPlan, roots: list):
+    """The images of the sites of find_cross_flip_sites from *roots*, one at
+    a time in order, each as the ambient vertex of every slot of the plan's
+    ``order``.  Every image facet is a facet of c, so the image is a
+    subcomplex; whether it is induced does not depend on the embedding
+    that found it."""
+    stars = c._star_index() if plan.nonfaces else None
+    return plan.search(c._site_view().neighbours, roots, coloring.get, stars)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from crossflips import catalog
-from crossflips.cli import main
+from crossflips.cli import WalkConfig, main, run_walk
+from crossflips.diamond import cross_polytope, standard_coloring
 from crossflips.moves import NotInduced
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -372,6 +373,18 @@ def test_walk_dimension_must_match_start(tmp_path, capsys):
         assert code == 3 and text == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim,start_dim", [(2, 3), (3, 2)])
+def test_run_walk_refuses_a_start_of_another_dimension(dim, start_dim):
+    """The library refuses what the CLI refuses: the walk would search the
+    start with index sets and colour counts of the wrong dimension."""
+    start = cross_polytope(start_dim)
+    for coloring in (standard_coloring(start_dim), None):
+        config = WalkConfig(steps=1, seed=0, dimension=dim, start=start,
+                            start_coloring=coloring)
+        with pytest.raises(ValueError, match="dimension %d, not %d" % (start_dim, dim)):
+            run_walk(config)
 
 
 def test_repeated_vertex_after_coercion_is_an_error(tmp_path, capsys):

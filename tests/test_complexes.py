@@ -525,6 +525,23 @@ def test_face_counts_match_the_all_faces_oracle(c):
         assert f_vector(c) == tuple(counts[size] for size in range(c.dimension + 2))
 
 
+def test_face_counts_match_brute_force_subset_counts():
+    """The counts read the vertices and the largest facets directly and
+    enumerate only the sizes in between; every size against all subsets."""
+    cases = [
+        Complex.empty(), Complex.void(),
+        Complex([face("a"), face("b"), face("c")]),
+        Complex([face("a", "b", "c"), face("c", "d"), face("e")]),
+        Complex([face("0", "1", "2", "3"), face("3", "4"), face("4", "5", "6")]),
+    ] + [c for d in range(1, 5) for c in (
+        cross_polytope(d), simplex_boundary(d), diamond_closed_form(d, (0, d)))]
+    for c in cases:
+        subsets = {frozenset(s) for h in c.facets
+                   for r in range(len(h) + 1) for s in itertools.combinations(h, r)}
+        counts = Counter(map(len, subsets))
+        assert c._face_counts() == [counts[k] for k in range(max(counts, default=-1) + 1)], c
+
+
 @given(small_pure_2_complexes())
 @settings(max_examples=40, deadline=None)
 def test_delete_subcomplex_leaves_other_facets(c):

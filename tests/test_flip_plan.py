@@ -308,3 +308,28 @@ def test_image_embedding_maps_onto_exactly_one_image(d):
     one_facet = _flip_plan(d, (d,))
     assert moves._image_embedding(one_facet, Complex.void()) is None
     assert moves._image_embedding(one_facet, Complex([face("y")])) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_walk_that_glues_two_vertices_is_refused(d):
+    """Gluing two vertices of a diamond complex that share no facet keeps
+    its facet count and size, and a walk can complete along the gluing.
+    With a vertex fewer the complex holds no injective image, so the
+    class's search, compiled again with no non-face to test and run
+    uncoloured from every facet, must find none: only its injectivity
+    tests stop those walks.  The plan's own search finds none either."""
+    glued_complexes = 0
+    for r in range(1, d + 2):
+        for spec in itertools.combinations(range(d + 1), r):
+            plan = _flip_plan(d, spec)
+            facets = plan.abstract.facets
+            order, steps = moves._compile_walk(plan.abstract, min(facets, key=sorted_face))
+            search = moves._compile_site_search(order, steps, d, (), "<no non-faces>")
+            for u, w in itertools.combinations(sorted(order, key=vertex_key), 2):
+                glued = {frozenset(w if v == u else v for v in f) for f in facets}
+                if len(glued) == len(facets) and all(len(f) == d + 1 for f in glued):
+                    glued, glued_complexes = Complex(glued), glued_complexes + 1
+                    view = glued._site_view()
+                    assert list(search(view.neighbours, view.ordered, {}.get, None)) == []
+                    assert moves._image_embedding(plan, glued) is None, (spec, u, w)
+    assert glued_complexes > 0

@@ -17,7 +17,7 @@ import pytest
 
 from crossflips import moves
 from crossflips.catalog import ambient_with_induced_diamond_any, enumerate_basic_flips
-from crossflips.complexes import Complex, is_induced, pair_index
+from crossflips.complexes import Complex, is_induced, pair_index, sorted_face
 from crossflips.diamond import (
     cross_polytope,
     diamond_closed_form,
@@ -110,13 +110,19 @@ def test_verdict_matches_is_induced_in_cross_polytopes_and_ambients(d):
     assert verdicts == {True, False}
 
 
-def unfiltered_sites(c, coloring, spec, monkeypatch):
-    """The site search with every colour-consistent image kept.  Images are
+def unfiltered_sites(c, coloring, spec):
+    """The site search with every colour-consistent image kept: the class's
+    search compiled again with no non-face to test.  Images are
     deduplicated before inducedness is read, so filtering this list by
     facet traces keeps the order and the first embedding of each image."""
-    with monkeypatch.context() as m:
-        m.setattr(moves, "_embeds_a_nonface", lambda stars, img, nonfaces: False)
-        return find_cross_flip_sites(c, coloring, spec)
+    d = c.dimension
+    plan = _flip_plan(d, spec)
+    order, steps = moves._compile_walk(plan.abstract, min(plan.abstract.facets, key=sorted_face))
+    assert order == plan.order
+    search = moves._compile_site_search(order, steps, d, (), "<unfiltered>")
+    images = search(c._site_view().neighbours, moves._rainbow_roots(c, coloring, d),
+                    coloring.get, None)
+    return [moves._image_site(d, spec, img) for img in images]
 
 
 def listed(sites):
@@ -124,7 +130,7 @@ def listed(sites):
 
 
 @pytest.mark.parametrize("d,seed,steps", [(2, 3, 40), (2, 8, 40), (3, 2, 6)])
-def test_walk_site_lists_match_a_facet_trace_search(monkeypatch, d, seed, steps):
+def test_walk_site_lists_match_a_facet_trace_search(d, seed, steps):
     specs = _specs(d)
     rng = random.Random(seed)
     cur, col = cross_polytope(d), standard_coloring(d)
@@ -132,7 +138,7 @@ def test_walk_site_lists_match_a_facet_trace_search(monkeypatch, d, seed, steps)
     for _ in range(steps + 1):
         sites = []
         for spec in specs:
-            every = unfiltered_sites(cur, col, spec, monkeypatch)
+            every = unfiltered_sites(cur, col, spec)
             want = [s for s in every if is_induced(cur, Complex(s.image_facets()))]
             got = find_cross_flip_sites(cur, col, spec)
             assert listed(got) == listed(want), spec

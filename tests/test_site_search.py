@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from crossflips import moves
 from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored
 from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import Complex, face, is_induced, pair_index, sorted_face
@@ -196,3 +197,22 @@ def test_an_index_set_that_names_no_class_has_no_site(indices):
     walked = run_walk(WalkConfig(steps=1, seed=0, dimension=2, allowed_flips=[(0,), indices]))
     alone = run_walk(WalkConfig(steps=1, seed=0, dimension=2, allowed_flips=[(0,)]))
     assert walked[0] == alone[0] and walked[2] == alone[2]
+
+
+@pytest.mark.parametrize("d,classes", [(2, []), (2, [(0,)]), (3, [])],
+                         ids=["d2-all", "d2-one", "d3-all"])
+def test_a_walk_step_builds_its_rainbow_roots_once(monkeypatch, d, classes):
+    """Every class of a step searches from one list of rainbow roots, built
+    once per step whatever the number of classes."""
+    want = run_walk(WalkConfig(steps=3, seed=4, dimension=d, allowed_flips=classes))
+    built = []
+    rainbow_roots = moves._rainbow_roots
+
+    def counted(c, coloring, dim):
+        built.append(c)
+        return rainbow_roots(c, coloring, dim)
+
+    monkeypatch.setattr(moves, "_rainbow_roots", counted)
+    got = run_walk(WalkConfig(steps=3, seed=4, dimension=d, allowed_flips=classes))
+    assert len(built) == 3 and len({id(c) for c in built}) == 3
+    assert got[0] == want[0] and got[2] == want[2]
