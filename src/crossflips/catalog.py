@@ -24,6 +24,7 @@ from .complexes import (
     pair_index,
     sorted_face,
     sub,
+    vertex_key,
 )
 from .diamond import (
     _check_index_set,
@@ -257,7 +258,7 @@ def ambient_with_induced_diamond_any(d: int, indices):
             raise stuck from None
         coloring = extend_coloring_after_cross_flip(coloring, res)
         amb = res.complex
-    identity = {v: v for v in span}
+    identity = {v: v for v in sorted(span, key=vertex_key)}
     if _embeds_a_nonface(amb._star_index(), identity, [tuple(n) for n in nonfaces]):
         raise stuck
     return amb, coloring, identity

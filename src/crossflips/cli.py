@@ -279,10 +279,20 @@ def _parse_assignments(parts):
     return out
 
 
+# the keys each kind of move-script line needs
+_SCRIPT_KEYS = {"crossflip": ("I", "anchor"), "bistellar": ("A", "B"),
+                "shell": ("F", "A", "R"), "inverse-shell": ("F", "A", "R")}
+
+
 def apply_script_line(c: Complex, line: str):
     """One move-script line applied to a complex; returns the new complex."""
     parts = line.split()
     op, kv = parts[0], _parse_assignments(parts[1:])
+    if op not in _SCRIPT_KEYS:
+        raise ValueError("unknown move %r" % (op,))
+    missing = [k for k in _SCRIPT_KEYS[op] if k not in kv]
+    if missing:
+        raise ValueError("%s line lacks %s" % (op, ", ".join(k + "=" for k in missing)))
     if op == "crossflip":
         spec = tuple(int(t) for t in kv["I"].split(","))
         anchor = tuple(t for t in kv["anchor"].split(",") if t)
@@ -294,9 +304,7 @@ def apply_script_line(c: Complex, line: str):
         return _moves.apply_bistellar(c, flip)
     if op == "shell":
         return _moves.shelling_move(c, _parse_face(kv["F"]), _parse_face(kv["A"]), _parse_face(kv["R"]))
-    if op == "inverse-shell":
-        return _moves.inverse_shelling(c, _parse_face(kv["F"]), _parse_face(kv["A"]), _parse_face(kv["R"]))
-    raise ValueError("unknown move %r" % (op,))
+    return _moves.inverse_shelling(c, _parse_face(kv["F"]), _parse_face(kv["A"]), _parse_face(kv["R"]))
 
 
 def cmd_flip(args) -> int:

@@ -23,7 +23,8 @@ facets in canonical order and a facet-neighbour table (facet h -> for each
 vertex x of h whose ridge h - {x} lies in exactly two facets, the other
 facet and its vertex off the ridge).  A complex made from another by
 exchanging a few facets (``Complex._replaced``, the result of a
-cross-flip or a shelling move) inherits the vertex set and star index of
+cross-flip, a bistellar flip, a stellar subdivision or a shelling move)
+inherits the vertex set and star index of
 the other, and its common size and top label if the other had built
 them, patched at the vertices of the exchanged facets only; an inherited
 slot always equals a fresh build; its site view is built afresh.
@@ -131,6 +132,15 @@ def _ridges(facets) -> dict:
         for x in h:
             ridges.setdefault(h - {x}, []).append((h, x))
     return ridges
+
+
+def _stars(facets) -> dict:
+    """vertex -> list of the given facets containing it, in their order."""
+    stars: dict[str, list] = {}
+    for h in facets:
+        for x in h:
+            stars.setdefault(x, []).append(h)
+    return stars
 
 
 def _w_index(v: str) -> int | None:
@@ -305,11 +315,7 @@ class Complex:
     def _star_index(self) -> dict:
         """vertex -> frozenset of the facets containing it."""
         if self._stars is None:
-            lists: dict[str, list] = {}
-            for h in self._facets:
-                for x in h:
-                    lists.setdefault(x, []).append(h)
-            self._stars = {x: frozenset(hs) for x, hs in lists.items()}
+            self._stars = {x: frozenset(hs) for x, hs in _stars(self._facets).items()}
         return self._stars
 
     def _facets_containing(self, f: frozenset):
@@ -670,13 +676,10 @@ class ManifoldVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-def _is_connected(facets) -> bool:
-    """Whether any two vertices of the given facets are joined by a chain
-    of facets, each meeting the next; true with at most one vertex."""
-    stars: dict[str, list] = {}
-    for h in facets:
-        for x in h:
-            stars.setdefault(x, []).append(h)
+def _is_connected(stars: dict) -> bool:
+    """Whether any two vertices of the star table *stars* (vertex -> the
+    facets containing it) are joined by a chain of facets, each meeting the
+    next; true with at most one vertex."""
     seen, todo = set(), list(stars)[:1]
     while todo:
         for h in stars[todo.pop()]:
@@ -692,25 +695,24 @@ def _sphere_or_ball(facets: list, k: int) -> str | None:
 
     For k >= 1 the facets must be connected, with each ridge in at most two
     of them and in one exactly when they form a ball; for k = 2 each vertex
-    link must pass at k = 1 and V - E + F be 2 (sphere) or 1 (ball), as a
-    compact connected surface with that Euler characteristic is one.
+    link must be connected (each of its vertices then lies in at most two
+    of its edges, so it is a path or a cycle) and V - E + F be 2 (sphere)
+    or 1 (ball), as a compact connected surface with that Euler
+    characteristic is one.
     """
     if k == 0:
         return {2: "sphere", 1: "ball"}.get(len(facets))
-    if not _is_connected(facets):
+    stars = _stars(facets)
+    if not _is_connected(stars):
         return None
     ridges = _ridges(facets)
     if any(len(hs) > 2 for hs in ridges.values()):
         return None
     kind = "ball" if any(len(hs) == 1 for hs in ridges.values()) else "sphere"
     if k == 2:
-        links: dict[str, list] = {}
-        for h in facets:
-            for x in h:
-                links.setdefault(x, []).append(h - {x})
-        if any(_sphere_or_ball(lk, 1) is None for lk in links.values()):
+        if not all(_is_connected(_stars(h - {x} for h in hs)) for x, hs in stars.items()):
             return None
-        if len(links) - len(ridges) + len(facets) != (1 if kind == "ball" else 2):
+        if len(stars) - len(ridges) + len(facets) != (1 if kind == "ball" else 2):
             return None
     return kind
 
@@ -718,10 +720,10 @@ def _sphere_or_ball(facets: list, k: int) -> str | None:
 def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
     """Exact verdict for dimension <= 3; Undecided above that.
 
-    The complex must be connected and the link of each vertex, read from
-    the star index as the facet list ``[g - {v} for g in stars[v]]``, a
-    sphere or a ball (``_sphere_or_ball``); a ball link puts the vertex on
-    the boundary.  No ``Complex`` is built.
+    The complex must be connected and the link of each vertex, both read
+    from the star index (the link as the facet list ``[g - {v} for g in
+    stars[v]]``), a sphere or a ball (``_sphere_or_ball``); a ball link puts
+    the vertex on the boundary.  No ``Complex`` is built.
     """
     if not c.is_pure or not c.facets:
         raise NotPure("manifold check requires a pure nonempty complex")
@@ -730,11 +732,11 @@ def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
         raise NotPure("manifold check requires dimension at least 0")
     if d >= 4:
         return ManifoldVerdict.UNDECIDED
-    if not _is_connected(c.facets):
+    stars = c._star_index()
+    if not _is_connected(stars):
         return ManifoldVerdict.NO
     if d == 0:
         return ManifoldVerdict.CLOSED  # connected: a single point
-    stars = c._star_index()
     saw_ball = False
     for v in sorted(stars, key=vertex_key):
         kind = _sphere_or_ball([g - {v} for g in stars[v]], d - 1)

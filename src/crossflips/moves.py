@@ -14,7 +14,12 @@ counter namespaced per complex.
 An application costs its region and builds no ``Complex`` for it: the
 image and the glued complement stay facet sets, and the result inherits
 the ambient's vertex set, star index, common facet size and top "w<k>"
-label, patched at the exchanged facets (``Complex._replaced``).
+label, patched at the exchanged facets (``Complex._replaced``).  Bistellar
+flips and stellar subdivisions cost their region the same way: each
+exchanges a star read from the star index, and a flip of A for B compares
+the star of A with the facets of A * boundary(B) (``_join_boundary``)
+instead of building the link of A.  A weld reads the link of its vertex
+from the star index too, building no link complex.
 
 The image's inducedness is decided by the class's minimal non-faces, which
 its plan lists once (``_FlipPlan.nonfaces``), read in closed form from the
@@ -73,7 +78,6 @@ from .complexes import (
     _require_boundary,
     boundary_complex,
     is_proper_coloring,
-    link,
     partner,
     pair_index,
     sorted_face,
@@ -183,19 +187,17 @@ def stellar_subdivide(c: Complex, f, new_vertex: str | None = None) -> Complex:
     f = _as_face(f)
     if not f:
         raise FaceNotPresent("cannot subdivide the empty face")
-    if not c.has_face(f):
+    star = frozenset(c._facets_containing(f))
+    if not star:
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
     if new_vertex is None:
         new_vertex = fresh_vertices(c, 1)[0]
     if new_vertex in c.vertices:
         raise ValueError("replacement vertex %r already present" % (new_vertex,))
-    out = []
-    for h in c.facets:
-        if f <= h:
-            out.extend((h - {x}) | {new_vertex} for x in f)
-        else:
-            out.append(h)
-    return Complex.generated_by(out)
+    # An antichain: an added facet (h - {x}) | {v}, v new, lies in no kept
+    # facet; a kept facet inside it would lie in h without holding f; and inside
+    # (g - {y}) | {v} it puts y, in f and so in h, in h - {x}: x = y and h = g.
+    return c._replaced(star, frozenset((h - {x}) | {new_vertex} for h in star for x in f))
 
 
 def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
@@ -213,18 +215,18 @@ def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
     faces s_z, one for each link vertex z outside F, and every valid face
     is among them.
     """
-    if v not in c.vertices:
+    star = c._star_index().get(v)
+    if star is None:
         raise FaceNotPresent("vertex %r is not in the complex" % (v,))
-    lk_v = link(c, frozenset([v]))
-    pool = lk_v.vertices
-    outside = [h for h in c.facets if v not in h]
+    lk_v = frozenset(g - {v} for g in star)  # the facets of the link of v
+    pool = frozenset().union(*lk_v)
     if face_hint is not None:
         hinted = sorted_face(_as_face(face_hint))
         candidates = [hinted] if set(hinted) <= pool else []
     else:
-        first = min(lk_v.facets, key=sorted_face)
+        first = min(lk_v, key=sorted_face)
         found = {
-            frozenset([z]).union(x for x in first if (first - {x}) | {z} in lk_v.facets)
+            frozenset([z]).union(x for x in first if (first - {x}) | {z} in lk_v)
             for z in pool - first
         }
         candidates = sorted(
@@ -236,19 +238,15 @@ def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
         if c.has_face(fprime):
             continue
         ridge = fprime - {cand[0]}
-        if not lk_v.has_face(ridge):
+        rest = [g - ridge for g in lk_v if ridge <= g]  # the link of the ridge in lk(v)
+        if not rest or any(g & fprime for g in rest):
             continue
-        rest = link(lk_v, ridge)
-        if rest.vertices & fprime:
-            continue
-        welded = Complex.generated_by(outside + [fprime | g for g in rest.facets])
-        if v in welded.vertices or not welded.has_face(fprime):
-            continue
-        try:
-            again = stellar_subdivide(welded, fprime, new_vertex=v)
-        except (FaceNotPresent, ValueError):
-            continue
-        if again == c:
+        # When subdividing these facets gives c back they are an antichain: no
+        # facet of c holds fprime, the g are unnested, and a kept facet inside
+        # fprime | g, with G = ridge | g, would hold fprime or lie in a facet
+        # (G - {x}) | {cand[0], v}, x in ridge, or G | {v} of c.
+        welded = c._replaced(star, frozenset(fprime | g for g in rest))
+        if stellar_subdivide(welded, fprime, new_vertex=v) == c:
             return welded
     raise NotWeldable("no face reconstructs vertex %r" % (v,))
 
@@ -257,10 +255,11 @@ def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
 # bistellar flips
 
 
-def _boundary_of_simplex(b: frozenset) -> Complex:
-    if len(b) == 1:
-        return Complex.void()
-    return Complex(b - {x} for x in b)
+def _join_boundary(a: frozenset, b: frozenset) -> frozenset:
+    """The facets A | (B - {x}), x in B, of A * boundary(B) ({A} when B is
+    a vertex).  For A disjoint from B they are the facets containing A
+    exactly when the link of A is boundary(B)."""
+    return frozenset(a | (b - {x}) for x in b)
 
 
 def apply_bistellar(c: Complex, flip: BistellarFlip) -> Complex:
@@ -270,18 +269,18 @@ def apply_bistellar(c: Complex, flip: BistellarFlip) -> Complex:
         raise NotApplicable("both faces of a flip must be nonempty")
     if a & b:
         raise NotApplicable("flip faces must be disjoint")
-    if not c.has_face(a):
+    star = frozenset(c._facets_containing(a))
+    if not star:
         raise NotApplicable("face %r is not in the complex" % (sorted_face(a),))
     if c.has_face(b):
         raise NotApplicable("face %r is already present" % (sorted_face(b),))
-    if link(c, a) != _boundary_of_simplex(b):
+    if star != _join_boundary(a, b):
         raise NotApplicable("link of %r is not the boundary of %r"
                             % (sorted_face(a), sorted_face(b)))
-    removed = {a | (b - {x}) for x in b} if len(b) > 1 else {a}
-    added = {(a - {x}) | b for x in a}
-    if not removed <= c.facets:
-        raise NotApplicable("flip region is not a union of facets")
-    return Complex((c.facets - removed) | added)
+    # An antichain: the added facets (A - {x}) | B share a size and lie in no
+    # kept facet, as B is no face of c; a kept facet inside one misses some y
+    # in B, so it is the facet A | (B - {y}), which was removed.
+    return c._replaced(star, frozenset((a - {x}) | b for x in a))
 
 
 def inverse_flip(flip: BistellarFlip) -> BistellarFlip:
@@ -300,21 +299,14 @@ def list_bistellar(c: Complex) -> list:
         return []
     fresh = fresh_vertices(c, 1)[0]
     out = []
-    all_faces = sorted(
-        (f for f in c.all_faces() if f),
-        key=lambda f: (len(f), sorted_face(f)),
-    )
-    for a in all_faces:
-        lk_a = link(c, a)
-        if lk_a == Complex.void():
+    for a in sorted((f for f in c.all_faces() if f), key=lambda f: (len(f), sorted_face(f))):
+        if a in c.facets:  # its link is the void complex
             out.append(BistellarFlip(A=a, B=frozenset([fresh])))
             continue
-        bverts = frozenset(lk_a.vertices)
-        if len(bverts) != d + 2 - len(a):
-            continue
-        if c.has_face(bverts):
-            continue
-        if lk_a == _boundary_of_simplex(bverts):
+        star = c._facets_containing(a)
+        bverts = frozenset().union(*star) - a
+        if (len(bverts) == d + 2 - len(a) and not c.has_face(bverts)
+                and frozenset(star) == _join_boundary(a, bverts)):
             out.append(BistellarFlip(A=a, B=bverts))
     return out
 
@@ -433,6 +425,9 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     ``complement_induced`` is read.
     """
     d = flip.d
+    if d != c.dimension:
+        raise NotApplicable("a flip of dimension %s does not apply to a complex of dimension %s"
+                            % (d, c.dimension))
     spec = _diamond._check_index_set(d, flip.spec, d)
     plan = _flip_plan(d, spec)
     abstract = plan.abstract
@@ -442,16 +437,16 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
         raise EmbeddingNotInjective(
             "embedding does not cover %r" % sorted(missing, key=vertex_key)
         )
-    image_of = {v: emb[v] for v in abstract.vertices}
+    image_of = {v: emb[v] for v in plan.order}
     if len(set(image_of.values())) != len(image_of):
         raise EmbeddingNotInjective("embedding identifies two vertices")
 
     image = frozenset(frozenset(image_of[v] for v in f) for f in abstract.facets)
-    facets = c.facets
-    if not all(f in facets or c.has_face(f) for f in image):
+    # c has dimension d, so a face of c with d + 1 vertices is a facet
+    if not image <= c.facets:
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
     if plan.nonfaces and _embeds_a_nonface(
-            c._star_index(), [image_of[v] for v in plan.order], plan.nonfaces):
+            c._star_index(), list(image_of.values()), plan.nonfaces):
         raise NotInduced("embedded complex is not induced in the ambient")
 
     total = dict(image_of)
@@ -780,7 +775,9 @@ def boundary_bistellar_realization(c: Complex, a, b) -> Complex:
         raise NotApplicableOnBoundary("face is not on the boundary")
     if bd.has_face(b):
         raise NotApplicableOnBoundary("target face already on the boundary")
-    if link(bd, a) != _boundary_of_simplex(b):
+    # b is no face of bd, so if it meets a, the join holds a | b and faces of
+    # it, as no star does: the test still matches the link's
+    if frozenset(bd._facets_containing(a)) != _join_boundary(a, b):
         raise NotApplicableOnBoundary("boundary link does not match")
     f_full = a | b
     if c.has_face(f_full):

@@ -32,6 +32,7 @@ from .complexes import (
     Complex,
     ComplexError,
     _as_face,
+    _stars,
     _subsets,
     sorted_face,
 )
@@ -95,10 +96,8 @@ class _Covered:
     __slots__ = ("stars", "count")
 
     def __init__(self, facets=()):
-        self.stars: dict[str, list] = {}
-        self.count = 0
-        for h in facets:
-            self.add(h)
+        self.stars: dict[str, list] = _stars(facets)
+        self.count = len(facets)
 
     def add(self, h: frozenset) -> None:
         for x in h:

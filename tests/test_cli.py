@@ -262,6 +262,43 @@ def test_flip_script_failure_reports_line(tmp_path, capsys):
     assert "line 2" in text
 
 
+@pytest.mark.parametrize("line, message", [
+    ("crossflip anchor=a,b,c", "crossflip line lacks I="),
+    ("bistellar B=0", "bistellar line lacks A="),
+    ("shell F=0,1,2 A=0", "shell line lacks R="),
+    ("inverse-shell F=0,1,2", "inverse-shell line lacks A=, R="),
+])
+def test_flip_script_line_names_its_missing_keys(tmp_path, capsys, line, message):
+    src = tmp_path / "c2.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    script = tmp_path / "moves.txt"
+    script.write_text(line + "\n")
+    code, text, _ = run(capsys, "flip", str(src), "--script", str(script),
+                        "--out", str(tmp_path / "out.json"))
+    assert (code, text) == (1, "FAIL at line 1: %s\n" % message)
+
+
+def test_bistellar_round_trip_fixture(tmp_path, capsys):
+    """Subdividing a facet, flipping an edge and undoing both gives the
+    octahedron back; after the first two lines the edge 0,1 has given way
+    to v2,w0."""
+    src = tmp_path / "c2.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    script = os.path.join(FIXTURES, "bistellar_round_trip.txt")
+    with open(script) as fh:
+        moves = [line for line in fh if not line.startswith("#")]
+    half = tmp_path / "half.txt"
+    half.write_text("".join(moves[:2]))
+    for path, out in ((script, tmp_path / "out.json"), (half, tmp_path / "half.json")):
+        code, _, _ = run(capsys, "flip", str(src), "--script", str(path), "--out", str(out))
+        assert code == 0
+    original = json.loads(src.read_text())["facets"]
+    assert json.loads((tmp_path / "out.json").read_text())["facets"] == original
+    facets = json.loads((tmp_path / "half.json").read_text())["facets"]
+    assert len(facets) == 10
+    assert [any(e <= set(f) for f in facets) for e in ({"0", "1"}, {"v2", "w0"})] == [False, True]
+
+
 def test_trivial_crossflip_script_isomorphic(tmp_path, capsys):
     from crossflips.complexes import are_isomorphic, complex_from_doc
 

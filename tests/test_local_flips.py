@@ -4,8 +4,9 @@ A cross-flip result is built by `Complex._replaced`, which patches the
 vertex set, star index, common facet size and top "w<k>" label of the
 ambient at the exchanged facets only.  These tests compare every inherited
 slot with a fresh build of the result, the colouring extension with its
-former whole-colouring comprehension, and results on ambients that are not
-pure of the flip's dimension with the validating construction.
+former whole-colouring comprehension, and results on an ambient that is not
+pure with the validating construction; a flip of another dimension than
+its ambient's raises.
 """
 
 import gc
@@ -26,6 +27,7 @@ from crossflips.complexes import (
 from crossflips.diamond import cross_polytope, diamond_closed_form, standard_coloring
 from crossflips.moves import (
     CrossFlip,
+    NotApplicable,
     NotInduced,
     _flip_plan,
     apply_cross_flip_detailed,
@@ -187,16 +189,13 @@ def test_result_holds_no_reference_to_its_ambient():
         assert not any(id(amb) in reached for amb in ambients[: k + 1])
 
 
-@pytest.mark.parametrize("ambient", ["non-pure", "above the flip dimension"])
+@pytest.mark.parametrize("ambient", ["non-pure"])
 def test_other_ambients_match_the_validating_construction(ambient):
-    """Ambients that are not pure of the flip's dimension: the result built
-    by `_replaced` equals the validating construction, and its inherited
-    slots equal a fresh build."""
+    """An ambient of the flip's dimension that is not pure: the result
+    built by `_replaced` equals the validating construction, and its
+    inherited slots equal a fresh build."""
     d, spec = 2, (1,)
-    if ambient == "non-pure":
-        c = Complex(list(cross_polytope(d).facets) + [face("p", "q")])
-    else:
-        c = cross_polytope(3)
+    c = Complex(list(cross_polytope(d).facets) + [face("p", "q")])
     abstract = diamond_closed_form(d, spec)
     emb = {v: v for v in abstract.vertices}
     res = apply_cross_flip_detailed(c, CrossFlip(d=d, spec=spec, embedding=emb))
@@ -215,6 +214,27 @@ def test_other_ambients_match_the_validating_construction(ambient):
     glued_vertices = frozenset().union(*glued)
     assert res.complement_induced == _traces_are_faces(res.complex.facets, glued, glued_vertices)
     assert res.fresh_vertices == ("w0", "w1")
+
+
+def test_cross_flip_of_another_dimension_raises():
+    """A class of dimension d applies only to a complex of dimension d: a
+    d = 2 image would stay inside the tetrahedra of a 3-sphere and a disc
+    be glued on, and a d = 3 image is no face of a 2-sphere."""
+    def identity(d, spec):
+        emb = {v: v for v in diamond_closed_form(d, spec).vertices}
+        return CrossFlip(d=d, spec=spec, embedding=emb)
+
+    cases = [
+        (cross_polytope(3), CrossFlip(d=2, spec=(2,), embedding={"0": "0", "1": "1", "v2": "2"})),
+        (cross_polytope(3), identity(2, (1,))),
+        (cross_polytope(2), identity(3, (2, 3))),
+    ]
+    for c, flip in cases:
+        with pytest.raises(NotApplicable) as err:
+            apply_cross_flip_detailed(c, flip)
+        assert str(err.value) == (
+            "a flip of dimension %d does not apply to a complex of dimension %d"
+            % (flip.d, c.dimension))
 
 
 def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):

@@ -208,6 +208,15 @@ def test_surfaces_with_the_wrong_euler_characteristic():
         ManifoldVerdict.WITH_BOUNDARY)
 
 
+def test_a_pinched_link_of_a_vertex_link():
+    """Two tetrahedra on one edge: the link of either end of that edge is
+    two triangles on one vertex, connected, with each edge in at most two
+    triangles and V - E + F = 1, so only the disconnected link of the
+    pinch vertex within it makes the complex no manifold."""
+    c = Complex([face("x", "a", "b", "c"), face("x", "a", "d", "e")])
+    assert agrees(c) is ManifoldVerdict.NO
+
+
 def test_fixed_cases_reach_every_outcome():
     cases = [
         Complex([face("a", "b", "c"), face("a", "d", "e")]),  # pinched triangles
