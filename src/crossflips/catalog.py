@@ -144,25 +144,13 @@ def barycentric_sphere(d: int):
     if d > 3:
         raise DimensionCapExceeded("barycentric spheres are built for d <= 3")
     check_dimension(d)
-    ground = tuple(range(d + 2))
 
     def token(subset) -> str:
         return "b" + "".join(str(i) for i in sorted(subset))
 
-    chains: list[tuple] = []
-
-    def grow(chain, top):
-        if len(top) == d + 1:
-            chains.append(tuple(chain))
-            return
-        for extra in ground:
-            if extra not in top:
-                nxt = tuple(sorted(top + (extra,)))
-                grow(chain + [nxt], nxt)
-
-    for start in ground:
-        grow([(start,)], (start,))
-    facets = {frozenset(token(s) for s in chain) for chain in chains}
+    # a facet is a maximal chain of proper faces: the prefixes of an order
+    facets = {frozenset(token(p[:k]) for k in range(1, d + 2))
+              for p in itertools.permutations(range(d + 2))}
     cx = Complex(facets)
     # "b" plus k digits encodes a (k-1)-dimensional face of the simplex
     coloring = {v: len(v) - 2 for v in cx.vertices}

@@ -25,7 +25,7 @@ from .complexes import (
     _faces_from_doc,
     _subsets,
     complex_from_doc,
-    complex_to_doc,
+    dumps,
     find_balanced_coloring,
     is_combinatorial_manifold,
     is_induced,
@@ -76,10 +76,6 @@ def _read_doc(path: str) -> dict:
         return json.load(fh)
 
 
-def _dump_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _parse_face(text: str) -> frozenset:
     items = [t for t in text.split(",") if t]
     return frozenset(items)
@@ -120,7 +116,7 @@ def cmd_gen(args) -> int:
         c, coloring = _catalog.barycentric_sphere(d)
     else:
         raise UsageError("unknown generator %r" % (kind,))
-    _write_text(args.out, _dump_doc(complex_to_doc(c, coloring)))
+    _write_text(args.out, dumps(c, coloring))
     return 0
 
 
@@ -269,12 +265,14 @@ def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
     return dict(zip(plan.anchor_order, img))
 
 
-def _parse_assignments(parts):
+def _parse_assignments(op, parts):
     out = {}
     for part in parts:
         if "=" not in part:
             raise ValueError("expected key=value, got %r" % (part,))
         key, val = part.split("=", 1)
+        if key in out:
+            raise ValueError("%s line repeats %s=" % (op, key))
         out[key] = val
     return out
 
@@ -286,10 +284,10 @@ _SCRIPT_KEYS = {"crossflip": ("I", "anchor"), "bistellar": ("A", "B"),
 
 def apply_script_line(c: Complex, line: str):
     """One move-script line applied to a complex; returns the new complex."""
-    parts = line.split()
-    op, kv = parts[0], _parse_assignments(parts[1:])
+    op, *assignments = line.split()
     if op not in _SCRIPT_KEYS:
         raise ValueError("unknown move %r" % (op,))
+    kv = _parse_assignments(op, assignments)
     missing = [k for k in _SCRIPT_KEYS[op] if k not in kv]
     if missing:
         raise ValueError("%s line lacks %s" % (op, ", ".join(k + "=" for k in missing)))
@@ -322,7 +320,7 @@ def cmd_flip(args) -> int:
         except (ComplexError, ValueError, KeyError, StepFailed) as exc:
             print("FAIL at line %d: %s" % (lineno, exc))
             return 1
-    _write_text(args.out, _dump_doc(complex_to_doc(c, None)))
+    _write_text(args.out, dumps(c))
     return 0
 
 
@@ -364,18 +362,16 @@ def run_walk(config: WalkConfig):
         if config.start_coloring is not None
         else standard_coloring(d)
     )
-    classes = [(spec, found, _moves._flip_plan(d, found))
-               for spec in config.allowed_flips or _basic_flip_indices(d)
+    classes = [(spec, found) for spec in config.allowed_flips or _basic_flip_indices(d)
                if (found := _moves._site_class(d, spec)) is not None]
+    plans = [_moves._flip_plan(d, found) for _spec, found in classes]
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
-        # every class searches from the step's roots and stops at its first
+        # every class searches the step's one site view and stops at its first
         # image; the drawn one resumes, and only its drawn image is a CrossFlip
-        roots = _moves._rainbow_roots(cur, coloring, d)
         per_class = []
-        for spec, found, plan in classes:
-            images = _moves._site_images(cur, coloring, plan, roots)
+        for (spec, found), images in zip(classes, _moves._class_images(cur, coloring, plans)):
             first = next(images, None)
             if first is not None:
                 per_class.append((spec, found, first, images))
@@ -448,7 +444,7 @@ def cmd_walk(args) -> int:
     except StepFailed as exc:
         print("FAIL: %s" % exc)
         return 1
-    _write_text(args.out, _dump_doc(complex_to_doc(final, coloring)))
+    _write_text(args.out, dumps(final, coloring))
     with open(_stats_path(args.out), "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh,

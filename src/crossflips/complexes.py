@@ -17,17 +17,15 @@ k-subsets of the facets taken as sorted tuples, size by size.
 A complex keeps only its facets and, each built on first use: its vertex set,
 its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
-vertex degree), the common size of its facets, the highest "w<k>" label
-among its vertices, and the site view a flip-site search walks: the
-facets in canonical order and a facet-neighbour table (facet h -> for each
-vertex x of h whose ridge h - {x} lies in exactly two facets, the other
-facet and its vertex off the ridge).  A complex made from another by
-exchanging a few facets (``Complex._replaced``, the result of a
-cross-flip, a bistellar flip, a stellar subdivision or a shelling move)
-inherits the vertex set and star index of
-the other, and its common size and top label if the other had built
-them, patched at the vertices of the exchanged facets only; an inherited
-slot always equals a fresh build; its site view is built afresh.
+vertex degree), the common size of its facets and the highest "w<k>"
+label among its vertices.  The indexes a flip-site search walks belong to
+that search (``moves._site_view``), not to the complex.  A complex made
+from another by exchanging a few facets (``Complex._replaced``, the result
+of a cross-flip, a bistellar flip, a stellar subdivision, a face deletion
+or a shelling move) inherits the vertex set and star index of the other,
+and its common size and top label if the other had built them, patched at
+the vertices of the exchanged facets only; an inherited slot always
+equals a fresh build.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import itertools
 import json
 import math
 from enum import Enum
-from typing import NamedTuple
 
 
 class ComplexError(Exception):
@@ -154,15 +151,6 @@ def _w_index(v: str) -> int | None:
 # the complex itself
 
 
-class _SiteView(NamedTuple):
-    """The read-only indexes a flip-site search walks over one complex."""
-
-    ordered: tuple  # (sorted_face(h), h) for every facet h, by sorted_face
-    # facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly the
-    # two facets h and g = (h - {x}) | {y}
-    neighbours: dict
-
-
 class Complex:
     """A simplicial complex held as the antichain of its maximal faces.
 
@@ -170,12 +158,12 @@ class Complex:
     (single empty facet, dimension -1) are distinct values.  Equality and
     hashing use the facet set only.  The slots besides ``_facets`` fill
     lazily: ``_vertices`` (vertex set), ``_stars`` (star index), ``_size``
-    (common facet size), ``_top_w`` (top "w<k>" label) and ``_view``
-    (site-search view); see the module docstring for the slots
-    ``_replaced`` inherits.  Faces are built when asked for, never kept.
+    (common facet size) and ``_top_w`` (top "w<k>" label); see the module
+    docstring for the slots ``_replaced`` inherits.  Faces are built when
+    asked for, never kept.
     """
 
-    __slots__ = ("_facets", "_vertices", "_view", "_stars", "_size", "_top_w")
+    __slots__ = ("_facets", "_vertices", "_stars", "_size", "_top_w")
 
     def __init__(self, facets=()):
         self._unbuilt(frozenset(_as_face(f) for f in facets))
@@ -194,7 +182,6 @@ class Complex:
         """Hold the given facet antichain with every derived slot unbuilt."""
         self._facets = facets
         self._vertices = None
-        self._view = None
         self._stars = None
         self._size = None
         self._top_w = None
@@ -219,7 +206,7 @@ class Complex:
         nothing.  The result gets this complex's vertex set and star index,
         and the common facet size and top "w<k>" label if this complex had
         built them, each patched at the vertices of the exchanged facets;
-        it holds no reference to this complex and has no site view.
+        it holds no reference to this complex.
         """
         c = Complex.__new__(Complex)
         c._unbuilt((self._facets - removed) | added)
@@ -326,22 +313,6 @@ class Complex:
         stars = self._star_index()
         return [g for g in min((stars.get(x, ()) for x in f), key=len) if f <= g]
 
-    def _site_view(self) -> _SiteView:
-        """Facets in ``sorted(facets, key=sorted_face)`` order with their
-        facet-neighbour table, built on first use and shared by every
-        flip-site search over this complex."""
-        if self._view is None:
-            key = {v: vertex_key(v) for v in self.vertices}.__getitem__
-            ordered = tuple(sorted((tuple(sorted(h, key=key)), h) for h in self._facets))
-            neighbours: dict[frozenset, dict] = {h: {} for h in self._facets}
-            for pair in _ridges(self._facets).values():
-                if len(pair) == 2:
-                    (h, x), (g, y) = pair
-                    neighbours[h][x] = (g, y)
-                    neighbours[g][y] = (h, x)
-            self._view = _SiteView(ordered, neighbours)
-        return self._view
-
     def has_face(self, f) -> bool:
         return bool(self._facets_containing(_as_face(f)))
 
@@ -406,15 +377,16 @@ def star(c: Complex, f) -> Complex:
 def delete_face(c: Complex, f) -> Complex:
     """All faces of c not containing f."""
     f = _as_face(f)
-    if not c.has_face(f):
+    star = frozenset(c._facets_containing(f))
+    if not star:
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
-    keep = []
-    for g in c.facets:
-        if f <= g:
-            keep.extend(g - {x} for x in f)
-        else:
-            keep.append(g)
-    return Complex.generated_by(keep)
+    # An antichain: an added face g - {x} lies in no kept facet, by the test
+    # below, and holds none, as a kept facet inside it would lie in g; inside
+    # another added g' - {y} it puts g = (g - {x}) | {x} in g', as x is in f:
+    # then g = g' and x = y.
+    added = frozenset(r for r in {g - {x} for g in star for x in f}
+                      if all(f <= h for h in c._facets_containing(r)))
+    return c._replaced(star, added)
 
 
 def delete_subcomplex(c: Complex, subc: Complex) -> Complex:

@@ -43,9 +43,12 @@ a ridge h - {y} with y outside A (``_on_boundary``).  Removing the
 facet, or adding it in an inverse shelling, exchanges facets with
 ``Complex._replaced``, so a shelling move costs its facet's region.
 
-Site search runs the class's ridge walk over the ambient's
-facet-neighbour table (``Complex._site_view``).  Each class's plan
-compiles its whole search once into one generated generator
+Site search runs the class's ridge walk over a view of the ambient that
+it builds for itself, as the complex keeps none (``_site_view``): the
+facets in canonical order and their facet-neighbour table.  One call
+(``_class_images``) builds that view, the rainbow roots and a reference to
+the star index once for every class searched over one complex.  Each
+class's plan compiles its whole search once into one generated generator
 (``_compile_site_search``): it loops over the roots and their vertex
 orders, takes one dict lookup per walk step with the test that a new
 vertex is unused unrolled, deduplicates images by their facet sets, and
@@ -56,9 +59,9 @@ those once for every class; every walk step swaps a vertex for its
 partner, so a completed walk only compares each later vertex with the root
 vertex of its pair.  Each image is decided once, after its colour test
 passes, by the non-faces of the class.  The search yields images as vertex
-lists (``_site_images``); only the callers that hand out sites wrap them in
-a ``CrossFlip``.  The same search, uncoloured and from every facet, embeds
-a diamond complex onto one image of it (``_image_embedding``).
+lists; only the callers that hand out sites wrap them in a ``CrossFlip``.
+The same search, uncoloured and from every facet, embeds a diamond complex
+onto one image of it (``_image_embedding``).
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from .complexes import (
     _adjacency,
     _as_face,
     _require_boundary,
+    _ridges,
     boundary_complex,
     is_proper_coloring,
     partner,
@@ -639,8 +643,8 @@ def _image_embedding(plan: _FlipPlan, k: Complex):
     abstract = plan.abstract
     if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
         return None
-    view = k._site_view()
-    img = next(plan.search(view.neighbours, view.ordered, {}.get,
+    ordered, neighbours = _site_view(k)
+    img = next(plan.search(neighbours, ordered, {}.get,
                            collections.defaultdict(frozenset)), None)
     return None if img is None else dict(zip(plan.order, img))
 
@@ -667,7 +671,7 @@ def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
     spec = _site_class(d, indices)
     if spec is None:
         return []
-    images = _site_images(c, coloring, _flip_plan(d, spec), _rainbow_roots(c, coloring, d))
+    (images,) = _class_images(c, coloring, [_flip_plan(d, spec)])
     return [_image_site(d, spec, img) for img in images]
 
 
@@ -676,8 +680,10 @@ def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
     site."""
     d = c.dimension
     spec = _site_class(d, indices)
-    return spec is not None and next(_site_images(
-        c, coloring, _flip_plan(d, spec), _rainbow_roots(c, coloring, d)), None) is not None
+    if spec is None:
+        return False
+    (images,) = _class_images(c, coloring, [_flip_plan(d, spec)])
+    return next(images, None) is not None
 
 
 def _site_class(d, indices):
@@ -694,27 +700,49 @@ def _site_class(d, indices):
 
 
 def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
-    """The site of an image yielded by ``_site_images``: its embedding
+    """The site of an image yielded by ``_class_images``: its embedding
     maps the plan's ``order`` to *img*, in that order."""
     return CrossFlip(d=d, spec=spec, embedding=dict(zip(_flip_plan(d, spec).order, img)))
 
 
-def _rainbow_roots(c: Complex, coloring: dict, d: int) -> list:
-    """The facets of c whose d + 1 vertices have d + 1 distinct colours, as
-    ``(sorted_face(h), h)`` in canonical order: the roots of every class."""
+def _site_view(c: Complex) -> tuple:
+    """The indexes a flip-site search walks over c, built afresh on each
+    call: ``(ordered, neighbours)``, with ``(sorted_face(h), h)`` for every
+    facet h in ``sorted_face`` order, and the facet-neighbour table
+    (facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly the
+    two facets h and g = (h - {x}) | {y})."""
+    key = {v: vertex_key(v) for v in c.vertices}.__getitem__
+    ordered = tuple(sorted((tuple(sorted(h, key=key)), h) for h in c.facets))
+    neighbours: dict[frozenset, dict] = {h: {} for h in c.facets}
+    for pair in _ridges(c.facets).values():
+        if len(pair) == 2:
+            (h, x), (g, y) = pair
+            neighbours[h][x] = (g, y)
+            neighbours[g][y] = (h, x)
+    return ordered, neighbours
+
+
+def _rainbow_roots(ordered: tuple, coloring: dict, d: int) -> list:
+    """The facets of a site view's *ordered* list whose d + 1 vertices have
+    d + 1 distinct colours, in that order: the roots of every class."""
     colour = coloring.get
-    return [root for root in c._site_view().ordered
+    return [root for root in ordered
             if len(cols := set(map(colour, root[0]))) == d + 1 and None not in cols]
 
 
-def _site_images(c: Complex, coloring: dict, plan: _FlipPlan, roots: list):
-    """The images of the sites of find_cross_flip_sites from *roots*, one at
-    a time in order, each as the ambient vertex of every slot of the plan's
-    ``order``.  Every image facet is a facet of c, so the image is a
-    subcomplex; whether it is induced does not depend on the embedding
-    that found it."""
-    stars = c._star_index() if plan.nonfaces else None
-    return plan.search(c._site_view().neighbours, roots, coloring.get, stars)
+def _class_images(c: Complex, coloring: dict, plans) -> list:
+    """One generator per plan of the images of the sites of
+    find_cross_flip_sites, one at a time in order, each as the ambient
+    vertex of every slot of the plan's ``order``.  Every class searches one
+    site view of c from one list of rainbow roots, and reads the star index
+    when some plan has non-faces.  Every image facet is a facet of c, so the
+    image is a subcomplex; whether it is induced does not depend on the
+    embedding that found it."""
+    ordered, neighbours = _site_view(c)
+    roots = _rainbow_roots(ordered, coloring, c.dimension)
+    stars = c._star_index() if any(plan.nonfaces for plan in plans) else None
+    colour = coloring.get
+    return [plan.search(neighbours, roots, colour, stars) for plan in plans]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,28 @@ def test_flip_script_line_names_its_missing_keys(tmp_path, capsys, line, message
     assert (code, text) == (1, "FAIL at line 1: %s\n" % message)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("crossflip I=2 I=1 anchor=0,1,2", "crossflip line repeats I="),
+    ("bistellar A=0,1 B=v0,v1 A=0,1", "bistellar line repeats A="),
+    ("shell F=0,1,2 A=0 R=1,2 R=2", "shell line repeats R="),
+    ("inverse-shell F=0,1,2 F=0,1 A=0 R=1,2", "inverse-shell line repeats F="),
+])
+def test_flip_script_line_that_repeats_a_key_is_refused(tmp_path, capsys, line, message):
+    """A repeated key is refused, not overridden by its last value: on the
+    octahedron the I=1 cross-flip alone applies."""
+    src = tmp_path / "c2.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    script = tmp_path / "moves.txt"
+    script.write_text(line + "\n")
+    code, text, _ = run(capsys, "flip", str(src), "--script", str(script),
+                        "--out", str(tmp_path / "out.json"))
+    assert (code, text) == (1, "FAIL at line 1: %s\n" % message)
+    assert not (tmp_path / "out.json").exists()
+    script.write_text("crossflip I=1 anchor=0,1,2\n")
+    assert run(capsys, "flip", str(src), "--script", str(script),
+               "--out", str(tmp_path / "out.json"))[0] == 0
+
+
 def test_bistellar_round_trip_fixture(tmp_path, capsys):
     """Subdividing a facet, flipping an edge and undoing both gives the
     octahedron back; after the first two lines the edge 0,1 has given way

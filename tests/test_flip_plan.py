@@ -198,10 +198,9 @@ def test_site_view_is_sorted_and_indexes_every_facet():
     finned = Complex(list(cross_polytope(2).facets) + [face("0", "1", "z")])
     disc = Complex(list(cross_polytope(2).facets)[1:])
     for c in (stacked, walked, mixed, finned, disc, cross_polytope(3)):
-        view = c._site_view()
-        assert view is c._site_view()
-        assert [h for _key, h in view.ordered] == sorted(c.facets, key=sorted_face)
-        assert all(key == sorted_face(h) for key, h in view.ordered)
+        ordered, neighbours = moves._site_view(c)
+        assert [h for _key, h in ordered] == sorted(c.facets, key=sorted_face)
+        assert all(key == sorted_face(h) for key, h in ordered)
         # the neighbour table by a pairwise facet scan: h - {x} is a ridge
         # of g exactly when g has h's size and meets h in h - {x}
         want = {}
@@ -213,20 +212,12 @@ def test_site_view_is_sorted_and_indexes_every_facet():
                 if len(across) == 1:
                     (g,) = across
                     want[h][x] = (g, *(g - h))
-        assert view.neighbours == want
+        assert neighbours == want
         stars = c._star_index()
         for h in c.facets:
             for x in h:
                 assert h in stars[x]
         assert sum(map(len, stars.values())) == sum(map(len, c.facets))
-
-
-def test_applying_a_flip_builds_no_site_view():
-    c = cross_polytope(3)
-    (target,) = diamond_closed_form(3, (3,)).facets
-    res = apply_cross_flip_detailed(
-        c, CrossFlip(d=3, spec=(3,), embedding={v: v for v in target}))
-    assert c._view is None and res.complex._view is None
 
 
 def test_a_walk_step_builds_one_cross_flip(monkeypatch):
@@ -329,7 +320,7 @@ def test_a_walk_that_glues_two_vertices_is_refused(d):
                 glued = {frozenset(w if v == u else v for v in f) for f in facets}
                 if len(glued) == len(facets) and all(len(f) == d + 1 for f in glued):
                     glued, glued_complexes = Complex(glued), glued_complexes + 1
-                    view = glued._site_view()
-                    assert list(search(view.neighbours, view.ordered, {}.get, None)) == []
+                    ordered, neighbours = moves._site_view(glued)
+                    assert list(search(neighbours, ordered, {}.get, None)) == []
                     assert moves._image_embedding(plan, glued) is None, (spec, u, w)
     assert glued_complexes > 0

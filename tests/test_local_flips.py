@@ -54,7 +54,6 @@ def assert_inherited_slots_are_exact(before: Complex, after: Complex) -> bool:
     top_left = old_top >= 0 and old_top not in _w_indices(fresh.vertices)
     assert (top is None) == top_left
     assert after._top_w_label() == max(_w_indices(fresh.vertices), default=-1)
-    assert after._view is None
     return top_left
 
 

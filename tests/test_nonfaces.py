@@ -120,8 +120,8 @@ def unfiltered_sites(c, coloring, spec):
     order, steps = moves._compile_walk(plan.abstract, min(plan.abstract.facets, key=sorted_face))
     assert order == plan.order
     search = moves._compile_site_search(order, steps, d, (), "<unfiltered>")
-    images = search(c._site_view().neighbours, moves._rainbow_roots(c, coloring, d),
-                    coloring.get, None)
+    ordered, neighbours = moves._site_view(c)
+    images = search(neighbours, moves._rainbow_roots(ordered, coloring, d), coloring.get, None)
     return [moves._image_site(d, spec, img) for img in images]
 
 

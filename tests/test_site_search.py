@@ -208,11 +208,29 @@ def test_a_walk_step_builds_its_rainbow_roots_once(monkeypatch, d, classes):
     built = []
     rainbow_roots = moves._rainbow_roots
 
-    def counted(c, coloring, dim):
-        built.append(c)
-        return rainbow_roots(c, coloring, dim)
+    def counted(ordered, coloring, dim):
+        built.append(ordered)
+        return rainbow_roots(ordered, coloring, dim)
 
     monkeypatch.setattr(moves, "_rainbow_roots", counted)
     got = run_walk(WalkConfig(steps=3, seed=4, dimension=d, allowed_flips=classes))
     assert len(built) == 3 and len({id(c) for c in built}) == 3
+    assert got[0] == want[0] and got[2] == want[2]
+
+
+@pytest.mark.parametrize("d,steps", [(2, 5), (3, 3)])
+def test_every_class_of_a_walk_step_shares_one_site_view(monkeypatch, d, steps):
+    """A k-step walk over every class builds k site views, one of each
+    step's complex, and walks as it does unpatched."""
+    want = run_walk(WalkConfig(steps=steps, seed=6, dimension=d))
+    viewed = []
+    site_view = moves._site_view
+
+    def counted(c):
+        viewed.append(c)
+        return site_view(c)
+
+    monkeypatch.setattr(moves, "_site_view", counted)
+    got = run_walk(WalkConfig(steps=steps, seed=6, dimension=d))
+    assert len(viewed) == steps and len({id(c) for c in viewed}) == steps
     assert got[0] == want[0] and got[2] == want[2]

@@ -1,11 +1,12 @@
-"""Bistellar flips and stellar subdivision read links from the star index.
+"""Bistellar flips, stellar subdivision and face deletion read links from
+the star index.
 
 A flip of A for B applies when the facets containing A are the facets of
-A * boundary(B) (`moves._join_boundary`), and a subdivision replaces the
-star it reads; both build their result with `Complex._replaced`.  The
-former constructions stay here as oracles: the `link(c, A) ==
-boundary(B)` comparison, the whole-complex `Complex(...)` and
-`Complex.generated_by` results and the former `list_bistellar`.  Every
+A * boundary(B) (`moves._join_boundary`), and a subdivision and a face
+deletion replace the star they read; all three build their result with
+`Complex._replaced`.  The former constructions stay here as oracles: the
+`link(c, A) == boundary(B)` comparison, the whole-complex `Complex(...)`
+and `Complex.generated_by` results and the former `list_bistellar`.  Every
 result, error message and inherited slot must match them.
 """
 
@@ -20,6 +21,7 @@ from crossflips import catalog, complexes
 from crossflips.complexes import (
     Complex,
     FaceNotPresent,
+    delete_face,
     face,
     link,
     sorted_face,
@@ -90,6 +92,16 @@ def former_stellar_subdivide(c, f, new_vertex=None):
         else:
             out.append(h)
     return Complex.generated_by(out)
+
+
+def former_delete_face(c, f):
+    keep = []
+    for g in c.facets:
+        if f <= g:
+            keep.extend(g - {x} for x in f)
+        else:
+            keep.append(g)
+    return Complex.generated_by(keep)
 
 
 def former_list_bistellar(c):
@@ -167,6 +179,25 @@ def test_list_bistellar_matches_the_former_listing(name):
 
 
 # ---------------------------------------------------------------------------
+# face deletion
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["a point", "void"])
+def test_delete_face_matches_the_generated_by_construction(name):
+    """Every face of each complex, the empty face included, deleted from
+    its star and deleted by the former whole-complex construction."""
+    c = CASES.get(name) or {"a point": Complex([face("x")]), "void": Complex.void()}[name]
+    inherited = {"_size": 0, "_top_w": 0}
+    for f in sorted(c.all_faces(), key=lambda f: (len(f), sorted_face(f))):
+        got = delete_face(c, f)
+        assert got.facets == former_delete_face(c, f).facets, sorted_face(f)
+        Complex(got.facets)  # raises unless the result is an antichain
+        _assert_slots_are_fresh(got, inherited)
+    with pytest.raises(FaceNotPresent, match="is not in the complex"):
+        delete_face(c, face("z"))
+
+
+# ---------------------------------------------------------------------------
 # seeded chains
 
 
@@ -184,7 +215,6 @@ def _assert_slots_are_fresh(after, inherited):
     assert after._top_w in (None, fresh._top_w_label())
     assert after._common_size() == fresh._common_size()
     assert after._top_w_label() == fresh._top_w_label()
-    assert after._view is None
 
 
 def _random_face(c, rng):
@@ -227,9 +257,9 @@ def test_seeded_chains_match_the_former_moves(start, seed):
 
 
 def test_the_moves_build_no_link_and_no_whole_complex(monkeypatch):
-    """No bistellar, subdivision or weld path calls `link` or
-    `Complex.generated_by`; a flip, a subdivision and a weld build no
-    complex through `Complex.__init__` either."""
+    """No bistellar, subdivision, weld or face-deletion path calls `link`
+    or `Complex.generated_by`; a flip, a subdivision, a weld and a face
+    deletion build no complex through `Complex.__init__` either."""
     built = []
     init, generated_by = Complex.__init__, Complex.generated_by.__func__
 
@@ -255,6 +285,8 @@ def test_the_moves_build_no_link_and_no_whole_complex(monkeypatch):
     assert apply_bistellar(out, BistellarFlip(A=face(w), B=facet)) == c
     edge = min(c.faces(1), key=sorted_face)
     assert stellar_weld(stellar_subdivide(c, edge, new_vertex="e"), "e") == c
+    # each ridge left lies in a facet off the edge, the sphere being closed
+    assert delete_face(c, edge).n_facets == c.n_facets - len(c._facets_containing(edge))
     assert built == []
     assert len(list_bistellar(out)) > out.n_facets
     realized = boundary_bistellar_realization(ball, face("a", "b"), face("x"))
