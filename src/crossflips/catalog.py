@@ -11,6 +11,7 @@ eight minimal sufficient sets in dimension two.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -123,19 +124,33 @@ def stacked_cross_sphere(copies: int, d: int) -> Complex:
 
 
 def stacked_cross_sphere_colored(copies: int, d: int):
+    """The stacked sphere of ``stacked_cross_sphere`` with its colouring.
+    Each copy replaces the first facet in the canonical order
+    (``Complex.canonical_facets``), taken from a list kept in that order,
+    into which the glued facets are bisected."""
     if copies < 1:
         raise ValueError("need at least one copy")
     cur = cross_polytope(d)
     coloring = standard_coloring(d)
-    block = diamond_closed_form(d, (d,))
-    (abstract_facet,) = block.facets
+    (abstract_facet,) = diamond_closed_form(d, (d,)).facets
+    abstract = sorted_face(abstract_facet)
+    entries = sorted(map(_canonical_entry, cur.facets))
     for _ in range(copies - 1):
-        target = cur.canonical_facets()[0]
-        emb = dict(zip(sorted_face(abstract_facet), target))
+        _, target = entries.pop(0)
+        emb = dict(zip(abstract, target))
         res = apply_cross_flip_detailed(cur, CrossFlip(d=d, spec=(d,), embedding=emb))
         coloring = extend_coloring_after_cross_flip(coloring, res)
         cur = res.complex
+        for f in res.glued:
+            bisect.insort(entries, _canonical_entry(f))
     return cur, coloring
+
+
+def _canonical_entry(f: frozenset) -> tuple:
+    """A facet's sort key in ``Complex.canonical_facets`` with its sorted
+    tuple; distinct facets have distinct keys."""
+    t = sorted_face(f)
+    return tuple(map(vertex_key, t)), t
 
 
 def barycentric_sphere(d: int):

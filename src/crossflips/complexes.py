@@ -198,7 +198,7 @@ class Complex:
         c._unbuilt(frozenset(maximal))
         return c
 
-    def _replaced(self, removed: frozenset, added: frozenset) -> "Complex":
+    def _replaced(self, removed: frozenset, added: frozenset, delta=None) -> "Complex":
         """The complex with facets ``(facets - removed) | added``.
 
         Trusted: the caller guarantees that the result is an antichain, so
@@ -206,34 +206,56 @@ class Complex:
         nothing.  The result gets this complex's vertex set and star index,
         and the common facet size and top "w<k>" label if this complex had
         built them, each patched at the vertices of the exchanged facets;
-        it holds no reference to this complex.
+        it holds no reference to this complex.  *delta* maps each of those
+        vertices to the removed and the added facets containing it; a
+        caller that knows it (a cross-flip reads it from its class's
+        exchange tables) hands it in, otherwise it is gathered here.  A
+        star with nothing removed or nothing added is copied once, and the
+        top label is read from the vertices new to the complex only.
         """
         c = Complex.__new__(Complex)
         c._unbuilt((self._facets - removed) | added)
-        delta: dict[str, tuple[list, list]] = {}
-        for i, facets in enumerate((removed, added)):
-            for h in facets:
-                for x in h:
-                    delta.setdefault(x, ([], []))[i].append(h)
-        stars = dict(self._star_index())
-        gone = []
+        if delta is None:
+            delta = {}
+            for i, facets in enumerate((removed, added)):
+                for h in facets:
+                    for x in h:
+                        delta.setdefault(x, ([], []))[i].append(h)
+        old = self._star_index()
+        stars = dict(old)
+        gone, new = [], []
         for x, (out, into) in delta.items():
-            s = stars.get(x, frozenset()).difference(out).union(into)
+            s = old.get(x)
+            if s is None:
+                if into:
+                    stars[x] = frozenset(into)
+                    new.append(x)
+                continue
+            if out:
+                s = s.difference(out)
+            if into:
+                s = s.union(into)
             if s:
                 stars[x] = s
             else:
                 del stars[x]
                 gone.append(x)
-        added_vertices = frozenset().union(*added)
         c._stars = stars
-        c._vertices = self.vertices.difference(gone) | added_vertices
+        vertices = self.vertices
+        if gone:
+            vertices = vertices.difference(gone)
+        c._vertices = vertices.union(new) if new else vertices
         k = self._size
-        if k is not None and k >= 0 and c._facets and all(len(h) == k for h in added):
+        if k is not None and k >= 0 and c._facets and set(map(len, added)) <= {k}:
             c._size = k
         top = self._top_w
-        if top is not None and all(_w_index(x) != top for x in gone):
-            labels = [_w_index(x) for x in added_vertices]
-            c._top_w = max([top] + [i for i in labels if i is not None])
+        if top is not None:
+            # a new label above the top is the top: every kept label is at most top
+            high = max((i for i in map(_w_index, new) if i is not None), default=-1)
+            if high > top:
+                c._top_w = high
+            elif all(_w_index(x) != top for x in gone):
+                c._top_w = top
         return c
 
     @classmethod

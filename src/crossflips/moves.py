@@ -11,10 +11,17 @@ class's plan is built; a certificate that fails raises.  Fresh vertices
 created by subdivisions and cross-flips are labeled "w<k>" by a monotone
 counter namespaced per complex.
 
-An application costs its region and builds no ``Complex`` for it: the
-image and the glued complement stay facet sets, and the result inherits
-the ambient's vertex set, star index, common facet size and top "w<k>"
-label, patched at the exchanged facets (``Complex._replaced``).  Bistellar
+An application costs its region and builds no ``Complex`` for it.  The
+class's plan holds exchange tables over its slots (``_FlipPlan.slots``):
+the vertices of each abstract and each complement facet, the facets of
+each side containing each slot, and the slot each fresh vertex takes its
+colour from.  An application maps the slots to ambient vertices once and
+reads from the tables the image (for the subcomplex test and the
+exchange alike), the glued facets and the per-vertex delta it hands
+``Complex._replaced``; the result inherits the ambient's vertex set, star
+index, common facet size and top "w<k>" label, patched at the exchanged
+facets, and the colouring extension reads each fresh colour from its
+source slot (``CrossFlipResult.sources``).  Bistellar
 flips and stellar subdivisions cost their region the same way: each
 exchanges a star read from the star index, and a flip of A for B compares
 the star of A with the facets of A * boundary(B) (``_join_boundary``)
@@ -69,6 +76,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import diamond as _diamond
@@ -139,12 +147,11 @@ class CrossFlip:
     embedding: dict = field(hash=False)
 
     def image_facets(self) -> frozenset:
-        emb = self.embedding
-        return frozenset(
-            frozenset(emb[v] for v in f)
-            for i in _diamond._check_index_set(self.d, self.spec, self.d + 1)
-            for f in _diamond._block_facets(self.d, i)
-        )
+        """The embedded facets, read from the class plan's tables; the index
+        set must lie in 0..d, as ``apply_cross_flip_detailed`` asks."""
+        plan = _flip_plan(self.d, _diamond._check_index_set(self.d, self.spec, self.d))
+        labels = list(map(self.embedding.__getitem__, plan.order))
+        return frozenset(frozenset(row(labels)) for row in plan.image_rows)
 
 
 @dataclass(frozen=True)
@@ -159,16 +166,18 @@ class ShellingMove:
 @dataclass(frozen=True)
 class CrossFlipResult:
     """The result complex, the total map from abstract cross-polytope
-    vertices to its labels, the fresh labels, the glued complement's facets
-    and the complement class's minimal non-faces.  Whether the glued
-    complement is induced in the result is decided from these each time
-    ``complement_induced`` is read, not when the flip is applied."""
+    vertices to its labels, the fresh labels, the glued complement's facets,
+    the complement class's minimal non-faces and, for each fresh label, the
+    label whose colour it inherits (its pair partner's image).  Whether the
+    glued complement is induced in the result is decided from these each
+    time ``complement_induced`` is read, not when the flip is applied."""
 
     complex: Complex
     vertex_map: dict = field(hash=False)
     fresh_vertices: tuple
     glued: frozenset = field(repr=False)
     nonfaces: tuple = field(repr=False)
+    sources: tuple = field(repr=False)
 
     @property
     def complement_induced(self) -> bool:
@@ -426,7 +435,8 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     returned record carries the total map from abstract cross-polytope
     vertices to ambient labels and the glued complement's facets; whether
     those sit induced in the result is decided when the record's
-    ``complement_induced`` is read.
+    ``complement_induced`` is read.  The image, the glued facets and the
+    exchange's per-vertex delta are read from the plan's exchange tables.
     """
     d = flip.d
     if d != c.dimension:
@@ -434,29 +444,28 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
                             % (d, c.dimension))
     spec = _diamond._check_index_set(d, flip.spec, d)
     plan = _flip_plan(d, spec)
-    abstract = plan.abstract
     emb = dict(flip.embedding)
-    missing = abstract.vertices - set(emb)
+    missing = plan.abstract.vertices.difference(emb)
     if missing:
         raise EmbeddingNotInjective(
             "embedding does not cover %r" % sorted(missing, key=vertex_key)
         )
-    image_of = {v: emb[v] for v in plan.order}
-    if len(set(image_of.values())) != len(image_of):
+    labels = list(map(emb.__getitem__, plan.order))  # the ambient vertex of each slot
+    if len(set(labels)) != len(labels):
         raise EmbeddingNotInjective("embedding identifies two vertices")
 
-    image = frozenset(frozenset(image_of[v] for v in f) for f in abstract.facets)
+    image = [frozenset(row(labels)) for row in plan.image_rows]
+    removed = frozenset(image)
     # c has dimension d, so a face of c with d + 1 vertices is a facet
-    if not image <= c.facets:
+    if not removed <= c.facets:
         raise NotInduced("embedded complex is not a subcomplex of the ambient")
-    if plan.nonfaces and _embeds_a_nonface(
-            c._star_index(), list(image_of.values()), plan.nonfaces):
+    if plan.nonfaces and _embeds_a_nonface(c._star_index(), labels, plan.nonfaces):
         raise NotInduced("embedded complex is not induced in the ambient")
 
-    total = dict(image_of)
-    for v, w in zip(plan.unseen, fresh_vertices(c, len(plan.unseen))):
-        total[v] = w
-    glued = frozenset(frozenset(total[v] for v in f) for f in plan.complement.facets)
+    labels += fresh_vertices(c, len(plan.unseen))
+    glued = [frozenset(row(labels)) for row in plan.glued_rows]
+    added = frozenset(glued)
+    delta = {x: (out(image), into(glued)) for x, (out, into) in zip(labels, plan.slot_rows)}
     # The result is an antichain.  A glued facet g is no face of a kept
     # facet: if g has a fresh vertex, no facet of c contains it; otherwise
     # g would be a face of c on image vertices, so (the image being
@@ -466,11 +475,12 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     # of some image facet F, itself a face of c; as c is an antichain,
     # h = F and h was removed.
     return CrossFlipResult(
-        complex=c._replaced(image, glued),
-        vertex_map=total,
-        fresh_vertices=tuple(total[v] for v in plan.unseen),
-        glued=glued,
+        complex=c._replaced(removed, added, delta),
+        vertex_map=dict(zip(plan.slots, labels)),
+        fresh_vertices=tuple(labels[len(plan.order):]),
+        glued=added,
         nonfaces=plan.complement_nonfaces,
+        sources=plan.sources(labels),
     )
 
 
@@ -599,10 +609,21 @@ class _FlipPlan:
     minimal non-faces of ``diamond.minimal_nonfaces``, as ascending slots
     of ``order``, edges first) maps to a face of the ambient; the glued
     complement likewise by ``complement_nonfaces``, those of the
-    complement on abstract vertices."""
+    complement on abstract vertices.
+
+    A flip is applied from exchange tables over the slots ``slots``, the
+    abstract vertices in ``order`` and then the vertices only the
+    complement has (``unseen``): ``image_rows`` and ``glued_rows`` take
+    the ambient vertex of every slot to the vertices of each abstract and
+    each complement facet, and ``slot_rows`` holds for each slot the pair
+    of functions taking those facet lists to the facets containing the
+    slot's vertex, the per-vertex delta of ``Complex._replaced``.
+    ``sources`` takes the slot labels to the vertex each unseen slot takes
+    its colour from, its pair partner's image."""
 
     __slots__ = ("abstract", "order", "search", "nonfaces", "anchor_order",
-                 "anchor_steps", "complement", "complement_nonfaces", "unseen")
+                 "anchor_steps", "complement", "complement_nonfaces", "unseen",
+                 "slots", "image_rows", "glued_rows", "slot_rows", "sources")
 
     def __init__(self, d: int, spec: tuple):
         rest = tuple(i for i in range(d + 2) if i not in spec)
@@ -614,16 +635,34 @@ class _FlipPlan:
         self.anchor_order, self.anchor_steps = _compile_walk(
             abstract, _diamond.entry_facet(d, spec[0]))
         self.abstract = abstract
-        slot = {v: i for i, v in enumerate(self.order)}
-        self.nonfaces = tuple(sorted((tuple(sorted(slot[v] for v in n))
+        self.complement = complement
+        self.unseen = tuple(sorted(complement.vertices - abstract.vertices,
+                                   key=vertex_key))
+        self.slots = self.order + self.unseen
+        at = {v: i for i, v in enumerate(self.slots)}
+        self.nonfaces = tuple(sorted((tuple(sorted(at[v] for v in n))
                                       for n in _diamond.minimal_nonfaces(d, spec)),
                                      key=lambda t: (len(t), t)))
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
-        self.complement = complement
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
-        self.unseen = tuple(sorted(complement.vertices - abstract.vertices,
-                                   key=vertex_key))
+        rows = [[tuple(at[v] for v in sorted_face(f)) for f in sorted(side.facets, key=sorted_face)]
+                for side in (abstract, complement)]
+        self.image_rows, self.glued_rows = (tuple(map(_picker, side)) for side in rows)
+        self.slot_rows = tuple(
+            tuple(_picker(tuple(k for k, row in enumerate(side) if i in row)) for side in rows)
+            for i in range(len(self.slots)))
+        self.sources = _picker(tuple(at[partner(v)] for v in self.unseen))
+
+
+def _picker(idx: tuple):
+    """The function taking a sequence to the tuple of its items at *idx*."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -651,16 +690,15 @@ def _image_embedding(plan: _FlipPlan, k: Complex):
 
 def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) -> dict:
     """Colors for the glued complement: each fresh vertex inherits the color
-    of its pair partner's image.  Stale entries for vertices no longer in
-    the complex are dropped, since their labels may be reused later."""
-    fresh = set(result.fresh_vertices)
+    of its pair partner's image, the label ``result.sources`` lists for it
+    from the class plan's source slots.  Stale entries for vertices no
+    longer in the complex are dropped, since their labels may be reused
+    later."""
     out = dict(coloring)
     keys = coloring.keys()
-    for v in (keys - result.complex.vertices) | (keys & fresh):
+    for v in (keys - result.complex.vertices) | (keys & result.fresh_vertices):
         del out[v]
-    for v, w in result.vertex_map.items():
-        if w in fresh:
-            out[w] = coloring[result.vertex_map[partner(v)]]
+    out.update(zip(result.fresh_vertices, map(coloring.__getitem__, result.sources)))
     return out
 
 

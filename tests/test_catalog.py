@@ -109,6 +109,31 @@ def test_stacked_spheres():
     assert two.n_facets == 14 and h_vector(two) == (1, 6, 6, 1)
 
 
+def _former_stacked(copies, d):
+    """The former stacking loop: each copy re-sorts every facet to take the
+    first in canonical order."""
+    cur, coloring = cross_polytope(d), standard_coloring(d)
+    (abstract_facet,) = diamond_closed_form(d, (d,)).facets
+    for _ in range(copies - 1):
+        target = cur.canonical_facets()[0]
+        emb = dict(zip(sorted_face(abstract_facet), target))
+        res = apply_cross_flip_detailed(cur, CrossFlip(d=d, spec=(d,), embedding=emb))
+        coloring = extend_coloring_after_cross_flip(coloring, res)
+        cur = res.complex
+    return cur, coloring
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_spheres_match_the_former_loop(d):
+    """The kept order picks the facet the full sort picked, copy by copy:
+    the same complex, colouring and JSON document."""
+    for copies in (1, 2, 3, 7, 18, 30):
+        got, want = stacked_cross_sphere_colored(copies, d), _former_stacked(copies, d)
+        assert got[0] == want[0]
+        assert list(got[1].items()) == list(want[1].items())
+        assert complexes.dumps(*got) == complexes.dumps(*want)
+
+
 def test_barycentric_sphere():
     hexagon, coloring = barycentric_sphere(1)
     assert hexagon.n_facets == 6

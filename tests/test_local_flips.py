@@ -42,7 +42,8 @@ def _w_indices(vertices):
 
 def assert_inherited_slots_are_exact(before: Complex, after: Complex) -> bool:
     """Every slot `after` inherited equals a fresh build; returns whether the
-    top label was left unbuilt because its vertex left the complex."""
+    vertex of the former top label left the complex.  The top label is left
+    unbuilt only then, and only when no higher label arrived."""
     fresh = Complex(after.facets)
     # read the raw slots first: a method call would build a missing one
     stars, vertices, size, top = after._stars, after._vertices, after._size, after._top_w
@@ -52,7 +53,10 @@ def assert_inherited_slots_are_exact(before: Complex, after: Complex) -> bool:
     assert size == fresh._common_size() == len(next(iter(after.facets)))
     old_top = max(_w_indices(before.vertices), default=-1)
     top_left = old_top >= 0 and old_top not in _w_indices(fresh.vertices)
-    assert (top is None) == top_left
+    if top is None:
+        assert top_left and max(_w_indices(fresh.vertices), default=-1) < old_top
+    else:
+        assert top == fresh._top_w_label()
     assert after._top_w_label() == max(_w_indices(fresh.vertices), default=-1)
     return top_left
 
