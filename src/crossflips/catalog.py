@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .complexes import (
     Complex,
     ComplexError,
+    _ridges,
     are_isomorphic,
-    boundary_complex,
     delete_subcomplex,
     h_vector,
     pair_index,
@@ -42,13 +42,14 @@ from .diamond import (
 )
 from .moves import (
     CrossFlip,
+    _class_images,
     _embeds_a_nonface,
     _flip_plan,
     _image_embedding,
+    _image_site,
     apply_cross_flip,
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
-    find_cross_flip_sites,
 )
 from .shelling import RelativeComplex, verify_certificate
 
@@ -217,11 +218,13 @@ def _relative_settings(d: int, sset: tuple, amb: Complex) -> dict:
     """``relative_shelling_setting`` for every first block of the index set
     *sset*, in the ambient *amb* built for it; the setting depends only on
     the first block.  Each block takes the first boundary ridge of the
-    diamond complex, in canonical order, that qualifies for it."""
+    diamond complex (a ridge in one facet, its carrier), in ``sorted_face``
+    order, that qualifies for it."""
     dcomp = diamond_closed_form(d, sset)
+    rim = {r: hs[0][0] for r, hs in _ridges(dcomp.facets).items() if len(hs) == 1}
     out = dict.fromkeys(sset)
-    for ridge in sorted(boundary_complex(dcomp).facets, key=sorted_face):
-        (carrier,) = dcomp._facets_containing(ridge)
+    for ridge in sorted(rim, key=sorted_face):
+        carrier = rim[ridge]
         block = block_of_facet(d, carrier)
         if out[block] is not None:
             continue
@@ -326,8 +329,10 @@ def verify_reducibility(d: int):
 def _composition_search(start, start_coloring, fixed_facets, allowed_specs,
                         target, fixed_vertices, max_depth: int) -> bool:
     """Breadth-first search for a flip sequence from restricted classes that
-    reproduces the target up to a locus-fixing isomorphism."""
+    reproduces the target up to a locus-fixing isomorphism; the allowed
+    classes search each state over one site view (``moves._class_images``)."""
     d = start.dimension
+    plans = [_flip_plan(d, spec) for spec in allowed_specs]
     deltas = []
     for spec in allowed_specs:
         dn = diamond_closed_form(d, spec).n_facets
@@ -344,8 +349,9 @@ def _composition_search(start, start_coloring, fixed_facets, allowed_specs,
     for depth in range(max_depth):
         nxt = []
         for cur, coloring in frontier:
-            for spec in allowed_specs:
-                for site in find_cross_flip_sites(cur, coloring, spec):
+            for spec, images in zip(allowed_specs, _class_images(cur, coloring, plans)):
+                for img in images:
+                    site = _image_site(d, spec, img)
                     if site.image_facets() & fixed_facets:
                         continue
                     res = apply_cross_flip_detailed(cur, site)

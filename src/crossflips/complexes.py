@@ -24,8 +24,8 @@ from another by exchanging a few facets (``Complex._replaced``, the result
 of a cross-flip, a bistellar flip, a stellar subdivision, a face deletion
 or a shelling move) inherits the vertex set and star index of the other,
 and its common size and top label if the other had built them, patched at
-the vertices of the exchanged facets only; an inherited slot always
-equals a fresh build.
+the vertices of the exchanged facets only, each star there becoming
+``(old - removed) | added``; an inherited slot equals a fresh build.
 """
 
 from __future__ import annotations
@@ -207,32 +207,30 @@ class Complex:
         and the common facet size and top "w<k>" label if this complex had
         built them, each patched at the vertices of the exchanged facets;
         it holds no reference to this complex.  *delta* maps each of those
-        vertices to the removed and the added facets containing it; a
-        caller that knows it (a cross-flip reads it from its class's
-        exchange tables) hands it in, otherwise it is gathered here.  A
-        star with nothing removed or nothing added is copied once, and the
-        top label is read from the vertices new to the complex only.
+        vertices to the added facets containing it (none for a vertex of
+        removed facets only), each patched star being ``(old - removed) |
+        added``; a caller that knows it (a cross-flip reads it from its
+        class's exchange tables) hands it in, otherwise it is gathered
+        here.  The top label is read from the vertices new to the complex.
         """
         c = Complex.__new__(Complex)
         c._unbuilt((self._facets - removed) | added)
         if delta is None:
-            delta = {}
-            for i, facets in enumerate((removed, added)):
-                for h in facets:
-                    for x in h:
-                        delta.setdefault(x, ([], []))[i].append(h)
+            delta = {x: [] for h in removed for x in h}
+            for h in added:
+                for x in h:
+                    delta.setdefault(x, []).append(h)
         old = self._star_index()
         stars = dict(old)
         gone, new = [], []
-        for x, (out, into) in delta.items():
+        for x, into in delta.items():
             s = old.get(x)
             if s is None:
                 if into:
                     stars[x] = frozenset(into)
                     new.append(x)
                 continue
-            if out:
-                s = s.difference(out)
+            s = s.difference(removed)
             if into:
                 s = s.union(into)
             if s:
@@ -500,18 +498,6 @@ def relabel(c: Complex, mapping: dict) -> Complex:
     return Complex(out)
 
 
-def _adjacency(c: Complex) -> dict:
-    """vertex -> set of the vertices sharing an edge with it, read from the
-    vertex pairs of the facets."""
-    adj: dict[str, set] = {v: set() for v in c.vertices}
-    for h in c.facets:
-        for v in h:
-            adj[v].update(h)
-    for v, ws in adj.items():
-        ws.discard(v)
-    return adj
-
-
 # ---------------------------------------------------------------------------
 # colorings
 
@@ -542,13 +528,13 @@ def find_balanced_coloring(c: Complex) -> dict | None:
         return {}
     m = d + 1
     verts = sorted(c.vertices, key=vertex_key)
-    adj = _adjacency(c)
+    adj = [frozenset().union(*c._star_index()[v]) - {v} for v in verts]
     coloring: dict[str, int] = {}
     tried = [0] * len(verts)  # the least color vertex i may still take
     i = 0
     while 0 <= i < len(verts):
         v = verts[i]
-        used = {coloring[w] for w in adj[v] if w in coloring}
+        used = {coloring[w] for w in adj[i] if w in coloring}
         col = next((k for k in range(tried[i], m) if k not in used), None)
         if col is None:  # backtrack: v's next attempt starts afresh
             coloring.pop(v, None)

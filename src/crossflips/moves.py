@@ -13,15 +13,16 @@ counter namespaced per complex.
 
 An application costs its region and builds no ``Complex`` for it.  The
 class's plan holds exchange tables over its slots (``_FlipPlan.slots``):
-the vertices of each abstract and each complement facet, the facets of
-each side containing each slot, and the slot each fresh vertex takes its
+the vertices of each abstract and each complement facet, the complement
+facets containing each slot, and the slot each fresh vertex takes its
 colour from.  An application maps the slots to ambient vertices once and
 reads from the tables the image (for the subcomplex test and the
 exchange alike), the glued facets and the per-vertex delta it hands
-``Complex._replaced``; the result inherits the ambient's vertex set, star
-index, common facet size and top "w<k>" label, patched at the exchanged
-facets, and the colouring extension reads each fresh colour from its
-source slot (``CrossFlipResult.sources``).  Bistellar
+``Complex._replaced`` (vertex -> the glued facets containing it); the
+result inherits the ambient's vertex set, star index, common facet size
+and top "w<k>" label, patched at the exchanged facets, and the colouring
+extension reads each fresh colour from its source slot
+(``CrossFlipResult.sources``).  Bistellar
 flips and stellar subdivisions cost their region the same way: each
 exchanges a star read from the star index, and a flip of A for B compares
 the star of A with the facets of A * boundary(B) (``_join_boundary``)
@@ -68,7 +69,8 @@ vertex of its pair.  Each image is decided once, after its colour test
 passes, by the non-faces of the class.  The search yields images as vertex
 lists; only the callers that hand out sites wrap them in a ``CrossFlip``.
 The same search, uncoloured and from every facet, embeds a diamond complex
-onto one image of it (``_image_embedding``).
+onto one image of it (``_image_embedding``); a plan compiles its walk
+over the site view of its diamond complex (``_compile_walk``).
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .complexes import (
     Complex,
     ComplexError,
     FaceNotPresent,
-    _adjacency,
     _as_face,
     _require_boundary,
     _ridges,
@@ -465,7 +466,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     labels += fresh_vertices(c, len(plan.unseen))
     glued = [frozenset(row(labels)) for row in plan.glued_rows]
     added = frozenset(glued)
-    delta = {x: (out(image), into(glued)) for x, (out, into) in zip(labels, plan.slot_rows)}
+    delta = {x: into(glued) for x, into in zip(labels, plan.slot_rows)}
     # The result is an antichain.  A glued facet g is no face of a kept
     # facet: if g has a fresh vertex, no facet of c contains it; otherwise
     # g would be a face of c on image vertices, so (the image being
@@ -486,8 +487,9 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
 
 def _compile_walk(abstract: Complex, root: frozenset):
     """The breadth-first ridge walk over the dual graph of *abstract* from
-    its facet *root*, visiting neighbours in canonical facet order,
-    compiled to integer slots as (order, steps).
+    its facet *root*, read from its site view's neighbour table
+    (``_site_view``) in ``sorted_face`` order of the neighbours, compiled
+    to integer slots as (order, steps).
 
     Abstract vertices are numbered in first-placement order (``order``:
     the root in ``sorted_face`` order, then each new vertex of the walk)
@@ -497,8 +499,7 @@ def _compile_walk(abstract: Complex, root: frozenset):
     plus the new one.  Facets of the cross-polytope boundary that share a
     ridge differ in one pair, so every step swaps a vertex for its partner.
     """
-    d = len(root) - 1
-    afacets = sorted(abstract.facets, key=sorted_face)
+    _ordered, neighbours = _site_view(abstract)
     order = list(sorted_face(root))
     vslot = {v: i for i, v in enumerate(order)}
     fslot = {root: 0}
@@ -506,20 +507,17 @@ def _compile_walk(abstract: Complex, root: frozenset):
     frontier = [root]
     while frontier:
         cur = frontier.pop(0)
-        for nxt in afacets:
+        for x_drop, (nxt, x_new) in sorted(neighbours[cur].items(),
+                                           key=lambda item: sorted_face(item[1][0])):
             if nxt in fslot:
                 continue
-            shared = cur & nxt
-            if len(shared) == d:
-                (x_new,) = nxt - shared
-                (x_drop,) = cur - shared
-                if x_new not in vslot:
-                    vslot[x_new] = len(order)
-                    order.append(x_new)
-                steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
-                fslot[nxt] = len(fslot)
-                frontier.append(nxt)
-    if len(fslot) != len(afacets):
+            if x_new not in vslot:
+                vslot[x_new] = len(order)
+                order.append(x_new)
+            steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
+            fslot[nxt] = len(fslot)
+            frontier.append(nxt)
+    if len(fslot) != abstract.n_facets:
         raise ValueError("abstract flip complex is not ridge-connected")
     return tuple(order), tuple(steps)
 
@@ -615,9 +613,9 @@ class _FlipPlan:
     abstract vertices in ``order`` and then the vertices only the
     complement has (``unseen``): ``image_rows`` and ``glued_rows`` take
     the ambient vertex of every slot to the vertices of each abstract and
-    each complement facet, and ``slot_rows`` holds for each slot the pair
-    of functions taking those facet lists to the facets containing the
-    slot's vertex, the per-vertex delta of ``Complex._replaced``.
+    each complement facet, and ``slot_rows`` holds for each slot the
+    function taking the glued facet list to the glued facets containing
+    the slot's vertex, the per-vertex delta of ``Complex._replaced``.
     ``sources`` takes the slot labels to the vertex each unseen slot takes
     its colour from, its pair partner's image."""
 
@@ -646,12 +644,12 @@ class _FlipPlan:
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
-        rows = [[tuple(at[v] for v in sorted_face(f)) for f in sorted(side.facets, key=sorted_face)]
-                for side in (abstract, complement)]
-        self.image_rows, self.glued_rows = (tuple(map(_picker, side)) for side in rows)
-        self.slot_rows = tuple(
-            tuple(_picker(tuple(k for k, row in enumerate(side) if i in row)) for side in rows)
-            for i in range(len(self.slots)))
+        image, glued = ([tuple(at[v] for v in sorted_face(f))
+                         for f in sorted(side.facets, key=sorted_face)]
+                        for side in (abstract, complement))
+        self.image_rows, self.glued_rows = tuple(map(_picker, image)), tuple(map(_picker, glued))
+        self.slot_rows = tuple(_picker(tuple(k for k, row in enumerate(glued) if i in row))
+                               for i in range(len(self.slots)))
         self.sources = _picker(tuple(at[partner(v)] for v in self.unseen))
 
 
@@ -811,12 +809,14 @@ def preserves_balancedness(c: Complex, coloring: dict, move) -> bool:
 
 
 def _greedy_extend(coloring: dict, after: Complex, m: int):
+    """Each uncoloured vertex of *after*, in canonical order, given the
+    least colour its star lacks; None when one has none left."""
     out = dict(coloring)
-    adj = _adjacency(after)
+    stars = after._star_index()
     for v in sorted(after.vertices, key=vertex_key):
         if v in out:
             continue
-        used = {out[w] for w in adj[v] if w in out}
+        used = {out[w] for w in frozenset().union(*stars[v]) if w in out}
         free = [col for col in range(m) if col not in used]
         if not free:
             return None

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -319,6 +320,21 @@ def test_bistellar_round_trip_fixture(tmp_path, capsys):
     facets = json.loads((tmp_path / "half.json").read_text())["facets"]
     assert len(facets) == 10
     assert [any(e <= set(f) for f in facets) for e in ({"0", "1"}, {"v2", "w0"})] == [False, True]
+
+
+def test_crossflip_script_fixture(tmp_path, capsys):
+    """A seeded d=2 walk over all seven classes, replayed from its
+    entry-facet anchors, gives the result pinned in CI byte for byte."""
+    src = tmp_path / "c2.json"
+    run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(src))
+    script = os.path.join(FIXTURES, "crossflip_script.txt")
+    with open(script) as fh:
+        classes = {line.split()[1] for line in fh if not line.startswith("#")}
+    assert len(classes) == 7
+    out = tmp_path / "out.json"
+    assert run(capsys, "flip", str(src), "--script", script, "--out", str(out)) == (0, "", "")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "efee2788306d7394cead0c5850a344675693e4e9d576e7ab51a4350f774b8467"
 
 
 def test_trivial_crossflip_script_isomorphic(tmp_path, capsys):

@@ -130,6 +130,13 @@ def test_join_collision():
         join(TRIANGLE_BOUNDARY, Complex([face("a")]))
 
 
+def test_relabel_refuses_to_collapse_a_facet():
+    tri = Complex([face("a", "b", "c")])
+    assert relabel(tri, {"a": "x"}) == Complex([face("x", "b", "c")])
+    with pytest.raises(VertexCollision, match="relabeling collapses a facet"):
+        relabel(tri, {"a": "b"})
+
+
 def test_boundary_complex():
     tri = Complex([face("a", "b", "c")])
     assert boundary_complex(tri) == TRIANGLE_BOUNDARY.generated_by(
@@ -382,6 +389,14 @@ def test_are_isomorphic_examples():
     path2 = Complex([face("a", "b"), face("b", "c")])
     path3 = Complex([face("a", "b"), face("b", "c"), face("c", "d")])
     assert are_isomorphic(path2, path3) is None
+
+
+def test_pinned_facets_must_map_onto_facets():
+    """A pin that keeps every vertex invariant but sends a facet of a onto a
+    non-face of b leaves no isomorphism: 0 and v0 share no edge."""
+    c2 = cross_polytope(2)
+    assert are_isomorphic(c2, c2, fixed={"0": "0", "1": "v0", "2": "1"}) is None
+    assert are_isomorphic(c2, c2, fixed={"0": "0", "1": "1", "2": "v2"}) is not None
 
 
 def test_are_isomorphic_is_equivalence():

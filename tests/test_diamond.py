@@ -165,6 +165,34 @@ def test_initial_facet_formula():
         initial_facet(2, (1, 2), 1, boundary_facet_hint=face(0, 1, 2))
     with pytest.raises(InvalidSequence):
         initial_facet(2, (1, 3, 2), 2)
+    for ell in (0, 3):
+        with pytest.raises(InvalidSequence, match="block position out of range"):
+            initial_facet(2, (1, 2), ell)
+
+
+@pytest.mark.parametrize("seq, error, message", [
+    ((), EmptyIndexSet, "sequence must be nonempty"),
+    ((1, 1), InvalidSequence, "indices must be pairwise distinct"),
+    ((1, 4), InvalidSequence, "indices must lie in 0..d\\+1"),
+    ((-1, 2), InvalidSequence, "indices must lie in 0..d\\+1"),
+    ((2, 0, 1, 3), InvalidSequence, "the full index set is a sphere, not a ball"),
+])
+def test_sequences_that_name_no_shelling_are_refused(seq, error, message):
+    """Every refusal of a block sequence, through both of its readers."""
+    with pytest.raises(error, match=message):
+        initial_facet(2, seq, 2)
+    with pytest.raises(error, match=message):
+        relative_shelling_order(2, seq, face(0, 1))
+
+
+def test_a_boundary_face_must_lie_in_one_facet_of_the_first_block():
+    """The ridge named for the first block must lie in exactly one of its
+    facets: none for a face off the diamond complex, two for an interior
+    ridge of the block."""
+    with pytest.raises(HintNotAFacet, match="got 0"):
+        relative_shelling_order(2, (1, 2), face("a", "b"))
+    with pytest.raises(HintNotAFacet, match="got 2"):
+        relative_shelling_order(2, (0, 1), face("v0", "v1"))
 
 
 def test_absolute_shelling_order_examples():

@@ -9,7 +9,8 @@ every outcome exactly.  The `mixed-d2` digest was re-recorded when the
 search budget left the flip path and its sequence stopped probing it; the
 former code, run on the same sequence, gives the same digest.  Each
 application also checks the complement's inducedness, decided when read,
-against a trace scan over every result facet.
+against a trace scan over every result facet.  The ridge walks the plans
+compile are checked against the former pairwise facet scan, kept here.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from crossflips.complexes import (
     sorted_face,
     vertex_key,
 )
-from crossflips.diamond import cross_polytope, diamond_closed_form, standard_coloring
+from crossflips.diamond import cross_polytope, diamond_closed_form, entry_facet, standard_coloring
 from crossflips.moves import (
     CrossFlip,
     _flip_plan,
@@ -324,3 +325,48 @@ def test_a_walk_that_glues_two_vertices_is_refused(d):
                     assert list(search(neighbours, ordered, {}.get, None)) == []
                     assert moves._image_embedding(plan, glued) is None, (spec, u, w)
     assert glued_complexes > 0
+
+
+def former_compile_walk(abstract, root):
+    """`moves._compile_walk` as it stood before it read the site view's
+    neighbour table: each facet reached tests every facet, in canonical
+    order, for a shared ridge."""
+    d = len(root) - 1
+    afacets = sorted(abstract.facets, key=sorted_face)
+    order = list(sorted_face(root))
+    vslot = {v: i for i, v in enumerate(order)}
+    fslot = {root: 0}
+    steps = []
+    frontier = [root]
+    while frontier:
+        cur = frontier.pop(0)
+        for nxt in afacets:
+            if nxt in fslot:
+                continue
+            shared = cur & nxt
+            if len(shared) == d:
+                (x_new,) = nxt - shared
+                (x_drop,) = cur - shared
+                if x_new not in vslot:
+                    vslot[x_new] = len(order)
+                    order.append(x_new)
+                steps.append((vslot[x_new], vslot[x_drop], fslot[cur]))
+                fslot[nxt] = len(fslot)
+                frontier.append(nxt)
+    assert len(fslot) == len(afacets)
+    return tuple(order), tuple(steps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_compiled_walks_match_the_pairwise_scan(d):
+    """Both walks of every class's plan, from its first facet and from the
+    entry facet of its lowest block, against the former pairwise scan."""
+    for fc in enumerate_basic_flips(d):
+        spec = fc.canonical_index
+        plan = _flip_plan(d, spec)
+        first = min(plan.abstract.facets, key=sorted_face)
+        want = former_compile_walk(plan.abstract, first)
+        assert moves._compile_walk(plan.abstract, first) == want, spec
+        assert plan.order == want[0], spec
+        assert (plan.anchor_order, plan.anchor_steps) == former_compile_walk(
+            plan.abstract, entry_facet(d, spec[0])), spec

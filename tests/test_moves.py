@@ -479,6 +479,22 @@ def test_balancedness_preservation():
     assert preserves_balancedness(c2, standard_coloring(2), site)
 
 
+def test_an_added_vertex_takes_the_least_free_colour():
+    """An inverse shelling gluing the triangle b, c, w onto a, b, c: its new
+    vertex w sees colours 1 and 2 across its star and takes colour 0."""
+    tri = Complex([face("a", "b", "c")])
+    kappa = {"a": 0, "b": 1, "c": 2}
+    grow = ShellingMove(facet=face("b", "c", "w"), A=face("b", "c"), R=face("w"))
+    assert preserves_balancedness(tri, kappa, grow)
+    after = inverse_shelling(tri, grow.facet, grow.A, grow.R)
+    assert moves._greedy_extend(kappa, after, 3) == dict(kappa, w=0)
+    # uncoloured vertices take the least free colour, in canonical order
+    assert moves._greedy_extend({"a": 0}, after, 3) == {"a": 0, "b": 1, "c": 2, "w": 0}
+    # beside a vertex x of colour 0 as well, w has no colour left
+    boxed = Complex([face("a", "b", "c"), face("b", "w", "x"), face("c", "w", "x")])
+    assert moves._greedy_extend(dict(kappa, x=0), boxed, 3) is None
+
+
 def test_random_forward_shellings_preserve_balancedness():
     rng = random.Random(9)
     for _ in range(10):

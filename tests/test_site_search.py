@@ -14,7 +14,7 @@ import random
 import pytest
 
 from crossflips import moves
-from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored
+from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored, verify_pentagon
 from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import Complex, face, is_induced, pair_index, sorted_face
 from crossflips.diamond import _check_index_set, cross_polytope, diamond_closed_form, standard_coloring
@@ -234,3 +234,24 @@ def test_every_class_of_a_walk_step_shares_one_site_view(monkeypatch, d, steps):
     got = run_walk(WalkConfig(steps=steps, seed=6, dimension=d))
     assert len(viewed) == steps and len({id(c) for c in viewed}) == steps
     assert got[0] == want[0] and got[2] == want[2]
+
+
+def test_verify_pentagon_builds_one_site_view_per_state(monkeypatch):
+    """The pentagon's composition searches draw the sites of both allowed
+    classes of a state from one site view of it: 11 states over the two
+    readings, and the two complexes `_image_embedding` embeds onto (the
+    star of the ambient's chord and the pentagon's complement), each
+    viewed once.  The verdicts stay as they are unpatched."""
+    want = verify_pentagon()
+    viewed = []
+    site_view = moves._site_view
+
+    def counted(c):
+        viewed.append(c)
+        return site_view(c)
+
+    monkeypatch.setattr(moves, "_site_view", counted)
+    assert verify_pentagon() == want == (True, [
+        "pentagon composition, forward reading: ok",
+        "pentagon composition, reversed reading: ok"])
+    assert len(viewed) == 13 and len({id(c) for c in viewed}) == 13
