@@ -345,6 +345,21 @@ def _basic_flip_indices(d: int) -> tuple:
     return tuple(fc.canonical_index for fc in _catalog.enumerate_basic_flips(d))
 
 
+def _walk_classes(d: int, specs) -> tuple:
+    """``(classes, plans)`` for a walk over *specs*: each index set that
+    names a class with its checked index set, and each class's plan."""
+    classes = tuple((spec, found) for spec in specs
+                    if (found := _moves._site_class(d, spec)) is not None)
+    return classes, tuple(_moves._flip_plan(d, found) for _spec, found in classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _basic_flip_classes(d: int) -> tuple:
+    """``_walk_classes`` of every basic flip class of dimension d, the walk's
+    default; built once per dimension."""
+    return _walk_classes(d, _basic_flip_indices(d))
+
+
 def run_walk(config: WalkConfig):
     """Seeded random cross-flip walk.
 
@@ -362,9 +377,8 @@ def run_walk(config: WalkConfig):
         if config.start_coloring is not None
         else standard_coloring(d)
     )
-    classes = [(spec, found) for spec in config.allowed_flips or _basic_flip_indices(d)
-               if (found := _moves._site_class(d, spec)) is not None]
-    plans = [_moves._flip_plan(d, found) for _spec, found in classes]
+    classes, plans = (_walk_classes(d, config.allowed_flips) if config.allowed_flips
+                      else _basic_flip_classes(d))
     rng = random.Random(config.seed)
     rows = []
     for step in range(1, config.steps + 1):
@@ -570,10 +584,16 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _main_parser() -> _Parser:
+    """The one parser ``main`` reads every command line with, built on its
+    first call; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         if getattr(args, "dim_flag", None) is not None:
             args.dim = args.dim_flag
         return args.func(args)

@@ -68,9 +68,26 @@ partner, so a completed walk only compares each later vertex with the root
 vertex of its pair.  Each image is decided once, after its colour test
 passes, by the non-faces of the class.  The search yields images as vertex
 lists; only the callers that hand out sites wrap them in a ``CrossFlip``.
-The same search, uncoloured and from every facet, embeds a diamond complex
-onto one image of it (``_image_embedding``); a plan compiles its walk
-over the site view of its diamond complex (``_compile_walk``).
+The walk crosses only ridges lying in exactly two facets, so an image
+with an interior ridge in three or more facets of the ambient is not
+found, though its site applies.  The same search, uncoloured and from
+every facet, embeds a diamond complex onto one image of it
+(``_image_embedding``); a plan compiles its walk over the site view of
+its diamond complex (``_compile_walk``).
+
+Two vertex orders of a root that differ by an automorphism of the diamond
+complex fixing the root facet embed one image.  Each plan finds that root
+stabiliser once and marks the first order of each of its orbits
+(``_root_orbits``, ``_FlipPlan.mask``).  When no ridge of the ambient lies
+in three or more facets, the orders of an orbit all complete or all fail,
+and those that complete share one image, one colour verdict (an
+automorphism keeps partner pairs) and one non-face verdict.  There a
+search walks the marked orders alone: ``_class_images`` when every facet
+is rainbow too, and ``_image_embedding`` always (a complex with the
+diamond complex's facet count holds an image only when it is one).  The first order of an
+orbit is the one the full loop reaches first, so the images, embeddings
+and their order are the same; a ridge in three facets, an improper
+colouring or a non-pure complex keeps the full loop.
 """
 
 from __future__ import annotations
@@ -499,7 +516,7 @@ def _compile_walk(abstract: Complex, root: frozenset):
     plus the new one.  Facets of the cross-polytope boundary that share a
     ridge differ in one pair, so every step swaps a vertex for its partner.
     """
-    _ordered, neighbours = _site_view(abstract)
+    _ordered, neighbours, _thin = _site_view(abstract)
     order = list(sorted_face(root))
     vslot = {v: i for i, v in enumerate(order)}
     fslot = {root: 0}
@@ -524,9 +541,11 @@ def _compile_walk(abstract: Complex, root: frozenset):
 
 def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, name: str):
     """The site search along the ridge walk (*order*, *steps*) as one
-    generated generator ``search(nb, roots, colour, stars)`` labelled
-    *name*.  Each of the ``(sorted_face(h), h)`` *roots* is walked in every
-    vertex order over the neighbour table *nb*, one ``get`` per step; a step
+    generated generator ``search(nb, roots, colour, stars, mask=None)``
+    labelled *name*.  Each of the ``(sorted_face(h), h)`` *roots* is walked
+    over the neighbour table *nb* in every vertex order ``permutations``
+    yields or, given a plan's *mask* (``_root_orbits``), in those the mask
+    marks, the first order of each root orbit; one ``get`` per step; a step
     reaching a placed slot compares it, one placing a new slot tests it
     against the placed slots off its origin facet (*nb* never maps a facet
     to a vertex of its own).  A walk that completes is skipped when its
@@ -537,11 +556,13 @@ def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, na
     root_slot = {pair_index(v): i for i, v in enumerate(order[:d + 1])}
     later = [(i, root_slot[pair_index(v)]) for i, v in enumerate(order) if i > d]
     slots = ["a%d" % i for i in range(d + 1)]
-    lines = ["def search(nb, roots, colour, stars):",
+    lines = ["def search(nb, roots, colour, stars, mask=None):",
              "    decided = set()",
              "    for order, f0 in roots:",
              "        n0 = nb[f0]",
-             "        for %s, in permutations(order):" % ", ".join(slots)]
+             "        orders = permutations(order)",
+             "        for %s, in orders if mask is None else compress(orders, mask):"
+             % ", ".join(slots)]
     fetched, fslots = {0}, [set(range(d + 1))]  # the vertex slots of each facet slot
     for k, (x_new, x_drop, origin) in enumerate(steps, 1):
         fslots.append(fslots[origin] - {x_drop} | {x_new})
@@ -572,9 +593,60 @@ def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, na
         else:
             lines.append("            if %s: continue" % " & ".join("stars[a%d]" % i for i in n))
     lines.append("            yield [%s]" % ", ".join(slots))
-    namespace: dict = {"permutations": itertools.permutations}
+    namespace: dict = {"permutations": itertools.permutations, "compress": itertools.compress}
     exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["search"]
+
+
+def _root_orbits(abstract: Complex, order: tuple, steps: tuple, d: int):
+    """The mask of the first vertex order of each root orbit, over the
+    orders ``permutations(range(d + 1))`` yields, or None when the root
+    stabiliser is trivial.
+
+    The stabiliser G, the automorphisms of *abstract* fixing its root facet
+    ``order[:d + 1]``, is found by extending each permutation of the root
+    slots along the walk *steps* over the abstract complex's own neighbour
+    table, keeping those that carry it onto itself.  Facets across a ridge
+    differ in one pair, so each step maps the partner of a vertex to the
+    partner of its image: a walk maps pairs onto pairs, one-to-one, and is
+    an automorphism when it completes.  So an automorphism keeps the star
+    sizes of a vertex and of its partner, and only permutations within the
+    blocks of root slots sharing those are extended.  Orders p and p o s,
+    s in G, embed one image with one colour verdict; an order is marked
+    when no earlier order lies in its orbit."""
+    stars = abstract._star_index()
+    _ordered, neighbours, _thin = _site_view(abstract)
+    blocks = collections.defaultdict(list)
+    for i, v in enumerate(order[:d + 1]):
+        blocks[len(stars[v]), len(stars.get(partner(v), ()))].append(i)
+    root = frozenset(order[:d + 1])
+    group = []
+    for parts in itertools.product(*map(itertools.permutations, blocks.values())):
+        perm = [0] * (d + 1)
+        for block, part in zip(blocks.values(), parts):
+            for i, j in zip(block, part):
+                perm[i] = j
+        img = [order[i] for i in perm] + [None] * (len(order) - d - 1)
+        facets = [root]
+        for x_new, x_drop, origin in steps:
+            hit = neighbours[facets[origin]].get(img[x_drop])
+            if hit is None:
+                break
+            facets.append(hit[0])
+            img[x_new] = hit[1]
+        else:
+            group.append(operator.itemgetter(*perm))
+    if len(group) == 1:
+        return None
+    perms = list(itertools.permutations(range(d + 1)))
+    rank = dict(zip(perms, range(len(perms))))
+    mask, seen = bytearray(len(perms)), bytearray(len(perms))
+    for k, p in enumerate(perms):
+        if not seen[k]:
+            mask[k] = 1
+            for s in group:
+                seen[rank[s(p)]] = 1
+    return bytes(mask)
 
 
 def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
@@ -601,13 +673,17 @@ class _FlipPlan:
 
     Site search walks from the first facet in ``sorted_face`` order
     (``order``; ``search`` is the whole search as one generated function,
-    ``_compile_site_search``).  The anchored embedding of a flip script
-    walks from the entry facet of the lowest block (``anchor_order``,
-    ``anchor_steps``).  An image is induced unless one of ``nonfaces`` (the
-    minimal non-faces of ``diamond.minimal_nonfaces``, as ascending slots
-    of ``order``, edges first) maps to a face of the ambient; the glued
-    complement likewise by ``complement_nonfaces``, those of the
-    complement on abstract vertices.
+    ``_compile_site_search``).  Orders of a root that differ by an
+    automorphism fixing the root facet embed one image, so ``mask`` marks
+    the first order of each orbit of the root stabiliser
+    (``_root_orbits``; None when it is trivial) for the searches that may
+    walk those alone (``_class_images``, ``_image_embedding``).  The
+    anchored embedding of a flip script walks from the entry facet of the
+    lowest block (``anchor_order``, ``anchor_steps``).  An image is induced
+    unless one of ``nonfaces`` (the minimal non-faces of
+    ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
+    first) maps to a face of the ambient; the glued complement likewise by
+    ``complement_nonfaces``, those of the complement on abstract vertices.
 
     A flip is applied from exchange tables over the slots ``slots``, the
     abstract vertices in ``order`` and then the vertices only the
@@ -619,7 +695,7 @@ class _FlipPlan:
     ``sources`` takes the slot labels to the vertex each unseen slot takes
     its colour from, its pair partner's image."""
 
-    __slots__ = ("abstract", "order", "search", "nonfaces", "anchor_order",
+    __slots__ = ("abstract", "order", "search", "mask", "nonfaces", "anchor_order",
                  "anchor_steps", "complement", "complement_nonfaces", "unseen",
                  "slots", "image_rows", "glued_rows", "slot_rows", "sources")
 
@@ -643,6 +719,7 @@ class _FlipPlan:
                                      key=lambda t: (len(t), t)))
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
+        self.mask = _root_orbits(abstract, self.order, steps, d)
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
         image, glued = ([tuple(at[v] for v in sorted_face(f))
                          for f in sorted(side.facets, key=sorted_face)]
@@ -676,13 +753,17 @@ def _image_embedding(plan: _FlipPlan, k: Complex):
     that completes places each abstract facet on a distinct facet of k, so
     it maps onto k and no non-face maps to a face of k: the search reads
     every star as empty and runs uncoloured from every facet of k (a class
-    need not be facet-transitive); the first image wins."""
+    need not be facet-transitive); the first image wins.  The search walks
+    the first order of each root orbit alone (the plan's ``mask``): a k
+    that holds an image is that image, whose ridges lie in at most two
+    facets, so the orders of an orbit all complete or all fail and the
+    first image is the same; on any other k every order fails."""
     abstract = plan.abstract
     if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
         return None
-    ordered, neighbours = _site_view(k)
-    img = next(plan.search(neighbours, ordered, {}.get,
-                           collections.defaultdict(frozenset)), None)
+    ordered, neighbours, _thin = _site_view(k)
+    img = next(plan.search(neighbours, ordered, {}.get, collections.defaultdict(frozenset),
+                           plan.mask), None)
     return None if img is None else dict(zip(plan.order, img))
 
 
@@ -701,8 +782,12 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
 
 
 def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
-    """All color-consistent induced embeddings of the diamond complex of the
-    given index set, deduplicated by image, in a deterministic order."""
+    """The color-consistent induced embeddings of the diamond complex of the
+    given index set that the ridge walk reaches, deduplicated by image, in a
+    deterministic order.  The walk crosses only ridges lying in exactly two
+    facets of c, so an image with an interior ridge in three or more facets
+    of c is not listed, although ``apply_cross_flip_detailed`` accepts its
+    site."""
     d = c.dimension
     spec = _site_class(d, indices)
     if spec is None:
@@ -713,7 +798,9 @@ def find_cross_flip_sites(c: Complex, coloring: dict, indices) -> list:
 
 def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
     """Whether find_cross_flip_sites would be nonempty; stops at the first
-    site."""
+    site.  Like it, it walks only across ridges lying in exactly two facets
+    of c, so a site whose image has an interior ridge in three or more
+    facets does not count."""
     d = c.dimension
     spec = _site_class(d, indices)
     if spec is None:
@@ -743,19 +830,23 @@ def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
 
 def _site_view(c: Complex) -> tuple:
     """The indexes a flip-site search walks over c, built afresh on each
-    call: ``(ordered, neighbours)``, with ``(sorted_face(h), h)`` for every
-    facet h in ``sorted_face`` order, and the facet-neighbour table
+    call: ``(ordered, neighbours, thin)``, with ``(sorted_face(h), h)`` for
+    every facet h in ``sorted_face`` order, the facet-neighbour table
     (facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly the
-    two facets h and g = (h - {x}) | {y})."""
+    two facets h and g = (h - {x}) | {y}), and whether no ridge lies in
+    three or more facets."""
     key = {v: vertex_key(v) for v in c.vertices}.__getitem__
     ordered = tuple(sorted((tuple(sorted(h, key=key)), h) for h in c.facets))
     neighbours: dict[frozenset, dict] = {h: {} for h in c.facets}
+    thin = True
     for pair in _ridges(c.facets).values():
         if len(pair) == 2:
             (h, x), (g, y) = pair
             neighbours[h][x] = (g, y)
             neighbours[g][y] = (h, x)
-    return ordered, neighbours
+        elif len(pair) > 2:
+            thin = False
+    return ordered, neighbours, thin
 
 
 def _rainbow_roots(ordered: tuple, coloring: dict, d: int) -> list:
@@ -773,12 +864,21 @@ def _class_images(c: Complex, coloring: dict, plans) -> list:
     site view of c from one list of rainbow roots, and reads the star index
     when some plan has non-faces.  Every image facet is a facet of c, so the
     image is a subcomplex; whether it is induced does not depend on the
-    embedding that found it."""
-    ordered, neighbours = _site_view(c)
+    embedding that found it.
+
+    When no ridge of c lies in three or more facets and every facet is a
+    root, each class walks the first order of each root orbit alone (its
+    plan's ``mask``).  The orders of an orbit then all complete or all
+    fail, and those that complete embed one image with one colour and
+    non-face verdict, so the orbit's first order, the one the full loop
+    would yield, stands for it: the images and their order are the same."""
+    ordered, neighbours, thin = _site_view(c)
     roots = _rainbow_roots(ordered, coloring, c.dimension)
     stars = c._star_index() if any(plan.nonfaces for plan in plans) else None
     colour = coloring.get
-    return [plan.search(neighbours, roots, colour, stars) for plan in plans]
+    orbits = thin and len(roots) == len(ordered)
+    return [plan.search(neighbours, roots, colour, stars, plan.mask if orbits else None)
+            for plan in plans]
 
 
 # ---------------------------------------------------------------------------

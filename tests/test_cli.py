@@ -661,3 +661,64 @@ def test_walk_default_classes_are_one_cached_tuple_per_dimension():
         got = _basic_flip_indices(d)
         assert got == tuple(fc.canonical_index for fc in enumerate_basic_flips(d))
         assert _basic_flip_indices(d) is got
+
+
+def test_main_reads_every_command_line_with_one_parser(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser on its first call and reuses it: usage
+    errors and valid commands, interleaved in one process, give the same
+    exit codes and messages each time, and the parser is built once."""
+    from crossflips import cli
+
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._main_parser.cache_clear()
+    out = tmp_path / "c.json"
+    usage = [
+        (("walk", "--dim", "2"), "usage error: walk requires --out\n"),
+        (("check",), "usage error: the following arguments are required: file, what\n"),
+        (("gen", "cross-polytope", "--dim", "x"),
+         "usage error: argument --dim: invalid int value: 'x'\n"),
+    ]
+    for _ in range(2):
+        for argv, err in usage:
+            assert run(capsys, *argv) == (3, "", err)
+        assert run(capsys, "gen", "cross-polytope", "--dim", "2", "--out", str(out))[0] == 0
+        assert run(capsys, "check", str(out), "balanced") == (
+            0, "balanced: True (stored coloring, 3 colors)\n", "")
+        assert run(capsys, "check", str(out), "manifold") == (0, "manifold: closed\n", "")
+    assert built == [1]
+    assert build_parser() is not build_parser()
+
+
+def test_walk_default_classes_and_plans_are_built_once_per_dimension(monkeypatch):
+    """A walk over every class reads its classes and plans from one tuple
+    per dimension; a walk given its classes checks them on each call."""
+    from crossflips import moves
+    from crossflips.cli import _basic_flip_classes, _basic_flip_indices
+
+    for d in (2, 3):
+        classes, plans = _basic_flip_classes(d)
+        assert _basic_flip_classes(d) is _basic_flip_classes(d)
+        assert classes == tuple((spec, spec) for spec in _basic_flip_indices(d))
+        assert plans == tuple(moves._flip_plan(d, spec) for spec in _basic_flip_indices(d))
+    want = run_walk(WalkConfig(steps=4, seed=8, dimension=2))
+    given = run_walk(WalkConfig(steps=4, seed=8, dimension=2,
+                                allowed_flips=list(_basic_flip_indices(2))))
+    checked = []
+    site_class = moves._site_class
+
+    def counting(d, indices):
+        checked.append(indices)
+        return site_class(d, indices)
+
+    monkeypatch.setattr(moves, "_site_class", counting)
+    assert run_walk(WalkConfig(steps=4, seed=8, dimension=2)) == want == given
+    assert checked == []
+    run_walk(WalkConfig(steps=4, seed=8, dimension=2, allowed_flips=[(0,), (1, 2)]))
+    assert checked == [(0,), (1, 2)]

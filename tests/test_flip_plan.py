@@ -199,7 +199,7 @@ def test_site_view_is_sorted_and_indexes_every_facet():
     finned = Complex(list(cross_polytope(2).facets) + [face("0", "1", "z")])
     disc = Complex(list(cross_polytope(2).facets)[1:])
     for c in (stacked, walked, mixed, finned, disc, cross_polytope(3)):
-        ordered, neighbours = moves._site_view(c)
+        ordered, neighbours, _thin = moves._site_view(c)
         assert [h for _key, h in ordered] == sorted(c.facets, key=sorted_face)
         assert all(key == sorted_face(h) for key, h in ordered)
         # the neighbour table by a pairwise facet scan: h - {x} is a ridge
@@ -321,7 +321,7 @@ def test_a_walk_that_glues_two_vertices_is_refused(d):
                 glued = {frozenset(w if v == u else v for v in f) for f in facets}
                 if len(glued) == len(facets) and all(len(f) == d + 1 for f in glued):
                     glued, glued_complexes = Complex(glued), glued_complexes + 1
-                    ordered, neighbours = moves._site_view(glued)
+                    ordered, neighbours, _thin = moves._site_view(glued)
                     assert list(search(neighbours, ordered, {}.get, None)) == []
                     assert moves._image_embedding(plan, glued) is None, (spec, u, w)
     assert glued_complexes > 0

@@ -120,7 +120,7 @@ def unfiltered_sites(c, coloring, spec):
     order, steps = moves._compile_walk(plan.abstract, min(plan.abstract.facets, key=sorted_face))
     assert order == plan.order
     search = moves._compile_site_search(order, steps, d, (), "<unfiltered>")
-    ordered, neighbours = moves._site_view(c)
+    ordered, neighbours, _thin = moves._site_view(c)
     images = search(neighbours, moves._rainbow_roots(ordered, coloring, d), coloring.get, None)
     return [moves._image_site(d, spec, img) for img in images]
 

@@ -5,18 +5,23 @@ table and the integer-indexed flip plan: a ridge walk over abstract vertex
 labels that looks each image ridge up in a ridge -> facets index, and
 inducedness decided by the public `is_induced` on a built `Complex`.  The
 new search must return the same sites, with the same embeddings in the same
-insertion order, in the same order.
+insertion order, in the same order.  It must do so both where each search
+walks the first vertex order of each root orbit alone and where it walks
+every order; the tests spy on the plans' searches to tell which.
 """
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from crossflips import moves
+from crossflips import catalog
 from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored, verify_pentagon
 from crossflips.cli import WalkConfig, run_walk
-from crossflips.complexes import Complex, face, is_induced, pair_index, sorted_face
+from crossflips.complexes import Complex, are_isomorphic, face, is_induced, pair_index, sorted_face
 from crossflips.diamond import _check_index_set, cross_polytope, diamond_closed_form, standard_coloring
 from crossflips.moves import (
     CrossFlip,
@@ -128,6 +133,36 @@ def assert_same_sites(c, coloring, specs):
     return total
 
 
+def _spy_searches(monkeypatch, d):
+    """Record, for every search a class plan of dimension d starts, the
+    plan, its roots and the mask it was given."""
+    calls = []
+    for spec in _specs(d):
+        plan = moves._flip_plan(d, spec)
+
+        def spied(nb, roots, colour, stars, mask=None, plan=plan, search=plan.search):
+            calls.append((plan, list(roots), mask))
+            return search(nb, calls[-1][1], colour, stars, mask)
+
+        monkeypatch.setattr(plan, "search", spied)
+    return calls
+
+
+def _assert_orbits_walked(d, calls):
+    """Every search walked its plan's marked orders, fewer in all than
+    every order of every root."""
+    assert calls and all(mask is plan.mask for plan, _roots, mask in calls)
+    every = math.factorial(d + 1)
+    walked = sum(len(roots) * (every if mask is None else sum(mask))
+                 for _plan, roots, mask in calls)
+    assert walked < sum(len(roots) for _plan, roots, _mask in calls) * every
+
+
+def _assert_every_order_walked(calls):
+    """Every search walked every order of every root."""
+    assert calls and all(mask is None for _plan, _roots, mask in calls)
+
+
 @pytest.mark.parametrize("d,seed,steps", [(2, 1, 30), (3, 5, 3)])
 def test_every_step_of_a_seeded_walk_matches_the_former_search(d, seed, steps):
     specs = _specs(d)
@@ -141,44 +176,64 @@ def test_every_step_of_a_seeded_walk_matches_the_former_search(d, seed, steps):
     assert assert_same_sites(cur, col, specs) > 0
 
 
-def test_a_d4_walk_state_matches_the_former_search():
-    # d=4 has the longest compiled walks: 31 classes, up to 30 steps
+def test_a_d4_walk_state_matches_the_former_search(monkeypatch):
+    # d=4 has the longest compiled walks: 31 classes, up to 30 steps; every
+    # search walks the first order of each root orbit alone
     cur, col, rows = run_walk(WalkConfig(steps=1, seed=1, dimension=4))
     assert cur.n_facets == 60 and rows[0]["flip_index"] == "3"
+    calls = _spy_searches(monkeypatch, 4)
     assert assert_same_sites(cur, col, _specs(4)) > 0
+    _assert_orbits_walked(4, calls)
 
 
-def test_ridge_in_three_facets_and_boundary_match_the_former_search():
+def test_ridge_in_three_facets_and_boundary_match_the_former_search(monkeypatch):
     stacked, col = stacked_cross_sphere_colored(3, 2)
     octa = cross_polytope(2)
     cases = [
-        # a fin triangle on an edge: that edge lies in three facets
-        (Complex(list(octa.facets) + [face("0", "1", "z")]), dict(standard_coloring(2), z=2)),
-        (Complex(list(stacked.facets) + [face("0", "1", "z")]), dict(col, z=2)),
+        # a fin triangle on an edge: that edge lies in three facets, so every
+        # order of every root is walked
+        (Complex(list(octa.facets) + [face("0", "1", "z")]), dict(standard_coloring(2), z=2),
+         _assert_every_order_walked),
+        (Complex(list(stacked.facets) + [face("0", "1", "z")]), dict(col, z=2),
+         _assert_every_order_walked),
         # boundary ridges: the octahedron less a facet, every third facet of
-        # a stacked sphere
-        (Complex(sorted(octa.facets, key=sorted_face)[1:]), standard_coloring(2)),
-        (Complex(sorted(stacked.facets, key=sorted_face)[2::3]), col),
+        # a stacked sphere; a ridge in one facet keeps the root orbits
+        (Complex(sorted(octa.facets, key=sorted_face)[1:]), standard_coloring(2),
+         functools.partial(_assert_orbits_walked, 2)),
+        (Complex(sorted(stacked.facets, key=sorted_face)[2::3]), col,
+         functools.partial(_assert_orbits_walked, 2)),
     ]
-    for c, coloring in cases:
+    calls = _spy_searches(monkeypatch, 2)
+    for c, coloring, walked in cases:
+        del calls[:]
         assert_same_sites(c, coloring, _specs(2))
+        walked(calls)
 
 
-def test_improper_partial_and_non_pure_colourings_match_the_former_search():
+def test_improper_partial_and_non_pure_colourings_match_the_former_search(monkeypatch):
+    # a facet that is no root makes every search walk every order of every
+    # root
     rng = random.Random(13)
     stacked, col = stacked_cross_sphere_colored(4, 2)
     verts = sorted(stacked.vertices)
     partial = {v: k for v, k in col.items() if v != verts[3]}
     monochrome = {v: 0 for v in verts}
     scrambled = {v: rng.randrange(3) for v in verts}
+    calls = _spy_searches(monkeypatch, 2)
     for coloring in (partial, monochrome, scrambled, {}):
+        del calls[:]
         assert_same_sites(stacked, coloring, _specs(2))
+        _assert_every_order_walked(calls)
     s3, _ = stacked_cross_sphere_colored(2, 3)
+    calls3 = _spy_searches(monkeypatch, 3)
     assert_same_sites(s3, {v: rng.randrange(4) for v in s3.vertices}, _specs(3))
+    _assert_every_order_walked(calls3)
     non_pure = Complex([face("0", "1", "2"), face("v0", "1", "2"), face("0", "v1"),
                         face("x", "y")])
     coloring = {"0": 0, "1": 1, "2": 2, "v0": 0, "v1": 1, "x": 0, "y": 1}
+    del calls[:]
     assert assert_same_sites(non_pure, coloring, _specs(2)) > 0
+    _assert_every_order_walked(calls)
     for spec in _specs(2):
         abstract = diamond_closed_form(2, spec)
         for site in find_cross_flip_sites(non_pure, coloring, spec):
@@ -255,3 +310,122 @@ def test_verify_pentagon_builds_one_site_view_per_state(monkeypatch):
         "pentagon composition, forward reading: ok",
         "pentagon composition, reversed reading: ok"])
     assert len(viewed) == 13 and len({id(c) for c in viewed}) == 13
+
+
+def test_a_site_across_a_ridge_in_three_facets_is_applicable_but_not_found():
+    """The search crosses only ridges lying in exactly two facets.  With a
+    triangle {0, v1, x} on the octahedron's edge {0, v1}, the identity
+    site of class (1,), whose image has that edge as its interior ridge,
+    applies, but the search does not find it."""
+    octa = cross_polytope(2)
+    c = Complex(list(octa.facets) + [face("0", "v1", "x")])
+    coloring = dict(standard_coloring(2), x=1)
+    abstract = diamond_closed_form(2, (1,))
+    site = CrossFlip(d=2, spec=(1,), embedding={v: v for v in abstract.vertices})
+    assert apply_cross_flip_detailed(c, site).complex.n_facets == 13
+    found = find_cross_flip_sites(c, coloring, (1,))
+    assert len(found) == 11
+    assert site.image_facets() not in [s.image_facets() for s in found]
+    assert listed(found) == listed(former_sites(c, coloring, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# one vertex order per root orbit
+
+
+def _root_group(d, plan):
+    """The permutations of the plan's root slots that extend to an
+    automorphism of its diamond complex, by `are_isomorphic` with the root
+    facet pinned."""
+    root = plan.order[:d + 1]
+    return [perm for perm in itertools.permutations(range(d + 1))
+            if are_isomorphic(plan.abstract, plan.abstract,
+                              fixed={root[i]: root[j] for i, j in enumerate(perm)}) is not None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_each_root_orbit_has_one_marked_order(d):
+    """A plan marks (d+1)!/|G| orders, the first of each orbit p o G of
+    its root stabiliser G, counted here independently; a plan with a
+    trivial G keeps no mask."""
+    orders = list(itertools.permutations(range(d + 1)))
+    sizes = {}
+    for spec in _specs(d):
+        plan = moves._flip_plan(d, spec)
+        group = _root_group(d, plan)
+        sizes[spec] = len(group)
+        if len(group) == 1:
+            assert plan.mask is None, spec
+            continue
+        assert sum(plan.mask) == math.factorial(d + 1) // len(group), spec
+        firsts = [p == min(tuple(p[i] for i in s) for s in group) for p in orders]
+        assert list(map(bool, plan.mask)) == firsts, spec
+    if d == 2:
+        assert sizes == {(2,): 6, (1,): 2, (0,): 2, (0, 2): 2, (0, 1, 2): 2,
+                         (1, 2): 1, (0, 1): 1}
+
+
+def test_root_orbits_match_the_former_search_on_late_d3_walk_states(monkeypatch):
+    calls = _spy_searches(monkeypatch, 3)
+    specs = _specs(3)
+    rng = random.Random(5)
+    cur, col = cross_polytope(3), standard_coloring(3)
+    for step in range(1, 13):
+        sites = [s for spec in specs for s in find_cross_flip_sites(cur, col, spec)]
+        res = apply_cross_flip_detailed(cur, rng.choice(sites))
+        cur, col = res.complex, extend_coloring_after_cross_flip(col, res)
+        if step % 4 == 0:
+            del calls[:]
+            assert assert_same_sites(cur, col, specs) > 0
+            _assert_orbits_walked(3, calls)
+    assert cur.n_facets > 60
+
+
+def test_root_orbits_match_the_former_search_on_another_d4_state(monkeypatch):
+    # the seed-1 state of test_a_d4_walk_state_matches_the_former_search is
+    # the other one
+    cur, col, rows = run_walk(WalkConfig(steps=1, seed=0, dimension=4))
+    assert cur.n_facets == 48 and rows[0]["flip_index"] == "1"
+    calls = _spy_searches(monkeypatch, 4)
+    assert assert_same_sites(cur, col, _specs(4)) > 0
+    _assert_orbits_walked(4, calls)
+
+
+def test_root_orbits_hold_for_a_proper_colouring_with_more_colours(monkeypatch):
+    """Every facet rainbow, with a fourth colour on one vertex: its partner
+    across a ridge has another colour, so some walks fail the colour test,
+    and all orders of an orbit fail it alike."""
+    stacked, col = stacked_cross_sphere_colored(4, 2)
+    recoloured = dict(col, **{sorted(stacked.vertices)[0]: 3})
+    calls = _spy_searches(monkeypatch, 2)
+    assert assert_same_sites(stacked, recoloured, _specs(2)) > 0
+    _assert_orbits_walked(2, calls)
+    del calls[:]
+    assert assert_same_sites(stacked, col, _specs(2)) > 0
+    _assert_orbits_walked(2, calls)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_image_embedding_is_the_same_with_and_without_root_orbits(monkeypatch, d):
+    """On every chord star the ambient construction embeds onto, the
+    embedding found from the first order of each root orbit is the one the
+    walk over every order finds."""
+    embedded = []
+    image_embedding = moves._image_embedding
+
+    def both(plan, k):
+        got = image_embedding(plan, k)
+        mask, plan.mask = plan.mask, None
+        try:
+            assert image_embedding(plan, k) == got
+        finally:
+            plan.mask = mask
+        embedded.append(mask is not None)
+        return got
+
+    monkeypatch.setattr(catalog, "_image_embedding", both)
+    for r in range(1, d + 3):
+        for idx in itertools.combinations(range(d + 2), r):
+            catalog.ambient_with_induced_diamond_any(d, idx)
+    if d > 1:
+        assert any(embedded)
