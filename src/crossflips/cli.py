@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import catalog as _catalog
 from . import moves as _moves
@@ -23,6 +22,7 @@ from .complexes import (
     ComplexError,
     ManifoldVerdict,
     _faces_from_doc,
+    _Record,
     _subsets,
     complex_from_doc,
     dumps,
@@ -328,14 +328,23 @@ def cmd_flip(args) -> int:
 # random walks
 
 
-@dataclass
-class WalkConfig:
-    steps: int
-    seed: int
-    dimension: int
-    allowed_flips: list = field(default_factory=list)
-    start: Complex | None = None
-    start_coloring: dict | None = None
+class WalkConfig(_Record):
+    """The settings of one ``run_walk``; unlike the other records, mutable
+    and so unhashable.  ``allowed_flips`` defaults to a fresh empty list."""
+
+    __slots__ = ("steps", "seed", "dimension", "allowed_flips", "start", "start_coloring")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, steps: int, seed: int, dimension: int, allowed_flips: list | None = None,
+                 start: Complex | None = None, start_coloring: dict | None = None):
+        self.steps = steps
+        self.seed = seed
+        self.dimension = dimension
+        self.allowed_flips = [] if allowed_flips is None else allowed_flips
+        self.start = start
+        self.start_coloring = start_coloring
 
 
 @functools.lru_cache(maxsize=None)
@@ -516,17 +525,16 @@ _VERIFY_SUITES = {
 }
 
 
-def run_verify(target: str, d: int):
-    name, takes_dim = _VERIFY_SUITES[target]
-    if not takes_dim:
-        return getattr(_catalog, name)()
-    _catalog.check_dimension(d)
-    return getattr(_catalog, name)(d)
-
-
 def cmd_verify(args) -> int:
-    d = args.dim if args.dim is not None else 2
-    ok, lines = run_verify(args.target, d)
+    name, takes_dim = _VERIFY_SUITES[args.target]
+    if takes_dim:
+        d = args.dim if args.dim is not None else 2
+        _catalog.check_dimension(d)
+        ok, lines = getattr(_catalog, name)(d)
+    elif args.dim is not None:
+        raise UsageError("verify %s takes no dimension" % args.target)
+    else:
+        ok, lines = getattr(_catalog, name)()
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")

@@ -7,9 +7,13 @@ label.  The total order on tokens is "0" < "v0" < "1" < "v1" < ... with
 opaque labels after all paired tokens, lexicographically.
 
 All values are immutable after construction and all operations are pure
-functions, so any value may be shared freely across threads.  Derived slots
-are filled lazily; a concurrent recomputation produces the identical value,
-so readers always observe a consistent result.
+functions, so any value may be shared freely across threads.  The records
+other modules build on ``_Record`` (the moves and flip results of
+``moves``, the shelling verdicts and certificates of ``shelling``, the
+flip classes of ``catalog``) are immutable too; ``cli.WalkConfig`` alone
+is not.  Derived slots are filled lazily; a concurrent recomputation
+produces the identical value, so readers always observe a consistent
+result.
 
 Faces are not cached: ``all_faces`` and ``faces`` build them on each call;
 the f-vector and Euler characteristic build none, but count the distinct
@@ -31,7 +35,6 @@ the vertices of the exchanged facets only, each star there becoming
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from enum import Enum
 
@@ -54,6 +57,56 @@ class NotPure(ComplexError):
 
 class NotSubcomplex(ComplexError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class _Record:
+    """Base of the library's records: named fields, the ``__slots__`` of
+    the subclass in order.  Two records are equal when of one type with
+    equal fields; a record hashes and shows its fields but those named in
+    ``_unhashed`` and ``_hidden``; it pickles and copies by its
+    constructor arguments.  Assigning or deleting any attribute raises
+    AttributeError (``cli.WalkConfig`` restores both, and so is
+    unhashable).  A subclass ``__init__`` takes every field by position
+    or keyword and fills the slots through ``_setters``, the ``__set__``
+    of each slot in ``__slots__`` order, which pass by ``__setattr__``."""
+
+    __slots__ = ()
+    _unhashed: tuple = ()
+    _hidden: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self.__slots__
+                           if name not in self._unhashed]))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (name, getattr(self, name))
+                                     for name in self.__slots__ if name not in self._hidden))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +829,16 @@ def complex_from_doc(doc: dict):
     return c, coloring
 
 
+# json is imported on the first call, not with the module: the library reads
+# and writes JSON only here, and importing it with the module lengthened
+# every ``import crossflips``.
 def dumps(c: Complex, coloring: dict | None = None) -> str:
+    import json
+
     return json.dumps(complex_to_doc(c, coloring), indent=2) + "\n"
 
 
 def loads(text: str):
+    import json
+
     return complex_from_doc(json.loads(text))

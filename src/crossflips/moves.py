@@ -72,8 +72,8 @@ The walk crosses only ridges lying in exactly two facets, so an image
 with an interior ridge in three or more facets of the ambient is not
 found, though its site applies.  The same search, uncoloured and from
 every facet, embeds a diamond complex onto one image of it
-(``_image_embedding``); a plan compiles its walk over the site view of
-its diamond complex (``_compile_walk``).
+(``_image_embedding``); a plan builds one site view of its diamond
+complex and compiles both its walks over it (``_compile_walk``).
 
 Two vertex orders of a root that differ by an automorphism of the diamond
 complex fixing the root facet embed one image.  Each plan finds that root
@@ -96,7 +96,6 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from . import diamond as _diamond
 from .complexes import (
@@ -104,6 +103,7 @@ from .complexes import (
     ComplexError,
     FaceNotPresent,
     _as_face,
+    _Record,
     _require_boundary,
     _ridges,
     boundary_complex,
@@ -148,21 +148,28 @@ class NotApplicableOnBoundary(ComplexError):
 # move records
 
 
-@dataclass(frozen=True)
-class BistellarFlip:
+class BistellarFlip(_Record):
     """Exchange of the cone over the boundary of B with the cone over A."""
 
-    A: frozenset
-    B: frozenset
+    __slots__ = ("A", "B")
+
+    def __init__(self, A: frozenset, B: frozenset):
+        set_a, set_b = self._setters
+        set_a(self, A)
+        set_b(self, B)
 
 
-@dataclass(frozen=True)
-class CrossFlip:
+class CrossFlip(_Record):
     """A diamond-complex index set plus an embedding into the ambient complex."""
 
-    d: int
-    spec: tuple
-    embedding: dict = field(hash=False)
+    __slots__ = ("d", "spec", "embedding")
+    _unhashed = ("embedding",)
+
+    def __init__(self, d: int, spec: tuple, embedding: dict):
+        set_d, set_spec, set_embedding = self._setters
+        set_d(self, d)
+        set_spec(self, spec)
+        set_embedding(self, embedding)
 
     def image_facets(self) -> frozenset:
         """The embedded facets, read from the class plan's tables; the index
@@ -172,17 +179,19 @@ class CrossFlip:
         return frozenset(frozenset(row(labels)) for row in plan.image_rows)
 
 
-@dataclass(frozen=True)
-class ShellingMove:
+class ShellingMove(_Record):
     """A facet together with its interior/boundary decomposition A, R."""
 
-    facet: frozenset
-    A: frozenset
-    R: frozenset
+    __slots__ = ("facet", "A", "R")
+
+    def __init__(self, facet: frozenset, A: frozenset, R: frozenset):
+        set_facet, set_a, set_r = self._setters
+        set_facet(self, facet)
+        set_a(self, A)
+        set_r(self, R)
 
 
-@dataclass(frozen=True)
-class CrossFlipResult:
+class CrossFlipResult(_Record):
     """The result complex, the total map from abstract cross-polytope
     vertices to its labels, the fresh labels, the glued complement's facets,
     the complement class's minimal non-faces and, for each fresh label, the
@@ -190,12 +199,19 @@ class CrossFlipResult:
     glued complement is induced in the result is decided from these each
     time ``complement_induced`` is read, not when the flip is applied."""
 
-    complex: Complex
-    vertex_map: dict = field(hash=False)
-    fresh_vertices: tuple
-    glued: frozenset = field(repr=False)
-    nonfaces: tuple = field(repr=False)
-    sources: tuple = field(repr=False)
+    __slots__ = ("complex", "vertex_map", "fresh_vertices", "glued", "nonfaces", "sources")
+    _unhashed = ("vertex_map",)
+    _hidden = ("glued", "nonfaces", "sources")
+
+    def __init__(self, complex: Complex, vertex_map: dict, fresh_vertices: tuple,
+                 glued: frozenset, nonfaces: tuple, sources: tuple):
+        set_complex, set_map, set_fresh, set_glued, set_nonfaces, set_sources = self._setters
+        set_complex(self, complex)
+        set_map(self, vertex_map)
+        set_fresh(self, fresh_vertices)
+        set_glued(self, glued)
+        set_nonfaces(self, nonfaces)
+        set_sources(self, sources)
 
     @property
     def complement_induced(self) -> bool:
@@ -502,11 +518,11 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     )
 
 
-def _compile_walk(abstract: Complex, root: frozenset):
+def _compile_walk(abstract: Complex, root: frozenset, neighbours: dict | None = None):
     """The breadth-first ridge walk over the dual graph of *abstract* from
     its facet *root*, read from its site view's neighbour table
-    (``_site_view``) in ``sorted_face`` order of the neighbours, compiled
-    to integer slots as (order, steps).
+    (``_site_view``; *neighbours* when given) in ``sorted_face`` order of
+    the neighbours, compiled to integer slots as (order, steps).
 
     Abstract vertices are numbered in first-placement order (``order``:
     the root in ``sorted_face`` order, then each new vertex of the walk)
@@ -516,7 +532,8 @@ def _compile_walk(abstract: Complex, root: frozenset):
     plus the new one.  Facets of the cross-polytope boundary that share a
     ridge differ in one pair, so every step swaps a vertex for its partner.
     """
-    _ordered, neighbours, _thin = _site_view(abstract)
+    if neighbours is None:
+        neighbours = _site_view(abstract)[1]
     order = list(sorted_face(root))
     vslot = {v: i for i, v in enumerate(order)}
     fslot = {root: 0}
@@ -598,7 +615,7 @@ def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, na
     return namespace["search"]
 
 
-def _root_orbits(abstract: Complex, order: tuple, steps: tuple, d: int):
+def _root_orbits(abstract: Complex, neighbours: dict, order: tuple, steps: tuple, d: int):
     """The mask of the first vertex order of each root orbit, over the
     orders ``permutations(range(d + 1))`` yields, or None when the root
     stabiliser is trivial.
@@ -606,16 +623,15 @@ def _root_orbits(abstract: Complex, order: tuple, steps: tuple, d: int):
     The stabiliser G, the automorphisms of *abstract* fixing its root facet
     ``order[:d + 1]``, is found by extending each permutation of the root
     slots along the walk *steps* over the abstract complex's own neighbour
-    table, keeping those that carry it onto itself.  Facets across a ridge
-    differ in one pair, so each step maps the partner of a vertex to the
-    partner of its image: a walk maps pairs onto pairs, one-to-one, and is
-    an automorphism when it completes.  So an automorphism keeps the star
+    table *neighbours* (its site view's), keeping those that carry it onto
+    itself.  Facets across a ridge differ in one pair, so each step maps
+    the partner of a vertex to the partner of its image: a walk maps pairs
+    onto pairs, one-to-one, and is an automorphism when it completes.  So an automorphism keeps the star
     sizes of a vertex and of its partner, and only permutations within the
     blocks of root slots sharing those are extended.  Orders p and p o s,
     s in G, embed one image with one colour verdict; an order is marked
     when no earlier order lies in its orbit."""
     stars = abstract._star_index()
-    _ordered, neighbours, _thin = _site_view(abstract)
     blocks = collections.defaultdict(list)
     for i, v in enumerate(order[:d + 1]):
         blocks[len(stars[v]), len(stars.get(partner(v), ()))].append(i)
@@ -665,11 +681,12 @@ def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
 class _FlipPlan:
     """What a cross-flip of one class needs that does not depend on the
     ambient complex: the abstract diamond complex of I with its ridge walk
-    (``_compile_walk``) compiled twice, and its cross-polytope complement,
-    the diamond complex of {0, ..., d+1} minus I, with the vertices only
-    the complement has.  Building a plan verifies the absolute shelling
-    certificate of both sides (``diamond.absolute_shelling_order``); a
-    failing one raises, so a plan exists only when both sides shell.
+    (``_compile_walk``) compiled twice from one site view of it, and its
+    cross-polytope complement, the diamond complex of {0, ..., d+1} minus
+    I, with the vertices only the complement has.  Building a plan
+    verifies the absolute shelling certificate of both sides
+    (``diamond.absolute_shelling_order``); a failing one raises, so a plan
+    exists only when both sides shell.
 
     Site search walks from the first facet in ``sorted_face`` order
     (``order``; ``search`` is the whole search as one generated function,
@@ -705,9 +722,11 @@ class _FlipPlan:
         complement = _diamond.diamond_closed_form(d, rest)
         for side, idx in ((abstract, spec), (complement, rest)):
             verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
-        self.order, steps = _compile_walk(abstract, min(abstract.facets, key=sorted_face))
+        neighbours = _site_view(abstract)[1]
+        self.order, steps = _compile_walk(abstract, min(abstract.facets, key=sorted_face),
+                                          neighbours)
         self.anchor_order, self.anchor_steps = _compile_walk(
-            abstract, _diamond.entry_facet(d, spec[0]))
+            abstract, _diamond.entry_facet(d, spec[0]), neighbours)
         self.abstract = abstract
         self.complement = complement
         self.unseen = tuple(sorted(complement.vertices - abstract.vertices,
@@ -719,7 +738,7 @@ class _FlipPlan:
                                      key=lambda t: (len(t), t)))
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
-        self.mask = _root_orbits(abstract, self.order, steps, d)
+        self.mask = _root_orbits(abstract, neighbours, self.order, steps, d)
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
         image, glued = ([tuple(at[v] for v in sorted_face(f))
                          for f in sorted(side.facets, key=sorted_face)]

@@ -26,12 +26,11 @@ because shellability of a prefix depends only on the faces it covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import (
     Complex,
     ComplexError,
     _as_face,
+    _Record,
     _stars,
     _subsets,
     sorted_face,
@@ -54,35 +53,43 @@ class CertificateMismatch(ComplexError):
     """Raised when recomputed restriction faces disagree with a certificate."""
 
 
-@dataclass(frozen=True)
-class RelativeComplex:
+class RelativeComplex(_Record):
     """A pair (ambient, removed) with *removed* a subcomplex of *ambient*."""
 
-    ambient: Complex
-    removed: Complex
+    __slots__ = ("ambient", "removed")
 
-    def __post_init__(self):
-        if not self.removed.is_subcomplex_of(self.ambient):
+    def __init__(self, ambient: Complex, removed: Complex):
+        if not removed.is_subcomplex_of(ambient):
             raise ValueError("removed part must be a subcomplex of the ambient")
+        set_ambient, set_removed = self._setters
+        set_ambient(self, ambient)
+        set_removed(self, removed)
 
     def pair_facets(self) -> frozenset:
         return self.ambient.facets - self.removed.facets
 
 
-@dataclass(frozen=True)
-class ShellingVerdict:
-    ok: bool
-    failing_index: int | None = None
-    minimal_new_faces: tuple = ()
-    restrictions: tuple | None = None
+class ShellingVerdict(_Record):
+    __slots__ = ("ok", "failing_index", "minimal_new_faces", "restrictions")
+
+    def __init__(self, ok: bool, failing_index: int | None = None,
+                 minimal_new_faces: tuple = (), restrictions: tuple | None = None):
+        set_ok, set_failing, set_new_faces, set_restrictions = self._setters
+        set_ok(self, ok)
+        set_failing(self, failing_index)
+        set_new_faces(self, minimal_new_faces)
+        set_restrictions(self, restrictions)
 
 
-@dataclass(frozen=True)
-class ShellingCertificate:
+class ShellingCertificate(_Record):
     """An ordered facet list with one restriction face per facet."""
 
-    order: tuple
-    restrictions: tuple
+    __slots__ = ("order", "restrictions")
+
+    def __init__(self, order: tuple, restrictions: tuple):
+        set_order, set_restrictions = self._setters
+        set_order(self, order)
+        set_restrictions(self, restrictions)
 
 
 class _Covered:

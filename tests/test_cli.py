@@ -487,6 +487,17 @@ def test_verify_targets(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["pentagon", "matroid"])
+def test_verify_targets_without_a_dimension_refuse_one(capsys, target):
+    """`pentagon` and `matroid` take no D: without one they run and pass;
+    given one, positional or by --dim, they run nothing and exit 3."""
+    code, text, err = run(capsys, "verify", target)
+    assert code == 0 and text.endswith("\nPASS\n") and err == ""
+    for argv in (["3"], ["2"], ["--dim", "3"]):
+        code, text, err = run(capsys, "verify", target, *argv)
+        assert (code, text, err) == (3, "", "usage error: verify %s takes no dimension\n" % target)
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "gen", "bogus")
     assert code == 3
