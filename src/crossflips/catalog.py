@@ -12,13 +12,13 @@ eight minimal sufficient sets in dimension two.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 
 from .complexes import (
     Complex,
     ComplexError,
     _Record,
-    _ridges,
     are_isomorphic,
     delete_subcomplex,
     h_vector,
@@ -223,24 +223,34 @@ def _relative_settings(d: int, sset: tuple, amb: Complex) -> dict:
     *sset*, in the ambient *amb* built for it; the setting depends only on
     the first block.  Each block takes the first boundary ridge of the
     diamond complex (a ridge in one facet, its carrier), in ``sorted_face``
-    order, that qualifies for it."""
+    order, that qualifies for it: it lies in one other facet of amb, whose
+    trace on the diamond complex's vertices is the ridge alone.  So the
+    ridges are read from the traces of d vertices of amb's other facets,
+    sorted through one vertex-key table, until every block has its setting;
+    a ridge's star in amb holds its carriers, as amb holds the diamond
+    complex.  The ball and the ball minus the diamond complex are some of
+    amb's facets, so both are built trusted."""
     dcomp = diamond_closed_form(d, sset)
-    rim = {r: hs[0][0] for r, hs in _ridges(dcomp.facets).items() if len(hs) == 1}
+    span, rest = dcomp.vertices, amb.facets - dcomp.facets
+    key = {v: vertex_key(v) for v in span}.__getitem__
+    traces = {t for t in (h & span for h in rest) if len(t) == d}
     out = dict.fromkeys(sset)
-    for ridge in sorted(rim, key=sorted_face):
-        carrier = rim[ridge]
-        block = block_of_facet(d, carrier)
-        if out[block] is not None:
-            continue
-        others = [h for h in amb._facets_containing(ridge) if h != carrier]
-        if len(others) != 1:
-            continue
-        (neighbor,) = others
-        if neighbor - ridge <= dcomp.vertices:
-            continue
-        ball = amb._replaced(frozenset([neighbor]), frozenset())
-        out[block] = RelativeComplex(ball, delete_subcomplex(ball, dcomp)), ridge
+    for _, ridge in sorted((tuple(sorted(t, key=key)), t) for t in traces):
+        star = amb._facets_containing(ridge)
+        carriers = [h for h in star if h in dcomp.facets]
+        if len(star) == 2 and len(carriers) == 1:
+            block = block_of_facet(d, carriers[0])
+            if out[block] is None:
+                gone = frozenset(star) - dcomp.facets
+                out[block] = RelativeComplex(Complex._trusted(amb.facets - gone),
+                                             Complex._trusted(rest - gone)), ridge
+                if None not in out.values():
+                    break
     return out
+
+
+# the chord pass's start, one per d, shared with its star index (a flip copies it)
+_start_sphere = functools.lru_cache(maxsize=None)(cross_polytope)
 
 
 def ambient_with_induced_diamond_any(d: int, indices):
@@ -248,7 +258,7 @@ def ambient_with_induced_diamond_any(d: int, indices):
     contain d+1."""
     idx = _check_index_set(d, indices, d + 1)
     span = diamond_closed_form(d, idx).vertices
-    amb = cross_polytope(d)
+    amb = _start_sphere(d)
     coloring = standard_coloring(d)
     nonfaces = minimal_nonfaces(d, idx)
     chords = sorted((n for n in nonfaces if len({pair_index(v) for v in n}) == len(n)),
@@ -259,7 +269,7 @@ def ambient_with_induced_diamond_any(d: int, indices):
         if not star:
             continue
         spec = (len(f) - 1,)
-        emb = _image_embedding(_flip_plan(d, spec), Complex(star))
+        emb = _image_embedding(_flip_plan(d, spec), Complex._trusted(star))
         if emb is None:
             raise stuck
         try:
@@ -583,16 +593,12 @@ def verify_shelling_theorem(d: int):
         if len(sset) == d + 2:
             continue
         amb, _coloring, _emb = ambient_with_induced_diamond_any(d, sset)
-        settings = _relative_settings(d, sset, amb)
-        for i1 in sset:
-            seq = (i1,) + tuple(i for i in sset if i != i1)
-            setting = settings[i1]
+        for i1, setting in _relative_settings(d, sset, amb).items():
             if setting is None:
                 n_skip += 1
                 continue
-            rc, ridge = setting
-            cert = relative_shelling_order(d, seq, ridge)
-            verify_certificate(rc, cert)
+            seq = (i1,) + tuple(i for i in sset if i != i1)
+            verify_certificate(setting[0], relative_shelling_order(d, seq, setting[1]))
             n_rel += 1
     lines.append(
         "relative shelling orders verified: %d (skipped %d entry choices with no "

@@ -231,13 +231,20 @@ class Complex:
                                  % (f, g))
         self._size = sizes.pop() if len(sizes) == 1 else -1
 
-    def _unbuilt(self, facets: frozenset) -> None:
+    def _unbuilt(self, facets: frozenset) -> "Complex":
         """Hold the given facet antichain with every derived slot unbuilt."""
         self._facets = facets
         self._vertices = None
         self._stars = None
         self._size = None
         self._top_w = None
+        return self
+
+    @classmethod
+    def _trusted(cls, facets) -> "Complex":
+        """The complex with the given facets, which the caller guarantees to
+        be an antichain of frozensets, validating nothing."""
+        return cls.__new__(cls)._unbuilt(frozenset(facets))
 
     @classmethod
     def generated_by(cls, faces) -> "Complex":
@@ -247,9 +254,7 @@ class Complex:
         for f in fs:
             if not any(f <= g for g in maximal):
                 maximal.append(f)
-        c = cls.__new__(cls)
-        c._unbuilt(frozenset(maximal))
-        return c
+        return cls._trusted(maximal)
 
     def _replaced(self, removed: frozenset, added: frozenset, delta=None) -> "Complex":
         """The complex with facets ``(facets - removed) | added``.
@@ -266,8 +271,7 @@ class Complex:
         class's exchange tables) hands it in, otherwise it is gathered
         here.  The top label is read from the vertices new to the complex.
         """
-        c = Complex.__new__(Complex)
-        c._unbuilt((self._facets - removed) | added)
+        c = Complex._trusted((self._facets - removed) | added)
         if delta is None:
             delta = {x: [] for h in removed for x in h}
             for h in added:
@@ -407,7 +411,8 @@ class Complex:
                    for size, n in enumerate(self._face_counts()) if size)
 
     def is_subcomplex_of(self, other: "Complex") -> bool:
-        return all(f in other._facets or other.has_face(f) for f in self._facets)
+        return self._facets <= other._facets or all(
+            f in other._facets or other.has_face(f) for f in self._facets)
 
     def canonical_facets(self) -> list[tuple]:
         """Facets as sorted tuples, in the canonical outer order."""
@@ -463,8 +468,9 @@ def delete_face(c: Complex, f) -> Complex:
 
 
 def delete_subcomplex(c: Complex, subc: Complex) -> Complex:
-    """Complex generated by the facets of c that are not facets of subc."""
-    return Complex(c.facets - subc.facets)
+    """Complex generated by the facets of c that are not facets of subc;
+    trusted, as some of an antichain's members are an antichain."""
+    return Complex._trusted(c.facets - subc.facets)
 
 
 def join(a: Complex, b: Complex) -> Complex:
@@ -799,18 +805,21 @@ def complex_to_doc(c: Complex, coloring: dict | None = None) -> dict:
 
 def _faces_from_doc(doc: dict, key: str) -> list:
     """The faces listed under *key* as vertex-token lists, integer tokens
-    read as strings; raises ValueError on any other shape."""
+    read as strings; raises ValueError on any other shape, a bad token before
+    a repeated vertex.  Token types are checked in one pass over all facets."""
     faces = doc[key]
     if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
         raise ValueError("%r must be a list of vertex-token lists" % (key,))
-    for f in faces:
-        for v in f:
+    typed = {type(v) for f in faces for v in f} <= {str, int}
+    out = [frozenset(map(str, f)) for f in faces]
+    for g, f in zip(out, faces):
+        for v in () if typed else f:
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("vertex token %r is neither a string nor an integer"
                                  % (v,))
-        if len(_as_face(f)) != len(f):
+        if len(g) != len(f):
             raise ValueError("facet %r has repeated vertices" % (f,))
-    return [_as_face(f) for f in faces]
+    return out
 
 
 def complex_from_doc(doc: dict):

@@ -108,15 +108,13 @@ def cross_polytope_on(indices) -> Complex:
     """Boundary of the cross-polytope on the token pairs of the given indices.
 
     An empty index list yields the void-face complex, the identity for the
-    join.
+    join.  The facets, one token of each pair, are an antichain: trusted.
     """
     indices = tuple(indices)
     if not indices:
         return Complex.void()
-    return Complex(
-        frozenset(pick)
-        for pick in itertools.product(*[(base(i), sub(i)) for i in indices])
-    )
+    picks = itertools.product(*[(base(i), sub(i)) for i in indices])
+    return Complex._trusted(map(frozenset, picks))
 
 
 def cross_polytope(d: int) -> Complex:
@@ -276,19 +274,21 @@ def deg_lex_key(d: int, ell: int, base_facet):
     return key
 
 
-def _block_order(d: int, ell: int, f0: frozenset) -> list:
-    """The facets of block ell sorted by ``deg_lex_key(d, ell, f0)``.
-
-    f0 is checked once; the bits are read from the pair tokens v_j that
-    f0 holds, as in ``char_vector``, with no check per facet."""
+@functools.lru_cache(maxsize=None)
+def _block_order(d: int, ell: int, f0: frozenset) -> tuple:
+    """The facets of block ell sorted by ``deg_lex_key(d, ell, f0)``, built
+    once per block facet f0 and shared.  f0 alone is checked.  A facet's
+    bits are one integer, bit d - j set where it differs from f0 at pair j
+    (``char_vector``), so the highest is pair ell+1 and sorting by
+    (popcount, code) gives the order of (sum(bits), bits)."""
     _check_block_facet(d, ell, f0)
-    marks = [(sub(j), sub(j) in f0) for j in range(ell + 1, d + 1)]
+    marks = [(sub(j), sub(j) in f0, 1 << (d - j)) for j in range(ell + 1, d + 1)]
 
     def key(f):
-        bits = tuple([int((v in f) != held) for v, held in marks])
-        return (sum(bits), bits)
+        code = sum([bit for v, held, bit in marks if (v in f) != held])
+        return code.bit_count(), code
 
-    return sorted(_block_facets(d, ell), key=key)
+    return tuple(sorted(_block_facets(d, ell), key=key))
 
 
 def deg_lex_less(d: int, ell: int, base_facet, a, b) -> bool:
@@ -328,23 +328,25 @@ def initial_facet(d: int, seq, ell: int, boundary_facet_hint=None) -> frozenset:
     seq = _check_sequence(d, seq)
     if not (1 <= ell <= len(seq)):
         raise InvalidSequence("block position out of range")
-    if ell == 1:
-        if boundary_facet_hint is None:
-            raise HintMissing("the first block needs its entry facet")
-        hint = _as_face(boundary_facet_hint)
-        try:
-            _check_block_facet(d, seq[0], hint)
-        except MismatchedGamma as exc:
-            raise HintNotAFacet(str(exc)) from None
-        return hint
+    if ell > 1:
+        return _later_entry(d, seq, ell)
+    if boundary_facet_hint is None:
+        raise HintMissing("the first block needs its entry facet")
+    hint = _as_face(boundary_facet_hint)
+    try:
+        _check_block_facet(d, seq[0], hint)
+    except MismatchedGamma as exc:
+        raise HintNotAFacet(str(exc)) from None
+    return hint
+
+
+def _later_entry(d: int, seq: tuple, ell: int) -> frozenset:
+    """``initial_facet`` of a block ell >= 2 of the checked sequence seq:
+    ``entry_facet`` of the block, plain at the pairs between it and seq[0]."""
     i_l = seq[ell - 1]
-    i_m = seq[0] if seq[0] > i_l else i_l
-    if i_l == d + 1:
-        return frozenset(base(t) for t in range(d + 1))
-    out = {base(t) for t in range(i_l)} | {sub(i_l)}
-    out.update(base(t) for t in range(i_l + 1, i_m))
-    out.update(sub(t) for t in range(i_m, d + 1))
-    return frozenset(out)
+    i_m = max(seq[0], i_l)
+    heads = [base(t) for t in range(i_m) if t != i_l]
+    return frozenset(heads + [sub(t) for t in range(i_l, d + 1) if t == i_l or t >= i_m])
 
 
 def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
@@ -361,42 +363,27 @@ def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
     bface = _as_face(boundary_face)
     carriers = [h for h in _block_facets(d, seq[0]) if bface < h]
     if len(carriers) != 1:
-        raise HintNotAFacet(
-            "boundary face must lie in exactly one facet of the first block; got %d"
-            % len(carriers)
-        )
-    hint = carriers[0]
-
-    blocks: list[tuple[list, list]] = []
-    for ell in range(1, len(seq) + 1):
+        raise HintNotAFacet("boundary face must lie in exactly one facet of the first "
+                            "block; got %d" % len(carriers))
+    order, rests = [], []
+    for ell in range(len(seq), 0, -1):
         i_l = seq[ell - 1]
-        f0 = initial_facet(d, seq, ell, boundary_facet_hint=hint if ell == 1 else None)
+        f0 = carriers[0] if ell == 1 else _later_entry(d, seq, ell)
         ordered = _block_order(d, i_l, f0)
-        prior_low = frozenset(
-            base(i_j) for i_j in seq[: ell - 1] if i_j < i_l
-        )
-        restrictions = []
-        for rank, f in enumerate(ordered):
-            # interior part of the removal decomposition; the minimal new
-            # face of the reversed (relative) reading is its complement.
-            # f's tokens where it differs from f0 (see char_vector)
-            changed = f - f0
-            if ell == 1:
-                a_part = (f - bface) if rank == 0 else changed
-            elif seq[0] > i_l:
-                t = min(map(pair_index, changed), default=None)
-                if t is not None and t <= seq[0]:
-                    a_part = prior_low | changed
-                else:
-                    a_part = prior_low | {sub(i_l)} | changed
-            else:
-                a_part = prior_low | changed
-            restrictions.append(frozenset(f - a_part))
-        blocks.append((ordered, restrictions))
-
-    order: list = []
-    rests: list = []
-    for ordered, restrictions in reversed(blocks):
+        # f less the interior part of its removal decomposition: the tokens
+        # where it differs from f0 (f & f0 is left) and some lower indices
+        prior_low = frozenset(base(i_j) for i_j in seq[: ell - 1] if i_j < i_l)
+        if ell == 1:
+            restrictions = [bface] + [f & f0 for f in ordered[1:]]
+        elif seq[0] > i_l:
+            # where f agrees with f0 at every pair up to seq[0], holding
+            # low, v_{i_l} is interior as well
+            low = frozenset(v for v in f0 if i_l < pair_index(v) <= seq[0])
+            with_sub = prior_low | {sub(i_l)}
+            restrictions = [(f & f0) - (with_sub if low <= f else prior_low)
+                            for f in ordered]
+        else:
+            restrictions = [(f & f0) - prior_low for f in ordered]
         order.extend(reversed(ordered))
         rests.extend(reversed(restrictions))
     return ShellingCertificate(order=tuple(order), restrictions=tuple(rests))
@@ -406,15 +393,13 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
     """Shelling of the diamond complex itself: ascending blocks, forward
     degree-lexicographic order, entry facets all-subdivided past the index."""
     idx = _check_index_set(d, indices, d + 1)
-    order: list = []
-    rests: list = []
+    order, rests = [], []
     for pos, i_l in enumerate(idx):
         f0 = entry_facet(d, i_l)
         ordered = _block_order(d, i_l, f0)
         prior = frozenset(base(i_j) for i_j in idx[:pos])
-        for f in ordered:
-            order.append(f)
-            rests.append(prior | (f - f0))
+        order.extend(ordered)
+        rests.extend([prior | (f - f0) for f in ordered])
     return ShellingCertificate(order=tuple(order), restrictions=tuple(rests))
 
 

@@ -518,11 +518,12 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     )
 
 
-def _compile_walk(abstract: Complex, root: frozenset, neighbours: dict | None = None):
+def _compile_walk(abstract: Complex, root: frozenset, view: tuple | None = None):
     """The breadth-first ridge walk over the dual graph of *abstract* from
-    its facet *root*, read from its site view's neighbour table
-    (``_site_view``; *neighbours* when given) in ``sorted_face`` order of
-    the neighbours, compiled to integer slots as (order, steps).
+    its facet *root*, read from its site view (``_site_view``; *view* when
+    given): each facet's neighbours are taken in the order of their rank in
+    the view's ``ordered`` list, which is ``sorted_face`` order, compiled to
+    integer slots as (order, steps).
 
     Abstract vertices are numbered in first-placement order (``order``:
     the root in ``sorted_face`` order, then each new vertex of the walk)
@@ -532,8 +533,8 @@ def _compile_walk(abstract: Complex, root: frozenset, neighbours: dict | None = 
     plus the new one.  Facets of the cross-polytope boundary that share a
     ridge differ in one pair, so every step swaps a vertex for its partner.
     """
-    if neighbours is None:
-        neighbours = _site_view(abstract)[1]
+    ordered, neighbours, _thin = view or _site_view(abstract)
+    rank = {h: i for i, (_, h) in enumerate(ordered)}
     order = list(sorted_face(root))
     vslot = {v: i for i, v in enumerate(order)}
     fslot = {root: 0}
@@ -542,7 +543,7 @@ def _compile_walk(abstract: Complex, root: frozenset, neighbours: dict | None = 
     while frontier:
         cur = frontier.pop(0)
         for x_drop, (nxt, x_new) in sorted(neighbours[cur].items(),
-                                           key=lambda item: sorted_face(item[1][0])):
+                                           key=lambda item: rank[item[1][0]]):
             if nxt in fslot:
                 continue
             if x_new not in vslot:
@@ -722,11 +723,10 @@ class _FlipPlan:
         complement = _diamond.diamond_closed_form(d, rest)
         for side, idx in ((abstract, spec), (complement, rest)):
             verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
-        neighbours = _site_view(abstract)[1]
-        self.order, steps = _compile_walk(abstract, min(abstract.facets, key=sorted_face),
-                                          neighbours)
+        ordered, neighbours, _thin = view = _site_view(abstract)
+        self.order, steps = _compile_walk(abstract, ordered[0][1], view)
         self.anchor_order, self.anchor_steps = _compile_walk(
-            abstract, _diamond.entry_facet(d, spec[0]), neighbours)
+            abstract, _diamond.entry_facet(d, spec[0]), view)
         self.abstract = abstract
         self.complement = complement
         self.unseen = tuple(sorted(complement.vertices - abstract.vertices,

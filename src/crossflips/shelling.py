@@ -183,24 +183,24 @@ def _run(order, removed) -> ShellingVerdict:
 
 def is_shelling(c: Complex, order) -> ShellingVerdict:
     """Check an ordering of all facets; restrictions are re-derived."""
-    order = [_as_face(f) for f in order]
-    if len(order) != len(set(order)) or set(order) != set(c.facets):
+    order = list(map(_as_face, order))
+    if len(order) != c.n_facets or set(order) != c.facets:
         raise NotAPermutation("order must be a permutation of the facets")
     return _run(order, ())
 
 
 def is_relative_shelling(rc: RelativeComplex, order) -> ShellingVerdict:
     """Check an ordering of the facets outside the removed lower ideal."""
-    order = [_as_face(f) for f in order]
+    order = list(map(_as_face, order))
     expected = rc.pair_facets()
-    if len(order) != len(set(order)) or set(order) != expected:
+    if len(order) != len(expected) or set(order) != expected:
         raise NotAPermutation(
             "order must be a permutation of the ambient facets outside the removed part"
         )
     # every face _run asks about lies in the span of the order, so the
     # removed facets count by their traces on it
     span = frozenset().union(*order)
-    return _run(order, [h & span for h in rc.removed.facets])
+    return _run(order, list(map(span.intersection, rc.removed.facets)))
 
 
 def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:

@@ -396,7 +396,7 @@ def test_relative_settings_match_the_former_scan():
                         continue
                     rc, ridge = settings[i1]
                     assert (rc.ambient, rc.removed, ridge) == want
-                    # the ball inherits its star index from the ambient
+                    # the ball, built trusted, indexes its stars as a fresh build does
                     fresh = Complex(rc.ambient.facets)
                     assert rc.ambient._star_index() == fresh._star_index()
                     assert rc.ambient.vertices == fresh.vertices

@@ -483,6 +483,40 @@ def test_repeated_vertices_after_coercion_are_refused():
     assert c.facets == {face("1", "v1", "a")}
 
 
+@pytest.mark.parametrize("token", [True, False, 1.5, 2.0, None, ["a"], {"a": 1}])
+def test_tokens_neither_string_nor_integer_are_refused(token):
+    for facets in ([["a", "b", token]], [["a", "b"], [token, "c"]]):
+        with pytest.raises(ValueError) as exc:
+            complex_from_doc({"facets": facets})
+        assert str(exc.value) == ("vertex token %r is neither a string nor an integer"
+                                  % (token,))
+
+
+def test_integer_tokens_are_read_as_strings():
+    c, _ = complex_from_doc({"facets": [[0, 1, "v2"], ["0", 1, 2], [10, "a", -3]]})
+    assert c.facets == {face("0", "1", "v2"), face("0", "1", "2"), face("10", "a", "-3")}
+    assert all(isinstance(v, str) for v in c.vertices)
+
+
+def test_the_first_faulty_facet_is_reported():
+    """Facets are judged in order, and within one facet a bad token comes
+    before a repeated vertex."""
+    cases = [
+        ([["a", "a", "b"], ["c", None, "d"]], "facet ['a', 'a', 'b'] has repeated vertices"),
+        ([["c", None, "d"], ["a", "a", "b"]],
+         "vertex token None is neither a string nor an integer"),
+        ([["a", 1, "1"], ["c", 2.5, "d"]], "facet ['a', 1, '1'] has repeated vertices"),
+        ([["x", True, True], ["a", "a", "b"]],
+         "vertex token True is neither a string nor an integer"),
+        ([["a", "b", "c"], ["c", "c", "d"], [None, "e", "f"]],
+         "facet ['c', 'c', 'd'] has repeated vertices"),
+    ]
+    for facets, message in cases:
+        with pytest.raises(ValueError) as exc:
+            complex_from_doc({"facets": facets})
+        assert str(exc.value) == message, facets
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
