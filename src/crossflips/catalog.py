@@ -340,12 +340,15 @@ def verify_reducibility(d: int):
 # the pentagon composition
 
 
-def _composition_search(start, start_coloring, fixed_facets, allowed_specs,
-                        target, fixed_vertices, max_depth: int) -> bool:
+def _composition_search(start, start_coloring, untouched: Complex, allowed_specs,
+                        target, max_depth: int) -> bool:
     """Breadth-first search for a flip sequence from restricted classes that
-    reproduces the target up to a locus-fixing isomorphism; the allowed
-    classes search each state over one site view (``moves._class_images``)."""
+    keeps the facets of *untouched* and reproduces the target up to an
+    isomorphism fixing its vertices; the allowed classes search each state
+    over one site view (``moves._class_images``)."""
     d = start.dimension
+    fixed_facets = untouched.facets
+    fixed_vertices = {v: v for v in untouched.vertices}
     plans = [_flip_plan(d, spec) for spec in allowed_specs]
     deltas = []
     for spec in allowed_specs:
@@ -396,11 +399,8 @@ def verify_pentagon_composition(ambient: Complex, site: CrossFlip,
     direct = res.complex
     untouched = delete_subcomplex(ambient, Complex(site.image_facets()))
     if not reverse:
-        fixed_facets = untouched.facets
-        fixed_vertices = {v: v for v in untouched.vertices}
         return _composition_search(
-            ambient, coloring, fixed_facets, [(2,), (0, 2)],
-            direct, fixed_vertices, max_depth=3,
+            ambient, coloring, untouched, [(2,), (0, 2)], direct, max_depth=3,
         )
     # reversed reading: flip the glued complement copy of {0,2} back
     iso = _image_embedding(_flip_plan(2, (0, 2)), _flip_plan(2, (1, 2)).complement)
@@ -410,10 +410,8 @@ def verify_pentagon_composition(ambient: Complex, site: CrossFlip,
     res2 = apply_cross_flip_detailed(direct, back_site)
     target = res2.complex
     untouched2 = delete_subcomplex(direct, Complex(back_site.image_facets()))
-    fixed_vertices = {v: v for v in untouched2.vertices}
     return _composition_search(
-        direct, back_coloring, untouched2.facets, [(0, 1, 2), (1, 2)],
-        target, fixed_vertices, max_depth=3,
+        direct, back_coloring, untouched2, [(0, 1, 2), (1, 2)], target, max_depth=3,
     )
 
 

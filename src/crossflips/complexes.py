@@ -547,13 +547,17 @@ def is_induced(c: Complex, subc: Complex) -> bool:
 
 
 def relabel(c: Complex, mapping: dict) -> Complex:
-    """Apply a vertex relabeling; unmapped vertices keep their tokens."""
+    """Apply a vertex relabeling; unmapped vertices keep their tokens.  A
+    map that collapses a facet, or identifies two vertices of different
+    facets, raises ``VertexCollision``."""
     out = []
     for f in c.facets:
         g = frozenset(mapping.get(v, v) for v in f)
         if len(g) != len(f):
             raise VertexCollision("relabeling collapses a facet")
         out.append(g)
+    if len({mapping.get(v, v) for v in c.vertices}) != len(c.vertices):
+        raise VertexCollision("relabeling identifies two vertices")
     return Complex(out)
 
 

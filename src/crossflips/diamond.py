@@ -277,18 +277,8 @@ def deg_lex_key(d: int, ell: int, base_facet):
 @functools.lru_cache(maxsize=None)
 def _block_order(d: int, ell: int, f0: frozenset) -> tuple:
     """The facets of block ell sorted by ``deg_lex_key(d, ell, f0)``, built
-    once per block facet f0 and shared.  f0 alone is checked.  A facet's
-    bits are one integer, bit d - j set where it differs from f0 at pair j
-    (``char_vector``), so the highest is pair ell+1 and sorting by
-    (popcount, code) gives the order of (sum(bits), bits)."""
-    _check_block_facet(d, ell, f0)
-    marks = [(sub(j), sub(j) in f0, 1 << (d - j)) for j in range(ell + 1, d + 1)]
-
-    def key(f):
-        code = sum([bit for v, held, bit in marks if (v in f) != held])
-        return code.bit_count(), code
-
-    return tuple(sorted(_block_facets(d, ell), key=key))
+    once per block facet f0 and shared."""
+    return tuple(sorted(_block_facets(d, ell), key=deg_lex_key(d, ell, f0)))
 
 
 def deg_lex_less(d: int, ell: int, base_facet, a, b) -> bool:

@@ -76,18 +76,19 @@ every facet, embeds a diamond complex onto one image of it
 complex and compiles both its walks over it (``_compile_walk``).
 
 Two vertex orders of a root that differ by an automorphism of the diamond
-complex fixing the root facet embed one image.  Each plan finds that root
-stabiliser once and marks the first order of each of its orbits
-(``_root_orbits``, ``_FlipPlan.mask``).  When no ridge of the ambient lies
-in three or more facets, the orders of an orbit all complete or all fail,
-and those that complete share one image, one colour verdict (an
-automorphism keeps partner pairs) and one non-face verdict.  There a
-search walks the marked orders alone: ``_class_images`` when every facet
-is rainbow too, and ``_image_embedding`` always (a complex with the
-diamond complex's facet count holds an image only when it is one).  The first order of an
-orbit is the one the full loop reaches first, so the images, embeddings
-and their order are the same; a ridge in three facets, an improper
-colouring or a non-pure complex keeps the full loop.
+complex fixing the root facet embed one image.  Each plan checks the swaps
+of neighbouring root slots that may be such automorphisms with one
+uncoloured run of its own search over its diamond complex, and marks the
+orders increasing along every checked swap, the first of each orbit of
+the group they generate (``_root_orbits``, ``_FlipPlan.mask``).  When no
+ridge of the ambient lies in three or more facets, the orders of an orbit
+all complete or all fail, and those that complete share one image, one
+colour verdict (an automorphism keeps partner pairs) and one non-face
+verdict, for any colouring and any complex.  There every search walks the
+marked orders alone (``_class_images``, ``_image_embedding``).  The first
+order of an orbit is the one the full loop reaches first, so the images,
+embeddings and their order are the same; a ridge in three facets keeps
+the full loop.
 """
 
 from __future__ import annotations
@@ -616,54 +617,49 @@ def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, na
     return namespace["search"]
 
 
-def _root_orbits(abstract: Complex, neighbours: dict, order: tuple, steps: tuple, d: int):
+def _root_orbits(abstract: Complex, neighbours: dict, search, order: tuple, d: int):
     """The mask of the first vertex order of each root orbit, over the
-    orders ``permutations(range(d + 1))`` yields, or None when the root
-    stabiliser is trivial.
+    orders ``permutations(range(d + 1))`` yields, or None when no swap
+    checks.
 
-    The stabiliser G, the automorphisms of *abstract* fixing its root facet
-    ``order[:d + 1]``, is found by extending each permutation of the root
-    slots along the walk *steps* over the abstract complex's own neighbour
-    table *neighbours* (its site view's), keeping those that carry it onto
-    itself.  Facets across a ridge differ in one pair, so each step maps
-    the partner of a vertex to the partner of its image: a walk maps pairs
-    onto pairs, one-to-one, and is an automorphism when it completes.  So an automorphism keeps the star
-    sizes of a vertex and of its partner, and only permutations within the
-    blocks of root slots sharing those are extended.  Orders p and p o s,
-    s in G, embed one image with one colour verdict; an order is marked
-    when no earlier order lies in its orbit."""
+    An automorphism keeps the star sizes of a vertex and of its partner,
+    so the root slots are grouped in blocks by those.  Each swap of
+    neighbouring slots of a block is checked by one uncoloured run of the
+    plan's own *search* over the abstract complex's neighbour table
+    *neighbours* (``_walk_onto``, with the one-byte mask that walks the
+    swapped order alone).  Facets across a ridge differ in one pair, so a
+    walk maps pairs onto pairs one-to-one, and a swap whose walk completes
+    is an automorphism fixing the root facet.  The checked swaps generate
+    a subgroup H of the root stabiliser, the symmetric groups on runs of
+    checked neighbours, and the first order of each orbit p o H is the one
+    increasing along every checked swap.  A subgroup's finer orbits walk
+    more orders but find the same images in the same order."""
     stars = abstract._star_index()
     blocks = collections.defaultdict(list)
     for i, v in enumerate(order[:d + 1]):
         blocks[len(stars[v]), len(stars.get(partner(v), ()))].append(i)
     root = frozenset(order[:d + 1])
-    group = []
-    for parts in itertools.product(*map(itertools.permutations, blocks.values())):
-        perm = [0] * (d + 1)
-        for block, part in zip(blocks.values(), parts):
-            for i, j in zip(block, part):
-                perm[i] = j
-        img = [order[i] for i in perm] + [None] * (len(order) - d - 1)
-        facets = [root]
-        for x_new, x_drop, origin in steps:
-            hit = neighbours[facets[origin]].get(img[x_drop])
-            if hit is None:
-                break
-            facets.append(hit[0])
-            img[x_new] = hit[1]
-        else:
-            group.append(operator.itemgetter(*perm))
-    if len(group) == 1:
+    checked = []
+    for block in blocks.values():
+        for i, j in zip(block, block[1:]):
+            swapped = list(order[:d + 1])
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            if _walk_onto(search, neighbours, [(swapped, root)], b"\x01") is not None:
+                checked.append((i, j))
+    if not checked:
         return None
-    perms = list(itertools.permutations(range(d + 1)))
-    rank = dict(zip(perms, range(len(perms))))
-    mask, seen = bytearray(len(perms)), bytearray(len(perms))
-    for k, p in enumerate(perms):
-        if not seen[k]:
-            mask[k] = 1
-            for s in group:
-                seen[rank[s(p)]] = 1
-    return bytes(mask)
+    orders = list(itertools.permutations(range(d + 1)))
+    increasing = [map(operator.lt, map(operator.itemgetter(i), orders),
+                      map(operator.itemgetter(j), orders)) for i, j in checked]
+    return bytes(map(all, zip(*increasing)))
+
+
+def _walk_onto(search, neighbours: dict, roots, mask):
+    """The first image a compiled site *search* yields uncoloured over the
+    neighbour table *neighbours* from *roots*, or None: every colour is
+    None and every star empty, so only completing the walk counts."""
+    return next(search(neighbours, roots, {}.get, collections.defaultdict(frozenset), mask),
+                None)
 
 
 def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
@@ -693,9 +689,10 @@ class _FlipPlan:
     (``order``; ``search`` is the whole search as one generated function,
     ``_compile_site_search``).  Orders of a root that differ by an
     automorphism fixing the root facet embed one image, so ``mask`` marks
-    the first order of each orbit of the root stabiliser
-    (``_root_orbits``; None when it is trivial) for the searches that may
-    walk those alone (``_class_images``, ``_image_embedding``).  The
+    the first order of each orbit of the group the checked swaps of root
+    slots generate (``_root_orbits``; None when no swap checks), which
+    every search walks alone over a complex with no ridge in three or more
+    facets (``_class_images``, ``_image_embedding``).  The
     anchored embedding of a flip script walks from the entry facet of the
     lowest block (``anchor_order``, ``anchor_steps``).  An image is induced
     unless one of ``nonfaces`` (the minimal non-faces of
@@ -738,7 +735,7 @@ class _FlipPlan:
                                      key=lambda t: (len(t), t)))
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
-        self.mask = _root_orbits(abstract, neighbours, self.order, steps, d)
+        self.mask = _root_orbits(abstract, neighbours, self.search, self.order, d)
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
         image, glued = ([tuple(at[v] for v in sorted_face(f))
                          for f in sorted(side.facets, key=sorted_face)]
@@ -770,19 +767,16 @@ def _image_embedding(plan: _FlipPlan, k: Complex):
     """The embedding of the plan's diamond complex onto *k*, when k is one
     image of it, or None.  With the facet counts and sizes equal, a walk
     that completes places each abstract facet on a distinct facet of k, so
-    it maps onto k and no non-face maps to a face of k: the search reads
-    every star as empty and runs uncoloured from every facet of k (a class
-    need not be facet-transitive); the first image wins.  The search walks
-    the first order of each root orbit alone (the plan's ``mask``): a k
-    that holds an image is that image, whose ridges lie in at most two
-    facets, so the orders of an orbit all complete or all fail and the
-    first image is the same; on any other k every order fails."""
+    it maps onto k and no non-face maps to a face of k: the search runs
+    uncoloured (``_walk_onto``) from every facet of k (a class need not be
+    facet-transitive); the first image wins.  Like ``_class_images``, it
+    walks the plan's ``mask`` alone when no ridge of k lies in three or
+    more facets."""
     abstract = plan.abstract
     if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
         return None
-    ordered, neighbours, _thin = _site_view(k)
-    img = next(plan.search(neighbours, ordered, {}.get, collections.defaultdict(frozenset),
-                           plan.mask), None)
+    ordered, neighbours, thin = _site_view(k)
+    img = _walk_onto(plan.search, neighbours, ordered, plan.mask if thin else None)
     return None if img is None else dict(zip(plan.order, img))
 
 
@@ -885,18 +879,19 @@ def _class_images(c: Complex, coloring: dict, plans) -> list:
     image is a subcomplex; whether it is induced does not depend on the
     embedding that found it.
 
-    When no ridge of c lies in three or more facets and every facet is a
-    root, each class walks the first order of each root orbit alone (its
-    plan's ``mask``).  The orders of an orbit then all complete or all
-    fail, and those that complete embed one image with one colour and
-    non-face verdict, so the orbit's first order, the one the full loop
-    would yield, stands for it: the images and their order are the same."""
+    When no ridge of c lies in three or more facets, each class walks the
+    first order of each root orbit alone (its plan's ``mask``).  An
+    automorphism s of the orbits fixes the root facet and keeps pairs, so
+    the walks from orders p and p o s both complete or both fail, and when
+    they complete they embed one image whose colour test compares the same
+    pairs of vertices, with one non-face verdict, for any colouring and
+    any c, pure or not.  So the orbit's first order, the one the full loop
+    reaches first, stands for it: the images and their order are the same."""
     ordered, neighbours, thin = _site_view(c)
     roots = _rainbow_roots(ordered, coloring, c.dimension)
     stars = c._star_index() if any(plan.nonfaces for plan in plans) else None
     colour = coloring.get
-    orbits = thin and len(roots) == len(ordered)
-    return [plan.search(neighbours, roots, colour, stars, plan.mask if orbits else None)
+    return [plan.search(neighbours, roots, colour, stars, plan.mask if thin else None)
             for plan in plans]
 
 

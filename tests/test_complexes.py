@@ -137,6 +137,18 @@ def test_relabel_refuses_to_collapse_a_facet():
         relabel(tri, {"a": "b"})
 
 
+def test_relabel_refuses_to_identify_two_vertices():
+    """No facet collapses, but two vertices become one: the two edges
+    {a, b} and {c, b} would merge, and a vertex mapped onto an unmapped
+    vertex of another facet would join the two facets."""
+    with pytest.raises(VertexCollision, match="relabeling identifies two vertices"):
+        relabel(Complex([face("a", "b"), face("c", "b")]), {"a": "c"})
+    with pytest.raises(VertexCollision, match="relabeling identifies two vertices"):
+        relabel(Complex([face("a", "b"), face("c", "d")]), {"a": "d"})
+    swapped = relabel(Complex([face("a", "b"), face("c", "b")]), {"a": "c", "c": "a"})
+    assert swapped == Complex([face("c", "b"), face("a", "b")])
+
+
 def test_boundary_complex():
     tri = Complex([face("a", "b", "c")])
     assert boundary_complex(tri) == TRIANGLE_BOUNDARY.generated_by(

@@ -10,9 +10,11 @@ walks the first vertex order of each root orbit alone and where it walks
 every order; the tests spy on the plans' searches to tell which.
 """
 
+import collections
 import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -21,7 +23,15 @@ from crossflips import moves
 from crossflips import catalog
 from crossflips.catalog import enumerate_basic_flips, stacked_cross_sphere_colored, verify_pentagon
 from crossflips.cli import WalkConfig, run_walk
-from crossflips.complexes import Complex, are_isomorphic, face, is_induced, pair_index, sorted_face
+from crossflips.complexes import (
+    Complex,
+    are_isomorphic,
+    face,
+    is_induced,
+    pair_index,
+    partner,
+    sorted_face,
+)
 from crossflips.diamond import _check_index_set, cross_polytope, diamond_closed_form, standard_coloring
 from crossflips.moves import (
     CrossFlip,
@@ -158,6 +168,16 @@ def _assert_orbits_walked(d, calls):
     assert walked < sum(len(roots) for _plan, roots, _mask in calls) * every
 
 
+def _assert_orbit_path(d, calls):
+    """Every search was given its plan's mask, and the searches walked
+    fewer orders in all than the full loop when some search has a root; a
+    search with no root walks nothing."""
+    if any(roots for _plan, roots, _mask in calls):
+        _assert_orbits_walked(d, calls)
+    else:
+        assert calls and all(mask is plan.mask for plan, _roots, mask in calls)
+
+
 def _assert_every_order_walked(calls):
     """Every search walked every order of every root."""
     assert calls and all(mask is None for _plan, _roots, mask in calls)
@@ -211,8 +231,8 @@ def test_ridge_in_three_facets_and_boundary_match_the_former_search(monkeypatch)
 
 
 def test_improper_partial_and_non_pure_colourings_match_the_former_search(monkeypatch):
-    # a facet that is no root makes every search walk every order of every
-    # root
+    # on a complex with no ridge in three facets every search walks the
+    # root orbits, whatever the colouring and whether or not it is pure
     rng = random.Random(13)
     stacked, col = stacked_cross_sphere_colored(4, 2)
     verts = sorted(stacked.vertices)
@@ -223,17 +243,17 @@ def test_improper_partial_and_non_pure_colourings_match_the_former_search(monkey
     for coloring in (partial, monochrome, scrambled, {}):
         del calls[:]
         assert_same_sites(stacked, coloring, _specs(2))
-        _assert_every_order_walked(calls)
+        _assert_orbit_path(2, calls)
     s3, _ = stacked_cross_sphere_colored(2, 3)
     calls3 = _spy_searches(monkeypatch, 3)
     assert_same_sites(s3, {v: rng.randrange(4) for v in s3.vertices}, _specs(3))
-    _assert_every_order_walked(calls3)
+    _assert_orbit_path(3, calls3)
     non_pure = Complex([face("0", "1", "2"), face("v0", "1", "2"), face("0", "v1"),
                         face("x", "y")])
     coloring = {"0": 0, "1": 1, "2": 2, "v0": 0, "v1": 1, "x": 0, "y": 1}
     del calls[:]
     assert assert_same_sites(non_pure, coloring, _specs(2)) > 0
-    _assert_every_order_walked(calls)
+    _assert_orbit_path(2, calls)
     for spec in _specs(2):
         abstract = diamond_closed_form(2, spec)
         for site in find_cross_flip_sites(non_pure, coloring, spec):
@@ -363,6 +383,98 @@ def test_each_root_orbit_has_one_marked_order(d):
     if d == 2:
         assert sizes == {(2,): 6, (1,): 2, (0,): 2, (0, 2): 2, (0, 1, 2): 2,
                          (1, 2): 1, (0, 1): 1}
+
+
+def former_root_orbits(abstract, neighbours, order, steps, d):
+    """The root-orbit mask as it stood before the checked swaps: every
+    permutation within the blocks of root slots extended along the walk
+    *steps* by an interpreted walk, the completing ones kept as the root
+    stabiliser G, and the first order of each orbit p o G marked by a
+    sweep; None when G is trivial."""
+    stars = abstract._star_index()
+    blocks = collections.defaultdict(list)
+    for i, v in enumerate(order[:d + 1]):
+        blocks[len(stars[v]), len(stars.get(partner(v), ()))].append(i)
+    root = frozenset(order[:d + 1])
+    group = []
+    for parts in itertools.product(*map(itertools.permutations, blocks.values())):
+        perm = [0] * (d + 1)
+        for block, part in zip(blocks.values(), parts):
+            for i, j in zip(block, part):
+                perm[i] = j
+        img = [order[i] for i in perm] + [None] * (len(order) - d - 1)
+        facets = [root]
+        for x_new, x_drop, origin in steps:
+            hit = neighbours[facets[origin]].get(img[x_drop])
+            if hit is None:
+                break
+            facets.append(hit[0])
+            img[x_new] = hit[1]
+        else:
+            group.append(operator.itemgetter(*perm))
+    if len(group) == 1:
+        return None
+    perms = list(itertools.permutations(range(d + 1)))
+    rank = dict(zip(perms, range(len(perms))))
+    mask, seen = bytearray(len(perms)), bytearray(len(perms))
+    for k, p in enumerate(perms):
+        if not seen[k]:
+            mask[k] = 1
+            for s in group:
+                seen[rank[s(p)]] = 1
+    return bytes(mask)
+
+
+def _former_mask(d, plan):
+    ordered, neighbours, _thin = view = moves._site_view(plan.abstract)
+    order, steps = moves._compile_walk(plan.abstract, ordered[0][1], view)
+    assert order == plan.order
+    return former_root_orbits(plan.abstract, neighbours, order, steps, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_checked_swaps_mark_the_orders_the_stabiliser_marked(d):
+    """On every diamond complex the swaps of neighbouring block slots
+    generate the whole root stabiliser: each plan's mask is the one the
+    former enumeration of the stabiliser built."""
+    for spec in _specs(d):
+        plan = moves._flip_plan(d, spec)
+        assert plan.mask == _former_mask(d, plan), spec
+
+
+@pytest.mark.parametrize("d,facets,marks", [
+    # one block of three root slots: neither neighbouring swap checks,
+    # while swapping slots 0 and 2 is an automorphism; the full loop is kept
+    (2, ["0 1 2", "0 1 v2", "0 v1 v2", "v0 1 2", "v0 v1 2"], (3, None)),
+    # one block of four root slots: the swaps (0, 1) and (2, 3) check and
+    # (1, 2) does not, generating half the root stabiliser
+    (3, ["0 1 2 3", "0 1 2 v3", "0 1 v2 3", "0 1 v2 v3", "0 v1 2 3", "v0 1 2 3",
+         "v0 v1 2 3"], (3, 6)),
+], ids=["d2-none-checks", "d3-half-the-stabiliser"])
+def test_a_failing_swap_keeps_the_images(d, facets, marks):
+    """A pure subcomplex of the cross-polytope boundary with a same-block
+    swap that is no automorphism: its checked swaps generate a proper
+    subgroup of the root stabiliser, whose finer orbits mark every order
+    the former mask marks, and the search yields the same images with the
+    mask as with the full loop over a stacked sphere.  No non-face is
+    tested, so every colour-consistent image counts."""
+    abstract = Complex([face(*f.split()) for f in facets])
+    ordered, neighbours, _thin = view = moves._site_view(abstract)
+    order, steps = moves._compile_walk(abstract, ordered[0][1], view)
+    search = moves._compile_site_search(order, steps, d, (), "<test search>")
+    mask = moves._root_orbits(abstract, neighbours, search, order, d)
+    former = former_root_orbits(abstract, neighbours, order, steps, d)
+    assert (sum(former), mask and sum(mask)) == marks
+    every = bytes([1]) * math.factorial(d + 1)
+    assert all(new >= old for new, old in zip(mask or every, former))
+    c, coloring = stacked_cross_sphere_colored(3, d)
+    ordered, nb, thin = moves._site_view(c)
+    roots, stars = moves._rainbow_roots(ordered, coloring, d), c._star_index()
+    assert thin
+    images = list(search(nb, roots, coloring.get, stars))
+    assert images
+    assert list(search(nb, roots, coloring.get, stars, mask)) == images
+    assert list(search(nb, roots, coloring.get, stars, former)) == images
 
 
 def test_root_orbits_match_the_former_search_on_late_d3_walk_states(monkeypatch):
