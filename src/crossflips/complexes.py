@@ -580,34 +580,78 @@ def is_proper_coloring(c: Complex, coloring: dict, m: int) -> bool:
 
 
 def find_balanced_coloring(c: Complex) -> dict | None:
-    """Exact backtracking search for a proper (dim+1)-coloring.
+    """Exact search for a proper (dim+1)-coloring by ridge classes.
 
-    Returns the first coloring in canonical vertex order, or None when no
-    proper coloring with dim+1 colors exists.  The search is iterative, so
-    no recursion limit bounds its depth.
+    Returns the lexicographically least coloring in canonical vertex order,
+    or None when no proper coloring with dim+1 colors exists.  In such a
+    coloring the two vertices opposite a ridge that two facets of dim+1
+    vertices share both take the one color the ridge lacks, so they lie in
+    one class: a class is a component of the graph joining them.  A facet
+    with two vertices in one class has no proper coloring.  Otherwise the
+    search backtracks over the classes in order of their first vertex,
+    least color first, two classes being adjacent when a facet, pure or
+    not, holds a vertex of each; as a coloring is constant on classes, that
+    order gives the least coloring of the vertices.  Nothing recurses, so
+    no recursion limit bounds the depth.
+
+    A strongly connected pure complex has at most dim+1 classes, all
+    meeting one facet, so there the search is linear.  What stays
+    exponential is the class backtracking on complexes with many strongly
+    connected components sharing lower faces, such as the lower-dimensional
+    facets of a non-pure complex, whose classes no facet ties together.
     """
     d = c.dimension
-    if d is None:
+    if d is None or d < 0:  # no vertex to color
         return {}
     m = d + 1
+    # the ridges of the facets of m vertices as sorted tuples, each beside
+    # the vertex it omits (combinations omit the last vertex first) and the
+    # first vertex met opposite it, to which that vertex is joined
+    full = [sorted(h) for h in c.facets if len(h) == m]
+    ridges = itertools.chain.from_iterable(map(itertools.combinations, full,
+                                               itertools.repeat(d)))
+    xs = list(itertools.chain.from_iterable(map(reversed, full)))
+    ys = list(map({}.setdefault, ridges, xs))
     verts = sorted(c.vertices, key=vertex_key)
-    adj = [frozenset().union(*c._star_index()[v]) - {v} for v in verts]
-    coloring: dict[str, int] = {}
-    tried = [0] * len(verts)  # the least color vertex i may still take
+    joined: dict[str, list] = {v: [] for v in verts}
+    for x, y in zip(xs, ys):
+        if x != y:
+            joined[x].append(y)
+            joined[y].append(x)
+    cls: dict[str, int] = {}  # vertex -> class index, in order of first vertex
+    n = 0
+    for v in verts:
+        if v not in cls:
+            cls[v] = n
+            todo = [v]
+            while todo:
+                for w in joined[todo.pop()]:
+                    if w not in cls:
+                        cls[w] = n
+                        todo.append(w)
+            n += 1
+    get = cls.__getitem__
+    ties = [frozenset(map(get, h)) for h in c.facets]  # each facet's classes
+    if sum(map(len, ties)) < sum(map(len, c.facets)):
+        return None  # a facet with two vertices in one class
+    earlier = [set() for _ in range(n)]  # the adjacent classes of lower index
+    for t in set(ties):
+        for k in t:
+            earlier[k].update(j for j in t if j < k)
+    colors = [0] * n
+    tried = [0] * n  # the least color class i may still take
     i = 0
-    while 0 <= i < len(verts):
-        v = verts[i]
-        used = {coloring[w] for w in adj[i] if w in coloring}
+    while 0 <= i < n:
+        used = {colors[j] for j in earlier[i]}
         col = next((k for k in range(tried[i], m) if k not in used), None)
-        if col is None:  # backtrack: v's next attempt starts afresh
-            coloring.pop(v, None)
+        if col is None:  # backtrack: class i's next attempt starts afresh
             tried[i] = 0
             i -= 1
         else:
-            coloring[v] = col
+            colors[i] = col
             tried[i] = col + 1
             i += 1
-    return coloring if i == len(verts) else None
+    return {v: colors[cls[v]] for v in verts} if i == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +710,17 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
     if sorted(map(len, a.facets)) != sorted(map(len, b.facets)):
         return None
     ka, kb = respect_colors or ({}, {})
-    sig_a = {v: (_vertex_invariant(a, v), ka.get(v)) for v in a.vertices}
-    sig_b = {v: (_vertex_invariant(b, v), kb.get(v)) for v in b.vertices}
-    if sorted(s[0] for s in sig_a.values()) != sorted(s[0] for s in sig_b.values()):
-        return None
     mapping = dict(fixed or {})
     used = set(mapping.values())
     if not (mapping.keys() <= a.vertices and used <= b.vertices and len(used) == len(mapping)
-            and all(sig_a[u] == sig_b[w] for u, w in mapping.items())):
+            and all(ka.get(u) == kb.get(w) for u, w in mapping.items())):
+        return None
+    # invariants of the vertices left to place only: a pinned pair needs
+    # none, as a map that places every facet is an isomorphism and so keeps
+    # the degree of each pinned vertex anyway
+    sig_a = {v: (_vertex_invariant(a, v), ka.get(v)) for v in a.vertices.difference(mapping)}
+    sig_b = {v: (_vertex_invariant(b, v), kb.get(v)) for v in b.vertices.difference(used)}
+    if sorted(s[0] for s in sig_a.values()) != sorted(s[0] for s in sig_b.values()):
         return None
 
     def images_are_facets(hs) -> bool:

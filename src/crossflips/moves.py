@@ -785,10 +785,15 @@ def extend_coloring_after_cross_flip(coloring: dict, result: CrossFlipResult) ->
     of its pair partner's image, the label ``result.sources`` lists for it
     from the class plan's source slots.  Stale entries for vertices no
     longer in the complex are dropped, since their labels may be reused
-    later."""
+    later.  When every key is still a vertex, only keys equal to fresh
+    labels go, and the keys are never copied into a set."""
     out = dict(coloring)
-    keys = coloring.keys()
-    for v in (keys - result.complex.vertices) | (keys & result.fresh_vertices):
+    if result.complex.vertices.issuperset(coloring):
+        stale = [v for v in result.fresh_vertices if v in coloring]
+    else:
+        keys = coloring.keys()
+        stale = (keys - result.complex.vertices) | (keys & result.fresh_vertices)
+    for v in stale:
         del out[v]
     out.update(zip(result.fresh_vertices, map(coloring.__getitem__, result.sources)))
     return out

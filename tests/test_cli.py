@@ -79,6 +79,14 @@ def test_check_non_shelling_fixture(capsys):
     assert "boundary intersection" in text
 
 
+def test_check_unbalanced_3sphere_fixture(capsys):
+    """A 3-sphere with no proper 4-coloring, on which the former vertex
+    backtracking did not finish: the ridge classes answer at once."""
+    path = os.path.join(FIXTURES, "unbalanced_3sphere.json")
+    code, text, err = run(capsys, "check", path, "balanced")
+    assert (code, text, err) == (1, "balanced: False (coloring search, 4 colors)\n", "")
+
+
 def test_removal_mode_builds_a_boundary_only_for_its_report(tmp_path, capsys, monkeypatch):
     """Removal mode decides each split from the star index: a passing run
     builds no boundary complex, and a failing one builds one, for the

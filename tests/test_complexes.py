@@ -1,6 +1,8 @@
 """Core complex operations against hand-checked and enumerated oracles."""
 
 import itertools
+import json
+import os
 import random
 from collections import Counter
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossflips.catalog import barycentric_sphere, stacked_cross_sphere
+from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import (
     Complex,
     FaceNotPresent,
@@ -31,6 +35,7 @@ from crossflips.complexes import (
     join,
     link,
     relabel,
+    sorted_face,
     star,
     vertex_key,
 )
@@ -40,7 +45,9 @@ from crossflips.diamond import (
     simplex_boundary,
     standard_coloring,
 )
+from crossflips.moves import stellar_subdivide
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TRIANGLE_BOUNDARY = Complex([face("a", "b"), face("b", "c"), face("a", "c")])
 
 
@@ -360,6 +367,35 @@ def _recursive_balanced_coloring(c):
     return dict(coloring) if attempt(0) else None
 
 
+def _vertex_backtracking_coloring(c):
+    """The coloring search before ridge classes: iterative backtracking
+    over the vertices in canonical order, least color first.  It can take
+    exponential time on a complex with no proper coloring, so it only meets
+    small or balanced inputs here."""
+    d = c.dimension
+    if d is None:
+        return {}
+    m = d + 1
+    verts = sorted(c.vertices, key=vertex_key)
+    adj = [frozenset().union(*c._star_index()[v]) - {v} for v in verts]
+    coloring = {}
+    tried = [0] * len(verts)
+    i = 0
+    while 0 <= i < len(verts):
+        v = verts[i]
+        used = {coloring[w] for w in adj[i] if w in coloring}
+        col = next((k for k in range(tried[i], m) if k not in used), None)
+        if col is None:
+            coloring.pop(v, None)
+            tried[i] = 0
+            i -= 1
+        else:
+            coloring[v] = col
+            tried[i] = col + 1
+            i += 1
+    return coloring if i == len(verts) else None
+
+
 def _polygon(n):
     return Complex(face(i, (i + 1) % n) for i in range(n))
 
@@ -388,6 +424,100 @@ def test_balanced_coloring_search_is_not_bound_by_the_recursion_limit():
     col = find_balanced_coloring(_polygon(1200))
     assert col == {str(i): i % 2 for i in range(1200)}
     assert find_balanced_coloring(_polygon(1201)) is None
+
+
+def assert_matches_vertex_backtracking(c):
+    """The ridge-class search returns the former search's coloring, key
+    order included, or None with it."""
+    want = _vertex_backtracking_coloring(c)
+    got = find_balanced_coloring(c)
+    if want is None:
+        assert got is None, c.canonical_facets()
+    else:
+        assert list(got.items()) == list(want.items()), c.canonical_facets()
+    return want
+
+
+def _subdivided(c):
+    """c with its first canonical facet stellarly subdivided: a sphere that
+    was balanced is no longer."""
+    return stellar_subdivide(c, c.canonical_facets()[0])
+
+
+@pytest.mark.parametrize("d,steps", [(1, 20), (2, 20), (3, 8), (4, 3)])
+def test_balanced_coloring_matches_backtracking_on_walk_outputs(d, steps):
+    for seed in range(2):
+        c = run_walk(WalkConfig(steps=steps, seed=seed, dimension=d))[0]
+        assert assert_matches_vertex_backtracking(c) is not None
+        facets = sorted(c.facets, key=sorted_face)
+        assert_matches_vertex_backtracking(Complex(facets[1:]))
+
+
+def test_balanced_coloring_matches_backtracking_on_stacked_and_barycentric_spheres():
+    """Stacked and barycentric spheres, two octahedra sharing a vertex (not
+    strongly connected), and spheres with a facet subdivided."""
+    spheres = [stacked_cross_sphere(copies, d) for d in (1, 2, 3, 4) for copies in (1, 3, 6)]
+    spheres += [barycentric_sphere(d)[0] for d in (1, 2, 3)]
+    octahedron = cross_polytope(2).facets
+    pinched = Complex(list(octahedron) + [frozenset(v if v == "0" else "q" + v for v in h)
+                                          for h in octahedron])
+    for c in spheres + [pinched]:
+        assert assert_matches_vertex_backtracking(c) is not None
+    for c in spheres[:7] + [cross_polytope(d) for d in (1, 2, 3)]:
+        assert assert_matches_vertex_backtracking(_subdivided(c)) is None
+
+
+TORUS = Complex([face(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                + [face(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+PROJECTIVE_PLANE = Complex(face(*t) for t in (
+    (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+    (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)))
+
+
+def test_balanced_coloring_matches_backtracking_on_surfaces():
+    """The 7-vertex torus and the 6-vertex projective plane have complete
+    1-skeleta, so neither has a proper 3-coloring; nor has the cone over
+    either, nor the two glued along a vertex."""
+    for surface in (TORUS, PROJECTIVE_PLANE):
+        cone = Complex(h | {"x"} for h in surface.facets)
+        for c in (surface, cone, _subdivided(surface)):
+            assert assert_matches_vertex_backtracking(c) is None
+    glued = Complex(list(TORUS.facets) + [frozenset("p%s" % v if v != "1" else v for v in h)
+                                          for h in PROJECTIVE_PLANE.facets])
+    assert assert_matches_vertex_backtracking(glued) is None
+
+
+@st.composite
+def drawn_complexes(draw):
+    """A complex on at most d + 5 vertices generated by up to 12 faces, all
+    of d + 1 vertices unless the draw mixes sizes."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(d + 1, d + 5))
+    sizes = st.integers(1, d + 1) if draw(st.booleans()) else st.just(d + 1)
+    faces = draw(st.lists(
+        sizes.flatmap(lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)),
+        min_size=1, max_size=12))
+    return Complex.generated_by(faces)
+
+
+@given(drawn_complexes())
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+def test_balanced_coloring_matches_backtracking_on_drawn_complexes(c):
+    assert_matches_vertex_backtracking(c)
+
+
+def test_unbalanced_3sphere_has_no_coloring():
+    """The fixture is a seeded walk's 3-sphere with one facet stellarly
+    subdivided: 249 facets on 64 vertices with no proper 4-coloring, where
+    the vertex backtracking did not finish."""
+    with open(os.path.join(FIXTURES, "unbalanced_3sphere.json"), encoding="utf-8") as fh:
+        c, coloring = complex_from_doc(json.load(fh))
+    assert coloring is None
+    assert (len(c.facets), len(c.vertices), c.dimension) == (249, 64, 3)
+    assert is_combinatorial_manifold(c) is ManifoldVerdict.CLOSED
+    assert find_balanced_coloring(c) is None
+    walked = run_walk(WalkConfig(steps=120, seed=2, dimension=3))[0]
+    assert _subdivided(walked) == c
 
 
 def test_are_isomorphic_examples():

@@ -11,6 +11,11 @@ through `partner`.  Every class at d = 1..4 is applied on its
 `ambient_with_induced_diamond` and at every site of seeded walk states; a
 non-pure ambient and a colouring with stale keys ride along.  Each
 inherited slot is compared with a fresh `Complex`.
+
+`extend_coloring_after_cross_flip` copies no key set when every key is
+still a vertex; its former body, which diffed the keys against the result's
+vertices on every flip, is kept as an order-exact oracle, at every site
+above and along seeded stackings.
 """
 
 import random
@@ -58,6 +63,17 @@ def former_extension(coloring, res):
     return out
 
 
+def diffed_extension(coloring, res):
+    """The former body of `extend_coloring_after_cross_flip`: every key
+    diffed against the result's vertices and the fresh labels."""
+    out = dict(coloring)
+    keys = coloring.keys()
+    for v in (keys - res.complex.vertices) | (keys & res.fresh_vertices):
+        del out[v]
+    out.update(zip(res.fresh_vertices, map(coloring.__getitem__, res.sources)))
+    return out
+
+
 def _w_indices(vertices):
     return [int(v[1:]) for v in vertices if v[:1] == "w" and v[1:].isdigit()]
 
@@ -79,11 +95,16 @@ def assert_matches_former(c, flip, coloring):
     assert res.complement_induced == _traces_are_faces(
         res.complex.facets, glued, frozenset().union(*glued))
     # stale keys: a vertex never in the complex and the first fresh label,
-    # with a colour it will not get
-    stale = {**coloring, "w%d" % (_w_top(c.vertices) + 1): 0, "zz": 0}
-    for col in (coloring, stale):
+    # with a colour it will not get, after the others and before them; and
+    # a colouring missing a vertex that no fresh colour is read from
+    nxt = "w%d" % (_w_top(c.vertices) + 1)
+    stale = {**coloring, nxt: 0, "zz": 0}
+    gap = next((v for v in coloring if v not in res.sources), None)
+    missing = {v: k for v, k in coloring.items() if v != gap}
+    for col in (coloring, stale, {nxt: 0, **coloring}, missing):
         got = extend_coloring_after_cross_flip(col, res)
         assert list(got.items()) == list(former_extension(col, res).items())
+        assert list(got.items()) == list(diffed_extension(col, res).items())
     built = Complex(res.complex.facets)
     new = res.complex
     assert new._stars == after._stars == built._star_index()
@@ -116,16 +137,19 @@ def test_every_site_of_seeded_walk_states(d, steps, seed):
     takes one of them at random."""
     cur, col = cross_polytope(d), standard_coloring(d)
     rng = random.Random(seed)
-    applied = set()
+    applied, kept_every_key = set(), set()
     for _ in range(steps):
         results = []
         for spec in _specs(d):
             for site in find_cross_flip_sites(cur, col, spec):
                 results.append(assert_matches_former(cur, site, col))
                 applied.add(spec)
+        kept_every_key.update(res.complex.vertices.issuperset(col) for res in results)
         res = rng.choice(results)
         cur, col = res.complex, extend_coloring_after_cross_flip(col, res)
     assert (d,) in applied
+    # flips that remove a vertex leave a stale key and take the diff
+    assert kept_every_key == {True, False}
 
 
 def test_every_class_on_a_non_pure_ambient():
@@ -174,3 +198,20 @@ def test_image_facets_follow_the_index_rule_of_an_application():
         flip.image_facets()
     assert type(read.value) is type(applied.value)
     assert str(read.value) == str(applied.value) == "indices must lie in 0..2"
+
+
+@pytest.mark.parametrize("d,ops,seed", [(2, 40, 21), (3, 40, 22), (4, 25, 23)])
+def test_extension_along_seeded_stackings(d, ops, seed):
+    """Class (d,) on a seeded facet at each step: no vertex leaves, so only
+    keys equal to fresh labels could go."""
+    (abstract,) = diamond_closed_form(d, (d,)).facets
+    cur, col = cross_polytope(d), standard_coloring(d)
+    rng = random.Random(seed)
+    for _ in range(ops):
+        target = rng.choice(sorted(sorted(f, key=vertex_key) for f in cur.facets))
+        by_colour = {col[v]: v for v in target}
+        emb = {a: by_colour[col[a]] for a in abstract}
+        res = apply_cross_flip_detailed(cur, CrossFlip(d=d, spec=(d,), embedding=emb))
+        got = extend_coloring_after_cross_flip(col, res)
+        assert list(got.items()) == list(diffed_extension(col, res).items())
+        cur, col = res.complex, got
