@@ -22,8 +22,9 @@ A complex keeps only its facets and, each built on first use: its vertex set,
 its star index (vertex -> frozenset of the facets containing it, which
 answers ``has_face``, ``link`` and ``star`` in time proportional to a
 vertex degree), the common size of its facets and the highest "w<k>"
-label among its vertices.  The indexes a flip-site search walks belong to
-that search (``moves._site_view``), not to the complex.  A complex made
+label among its vertices.  The facet-neighbour table (``_neighbour_table``)
+that the flip-site search (``moves._site_view``) and manifold recognition
+walk is built by each of their calls, not kept.  A complex made
 from another by exchanging a few facets (``Complex._replaced``, the result
 of a cross-flip, a bistellar flip, a stellar subdivision, a face deletion
 or a shelling move) inherits the vertex set and star index of the other,
@@ -191,6 +192,24 @@ def _stars(facets) -> dict:
         for x in h:
             stars.setdefault(x, []).append(h)
     return stars
+
+
+def _neighbour_table(facets) -> tuple:
+    """``(table, thin)`` over a collection of facets: the facet-neighbour
+    table, facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly
+    the two facets h and g = (h - {x}) | {y}, and whether no ridge lies in
+    three or more facets.  The site search (``moves._site_view``) and
+    manifold recognition read it; no complex keeps one."""
+    table: dict[frozenset, dict] = {h: {} for h in facets}
+    thin = True
+    for pair in _ridges(facets).values():
+        if len(pair) == 2:
+            (h, x), (g, y) = pair
+            table[h][x] = (g, y)
+            table[g][y] = (h, x)
+        elif len(pair) > 2:
+            thin = False
+    return table, thin
 
 
 def _w_index(v: str) -> int | None:
@@ -756,7 +775,8 @@ def are_isomorphic(a: Complex, b: Complex, respect_colors=None, fixed=None):
 
 
 # ---------------------------------------------------------------------------
-# manifold recognition (exact up to ambient dimension 3)
+# manifold recognition by face walks (exact up to ambient dimension 3; above
+# it a failed walk is an exact NO and anything else UNDECIDED)
 
 
 class ManifoldVerdict(Enum):
@@ -766,75 +786,95 @@ class ManifoldVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-def _is_connected(stars: dict) -> bool:
-    """Whether any two vertices of the star table *stars* (vertex -> the
-    facets containing it) are joined by a chain of facets, each meeting the
-    next; true with at most one vertex."""
-    seen, todo = set(), list(stars)[:1]
-    while todo:
-        for h in stars[todo.pop()]:
-            fresh = h - seen
-            seen |= fresh
-            todo.extend(fresh)
-    return len(seen) == len(stars)
+def _joined(star, table: dict, f) -> int:
+    """Walk the facets *star*, those containing the face *f*, from one of
+    them across the ridges containing f that the neighbour *table* lists:
+    the number of (facet, ridge) crossings, a ridge counted from both its
+    facets, or -1 when some facet of star is not reached."""
+    todo = [next(iter(star))]
+    seen = set(todo)
+    crossed = 0
+    for h in todo:
+        for x, (g, _) in table[h].items():
+            if x not in f:
+                crossed += 1
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    return crossed if len(seen) == len(star) else -1
 
 
-def _sphere_or_ball(facets: list, k: int) -> str | None:
-    """"sphere" or "ball" when the distinct facets of k + 1 vertices each,
-    k <= 2, form a combinatorial k-sphere or k-ball; None otherwise.
-
-    For k >= 1 the facets must be connected, with each ridge in at most two
-    of them and in one exactly when they form a ball; for k = 2 each vertex
-    link must be connected (each of its vertices then lies in at most two
-    of its edges, so it is a path or a cycle) and V - E + F be 2 (sphere)
-    or 1 (ball), as a compact connected surface with that Euler
-    characteristic is one.
-    """
-    if k == 0:
-        return {2: "sphere", 1: "ball"}.get(len(facets))
-    stars = _stars(facets)
-    if not _is_connected(stars):
-        return None
-    ridges = _ridges(facets)
-    if any(len(hs) > 2 for hs in ridges.values()):
-        return None
-    kind = "ball" if any(len(hs) == 1 for hs in ridges.values()) else "sphere"
-    if k == 2:
-        if not all(_is_connected(_stars(h - {x} for h in hs)) for x, hs in stars.items()):
-            return None
-        if len(stars) - len(ridges) + len(facets) != (1 if kind == "ball" else 2):
-            return None
-    return kind
+def _face_stars(facets, k: int) -> dict:
+    """Each face of k vertices, as a sorted tuple -> the facets containing it."""
+    stars: dict[tuple, list] = {}
+    for h in facets:
+        for f in itertools.combinations(sorted(h), k):
+            stars.setdefault(f, []).append(h)
+    return stars
 
 
 def is_combinatorial_manifold(c: Complex) -> ManifoldVerdict:
-    """Exact verdict for dimension <= 3; Undecided above that.
+    """Exact verdict for dimension <= 3; NO or UNDECIDED above that.
 
-    The complex must be connected and the link of each vertex, both read
-    from the star index (the link as the facet list ``[g - {v} for g in
-    stars[v]]``), a sphere or a ball (``_sphere_or_ball``); a ball link puts
-    the vertex on the boundary.  No ``Complex`` is built.
+    Each test walks the facets containing a face across the ridges
+    containing it that lie in exactly two facets (``_joined`` over one
+    ``_neighbour_table``) and passes when the walk reaches them all: the
+    link of the face is then a strongly connected pseudomanifold.
+
+    - d = 0: the complex must be one point.
+    - d >= 1: the walk of the empty face (the whole complex) must pass;
+      the manifold has boundary when some ridge lies in one facet.
+    - d = 2: the walk of every vertex must pass, so each link is a path or
+      a cycle.
+    - d = 3: the walk of every vertex v must pass and its link have
+      V - E + F = 2, or 1 when v lies on a boundary ridge.  F is the size
+      of the star of v, V the number of other vertices in it, and
+      E = 3F - inner / 2, inner being the ridges the walk crossed, each
+      counted from both its facets.  Splitting each vertex of a strongly
+      connected link whose own link is not connected gives a connected
+      surface and only raises V - E + F, which is at most 2 on a surface
+      and at most 1 with boundary, with equality for the sphere and the
+      disc alone.  So the edge links need no walk of their own.
+    - d >= 4: the walk of every face of at most d - 1 vertices must pass,
+      as it does on every combinatorial manifold; a failed walk answers
+      NO and the rest is UNDECIDED.
+
+    A ridge in three or more facets needs no test of its own.  At d other
+    than 3 a face of d - 1 of its vertices fails its walk: the link of that
+    face is a graph, and a vertex of degree three or more ends no single
+    path or cycle.  At d = 3, the ridge being {a, b, c}, the count above
+    takes the edge bc of the link of a for three or more boundary edges
+    meeting at b, so that link, when its walk passes, has V - E + F <= 0.
+    No ``Complex`` is built.
     """
     if not c.is_pure or not c.facets:
         raise NotPure("manifold check requires a pure nonempty complex")
     d = c.dimension
     if d < 0:
         raise NotPure("manifold check requires dimension at least 0")
-    if d >= 4:
-        return ManifoldVerdict.UNDECIDED
-    stars = c._star_index()
-    if not _is_connected(stars):
-        return ManifoldVerdict.NO
+    facets = c.facets
     if d == 0:
-        return ManifoldVerdict.CLOSED  # connected: a single point
-    saw_ball = False
-    for v in sorted(stars, key=vertex_key):
-        kind = _sphere_or_ball([g - {v} for g in stars[v]], d - 1)
-        if kind is None:
+        return ManifoldVerdict.CLOSED if len(facets) == 1 else ManifoldVerdict.NO
+    table = _neighbour_table(facets)[0]
+    crossed = _joined(facets, table, ())
+    if crossed < 0:
+        return ManifoldVerdict.NO
+    if d == 3:
+        for v, star in c._star_index().items():
+            inner = _joined(star, table, (v,))
+            # twice V - E + F of the link of v, with E = 3F - inner / 2
+            twice_euler = 2 * (len(frozenset().union(*star)) - 1) - 4 * len(star) + inner
+            if inner < 0 or twice_euler != (4 if inner == 3 * len(star) else 2):
+                return ManifoldVerdict.NO
+    elif d > 1:
+        walks = itertools.chain((((v,), star) for v, star in c._star_index().items()),
+                                *(_face_stars(facets, k).items() for k in range(2, d)))
+        if not all(_joined(star, table, f) >= 0 for f, star in walks):
             return ManifoldVerdict.NO
-        if kind == "ball":
-            saw_ball = True
-    return ManifoldVerdict.WITH_BOUNDARY if saw_ball else ManifoldVerdict.CLOSED
+        if d > 3:
+            return ManifoldVerdict.UNDECIDED
+    return (ManifoldVerdict.WITH_BOUNDARY if crossed < (d + 1) * len(facets)
+            else ManifoldVerdict.CLOSED)
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,9 @@ from .complexes import (
     ComplexError,
     FaceNotPresent,
     _as_face,
+    _neighbour_table,
     _Record,
     _require_boundary,
-    _ridges,
     boundary_complex,
     is_proper_coloring,
     partner,
@@ -849,22 +849,11 @@ def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:
 def _site_view(c: Complex) -> tuple:
     """The indexes a flip-site search walks over c, built afresh on each
     call: ``(ordered, neighbours, thin)``, with ``(sorted_face(h), h)`` for
-    every facet h in ``sorted_face`` order, the facet-neighbour table
-    (facet h -> {x: (g, y)} for every ridge h - {x} lying in exactly the
-    two facets h and g = (h - {x}) | {y}), and whether no ridge lies in
-    three or more facets."""
+    every facet h in ``sorted_face`` order, and the facet-neighbour table
+    and thin flag of ``_neighbour_table``."""
     key = {v: vertex_key(v) for v in c.vertices}.__getitem__
     ordered = tuple(sorted((tuple(sorted(h, key=key)), h) for h in c.facets))
-    neighbours: dict[frozenset, dict] = {h: {} for h in c.facets}
-    thin = True
-    for pair in _ridges(c.facets).values():
-        if len(pair) == 2:
-            (h, x), (g, y) = pair
-            neighbours[h][x] = (g, y)
-            neighbours[g][y] = (h, x)
-        elif len(pair) > 2:
-            thin = False
-    return ordered, neighbours, thin
+    return (ordered, *_neighbour_table(c.facets))
 
 
 def _rainbow_roots(ordered: tuple, coloring: dict, d: int) -> list:
