@@ -23,6 +23,7 @@ from .complexes import (
     ManifoldVerdict,
     _faces_from_doc,
     _Record,
+    _require_boundary,
     _subsets,
     complex_from_doc,
     dumps,
@@ -197,25 +198,23 @@ def _check_removal_order(c: Complex, order) -> int:
 
     Reports the first facet admitting no interior/boundary decomposition,
     together with its intersection with the current boundary, or that it
-    does not meet that boundary, or that the complex has none.  The
-    boundary complex is built for that report only, and only the facet's
-    subsets are tested on it: the splits are checked from the star index.
+    does not meet that boundary, or that the complex has none.  Boundary
+    membership of the facet's faces and of the empty face (is there a
+    boundary?) is read from the star index, by ``moves._on_boundary``.
     """
-    from .complexes import boundary_complex
-
     cur = c
     for pos, f in enumerate(order, start=1):
         if f not in cur.facets:
             print("FAIL at facet %d: not a facet of the current complex" % pos)
             return 1
         if _moves.find_shelling_decomposition(cur, f) is None:
-            bd = boundary_complex(cur)
-            inter = [g for g in _subsets(f) if g and bd.has_face(g)]
+            _require_boundary(cur)  # skipped above for a facet of < 2 vertices
+            inter = [g for g in _subsets(f) if g and _moves._on_boundary(cur, g)]
             maxi = [g for g in inter if not any(g < h for h in inter)]
             if maxi:
                 desc = "boundary intersection is " + ", ".join(
                     str(list(sorted_face(g))) for g in sorted(maxi, key=sorted_face))
-            elif bd.facets:
+            elif _moves._on_boundary(cur, frozenset()):
                 desc = "the facet does not meet the boundary"
             else:
                 desc = "the complex has no boundary"

@@ -646,8 +646,13 @@ def _root_orbits(abstract: Complex, neighbours: dict, search, order: tuple, d: i
             swapped[i], swapped[j] = swapped[j], swapped[i]
             if _walk_onto(search, neighbours, [(swapped, root)], b"\x01") is not None:
                 checked.append((i, j))
-    if not checked:
-        return None
+    return _orbit_mask(d, tuple(checked)) if checked else None
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_mask(d: int, checked: tuple) -> bytes:
+    """The mask of the orders ``permutations(range(d + 1))`` yields that
+    increase along every checked swap (i, j), one object per swap list."""
     orders = list(itertools.permutations(range(d + 1)))
     increasing = [map(operator.lt, map(operator.itemgetter(i), orders),
                       map(operator.itemgetter(j), orders)) for i, j in checked]

@@ -18,7 +18,8 @@ face:
 Membership in K is read from a vertex -> facets index grown as facets are
 placed (``_Covered``): a step reads the star of one vertex y of f for the
 ridges through y, then makes one lookup for the ridge f - {y} and one for
-R.  The faces of f are enumerated only at a failing step, to report its
+R.  A relative check seeds the index with the removed facets as given.
+The faces of f are enumerated only at a failing step, to report its
 minimal new faces.
 The search memoizes on the set of already-placed facets, which is sound
 because shellability of a prefix depends only on the faces it covers.
@@ -165,17 +166,19 @@ def _new_faces(f: frozenset, covered) -> list:
     return sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
 
 
-def _run(order, removed) -> ShellingVerdict:
-    """Place the facets of *order* after the facets *removed*."""
+def _run(order, facets, removed, what: str) -> ShellingVerdict:
+    """Place the facets of *order*, a permutation of *facets* (else
+    NotAPermutation, naming *what* they are), after the facets *removed*."""
+    order = list(map(_as_face, order))
+    if len(order) != len(facets) or set(order) != facets:
+        raise NotAPermutation("order must be a permutation of " + what)
     covered = _Covered(removed)
     restrictions = []
     for idx, f in enumerate(order):
         r = covered.restriction(f)
         if r is None:
-            return ShellingVerdict(
-                ok=False, failing_index=idx,
-                minimal_new_faces=tuple(_new_faces(f, covered)),
-            )
+            return ShellingVerdict(ok=False, failing_index=idx,
+                                   minimal_new_faces=tuple(_new_faces(f, covered)))
         restrictions.append(r)
         covered.add(f)
     return ShellingVerdict(ok=True, restrictions=tuple(restrictions))
@@ -183,24 +186,13 @@ def _run(order, removed) -> ShellingVerdict:
 
 def is_shelling(c: Complex, order) -> ShellingVerdict:
     """Check an ordering of all facets; restrictions are re-derived."""
-    order = list(map(_as_face, order))
-    if len(order) != c.n_facets or set(order) != c.facets:
-        raise NotAPermutation("order must be a permutation of the facets")
-    return _run(order, ())
+    return _run(order, c.facets, (), "the facets")
 
 
 def is_relative_shelling(rc: RelativeComplex, order) -> ShellingVerdict:
     """Check an ordering of the facets outside the removed lower ideal."""
-    order = list(map(_as_face, order))
-    expected = rc.pair_facets()
-    if len(order) != len(expected) or set(order) != expected:
-        raise NotAPermutation(
-            "order must be a permutation of the ambient facets outside the removed part"
-        )
-    # every face _run asks about lies in the span of the order, so the
-    # removed facets count by their traces on it
-    span = frozenset().union(*order)
-    return _run(order, list(map(span.intersection, rc.removed.facets)))
+    return _run(order, rc.pair_facets(), rc.removed.facets,
+                "the ambient facets outside the removed part")
 
 
 def verify_certificate(target, cert: ShellingCertificate) -> ShellingVerdict:

@@ -5,7 +5,8 @@
 has a ridge h - {y}, y outside g, that lies in one facet.  Conditions (2)
 and (3) of an elementary shelling are decided with it.  Here it must agree
 with membership in the built boundary complex on every face of balls,
-spheres and pinched complexes, and every condition verdict must equal the
+spheres, pinched complexes and seeded random pure complexes, the empty
+face included, and every condition verdict must equal the
 one read from the whole boundary's face set, as the library did before.
 """
 
@@ -57,9 +58,21 @@ DIAMONDS = [diamond_closed_form(d, idx) for d in (1, 2, 3)
 PURE = BALLS + SPHERES + PINCHED + DIAMONDS
 
 
+def _random_pure(rng: random.Random) -> Complex:
+    d = rng.randint(1, 3)
+    pool = "abcdefg"[: d + 1 + rng.randint(1, 4)]
+    return Complex.generated_by([frozenset(rng.sample(pool, d + 1))
+                                 for _ in range(rng.randint(1, 8))])
+
+
+RANDOM_PURE = [_random_pure(random.Random(seed)) for seed in range(300)]
+
+
 def test_boundary_faces_are_read_from_the_star_index():
+    """Every face, the empty face included: it is on the boundary exactly
+    when there is one."""
     on, off = 0, 0
-    for c in PURE:
+    for c in PURE + RANDOM_PURE:
         bd = boundary_complex(c).all_faces()
         for g in c.all_faces():
             got = moves._on_boundary(c, g)

@@ -87,10 +87,10 @@ def test_check_unbalanced_3sphere_fixture(capsys):
     assert (code, text, err) == (1, "balanced: False (coloring search, 4 colors)\n", "")
 
 
-def test_removal_mode_builds_a_boundary_only_for_its_report(tmp_path, capsys, monkeypatch):
-    """Removal mode decides each split from the star index: a passing run
-    builds no boundary complex, and a failing one builds one, for the
-    boundary intersection it reports."""
+def test_removal_mode_builds_no_boundary_complex(tmp_path, capsys, monkeypatch):
+    """Removal mode decides each split from the star index, and a failing
+    run reads the boundary intersection it reports from there too: no run
+    builds a boundary complex."""
     from crossflips import complexes, moves
 
     built = []
@@ -117,7 +117,7 @@ def test_removal_mode_builds_a_boundary_only_for_its_report(tmp_path, capsys, mo
     code, text, _ = run(capsys, "check", str(path), "shelling-order")
     assert (code, text) == (1, "FAIL at facet 1: no elementary shelling decomposition; "
                                "boundary intersection is ['o'], ['p2', 'p3']\n")
-    assert built == [5]
+    assert built == []
 
 
 def test_removal_mode_on_a_closed_complex_says_it_has_no_boundary(tmp_path, capsys):

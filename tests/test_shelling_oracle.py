@@ -13,6 +13,7 @@ the same examples.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossflips import catalog, shelling
@@ -197,6 +198,34 @@ def test_relative_orders_get_the_reference_verdict(c, data):
     rc = RelativeComplex(c, removed)
     order = data.draw(st.permutations(sorted(rc.pair_facets(), key=sorted_face)))
     assert is_relative_shelling(rc, order) == _ref_is_relative_shelling(rc, order)
+
+
+def _faces(*names):
+    return [frozenset(n) for n in names]
+
+
+@pytest.mark.parametrize("ambient, removed, order, want", [
+    # a removed facet disjoint from the order's vertices covers only the
+    # empty face, so the first facet has three minimal new faces
+    (["abc", "abd", "xyz"], ["xyz"], ["abc", "abd"],
+     ShellingVerdict(ok=False, failing_index=0, minimal_new_faces=tuple(_faces("a", "b", "c")))),
+    # a removed facet with a vertex, e, outside the order's span
+    (["abc", "bcd", "cde"], ["cde"], ["bcd", "abc"],
+     ShellingVerdict(ok=True, restrictions=tuple(_faces("b", "a")))),
+    (["abc", "bcd", "cde", "aef"], ["cde", "aef"], ["bcd", "abc"],
+     ShellingVerdict(ok=False, failing_index=1, minimal_new_faces=tuple(_faces("ab", "ac")))),
+    # removed parts of lower-dimensional faces only: the edge bc, then
+    # also the vertex d
+    (["abc", "bcd"], ["bc"], ["abc", "bcd"],
+     ShellingVerdict(ok=True, restrictions=tuple(_faces("a", "d")))),
+    (["abc", "bcd"], ["bc", "d"], ["abc", "bcd"],
+     ShellingVerdict(ok=False, failing_index=1, minimal_new_faces=tuple(_faces("bd", "cd")))),
+])
+def test_relative_cases_get_the_reference_verdict(ambient, removed, order, want):
+    rc = RelativeComplex(Complex.generated_by(_faces(*ambient)),
+                         Complex.generated_by(_faces(*removed)))
+    order = _faces(*order)
+    assert is_relative_shelling(rc, order) == _ref_is_relative_shelling(rc, order) == want
 
 
 def test_void_and_empty_complexes():
