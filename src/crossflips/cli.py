@@ -291,7 +291,10 @@ def apply_script_line(c: Complex, line: str):
     if missing:
         raise ValueError("%s line lacks %s" % (op, ", ".join(k + "=" for k in missing)))
     if op == "crossflip":
-        spec = tuple(int(t) for t in kv["I"].split(","))
+        try:
+            spec = tuple(int(t) for t in kv["I"].split(","))
+        except ValueError:
+            raise ValueError("I= wants a comma list of integers, got %r" % (kv["I"],)) from None
         anchor = tuple(t for t in kv["anchor"].split(",") if t)
         emb = _anchor_embedding(c, spec, anchor)
         flip = _moves.CrossFlip(d=c.dimension, spec=spec, embedding=emb)

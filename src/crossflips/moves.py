@@ -49,7 +49,9 @@ boundary when one facet contains it, so (3) is one lookup per ridge of F,
 and A is on the boundary exactly when some facet h containing A has such
 a ridge h - {y} with y outside A (``_on_boundary``).  Removing the
 facet, or adding it in an inverse shelling, exchanges facets with
-``Complex._replaced``, so a shelling move costs its facet's region.
+``Complex._replaced``, so a shelling move costs its facet's region.  The
+boundary realization of a flip of A for B is one such move, checked: the
+facet A | B removed with interior part B, or added with A.
 
 Site search runs the class's ridge walk over a view of the ambient that
 it builds for itself, as the complex keeps none (``_site_view``): the
@@ -107,7 +109,6 @@ from .complexes import (
     _neighbour_table,
     _Record,
     _require_boundary,
-    boundary_complex,
     is_proper_coloring,
     partner,
     pair_index,
@@ -943,30 +944,29 @@ def _greedy_extend(coloring: dict, after: Complex, m: int):
 
 def boundary_bistellar_realization(c: Complex, a, b) -> Complex:
     """Add or remove the facet A | B so that the boundary of the result is
-    exactly the flipped boundary of the input."""
+    exactly the flipped boundary of the input: one checked elementary
+    shelling, with interior part B to remove the facet and A to add it."""
     from .complexes import ManifoldVerdict, is_combinatorial_manifold
 
     a, b = _as_face(a), _as_face(b)
     if is_combinatorial_manifold(c) != ManifoldVerdict.WITH_BOUNDARY:
         raise NotApplicableOnBoundary("ambient must be a manifold with boundary")
-    bd = boundary_complex(c)
-    if not bd.has_face(a):
+    if not _on_boundary(c, a):
         raise NotApplicableOnBoundary("face is not on the boundary")
-    if bd.has_face(b):
+    if _on_boundary(c, b):
         raise NotApplicableOnBoundary("target face already on the boundary")
-    # b is no face of bd, so if it meets a, the join holds a | b and faces of
-    # it, as no star does: the test still matches the link's
-    if frozenset(bd._facets_containing(a)) != _join_boundary(a, b):
+    if frozenset(h - {y} for h in c._facets_containing(a) for y in h - a
+                 if _on_rim(c, h - {y})) != _join_boundary(a, b):
         raise NotApplicableOnBoundary("boundary link does not match")
-    f_full = a | b
-    if c.has_face(f_full):
-        if f_full not in c.facets:
-            raise NotApplicableOnBoundary("flip region is not a single facet")
-        result = c._replaced(frozenset([f_full]), frozenset())
-    else:
-        result = _with_facet(c, f_full)
-    want = apply_bistellar(bd, BistellarFlip(A=a, B=b))
-    got = boundary_complex(result)
-    if got != want:
-        raise NotApplicableOnBoundary("result boundary is not the flipped boundary")
-    return result
+    if not a:
+        raise NotApplicable("both faces of a flip must be nonempty")
+    # Exact: each ridge lies in one or two facets and the rim ridges at A are
+    # the A | (B - {x}), so A, B are disjoint (else B is on a rim ridge), A | B
+    # is a facet if a face, and each (A - {y}) | B lies in 0 or 2 facets.  A
+    # removal meets (1)-(3) for (B, A) and flips the rim; an addition meets
+    # (2), and (3), no (A - {y}) | B a face of c, exactly when it flips the rim.
+    f = a | b
+    try:
+        return shelling_move(c, f, b, a) if f in c.facets else inverse_shelling(c, f, a, b)
+    except ConditionViolated:
+        raise NotApplicableOnBoundary("result boundary is not the flipped boundary") from None

@@ -1,4 +1,5 @@
-"""The boundary test of `moves` against the boundary complex it replaced.
+"""The boundary test of `moves`, and the boundary realization of a flip,
+against the boundary complexes they replaced.
 
 `moves._on_boundary(c, g)` says whether g is a face of
 `boundary_complex(c)` from the star index alone: some facet h containing g
@@ -8,8 +9,14 @@ with membership in the built boundary complex on every face of balls,
 spheres, pinched complexes and seeded random pure complexes, the empty
 face included, and every condition verdict must equal the
 one read from the whole boundary's face set, as the library did before.
+
+`moves.boundary_bistellar_realization` is one checked elementary
+shelling; `_ref_realization` below is the former one, which flipped the
+whole boundary complex and compared it with the result's.  Both must
+give the same result or the same error on every input tried.
 """
 
+import collections
 import itertools
 import random
 
@@ -18,15 +25,26 @@ import pytest
 from crossflips import complexes, moves
 from crossflips.complexes import (
     Complex,
+    ManifoldVerdict,
     NotPure,
+    _as_face,
+    _subsets,
     boundary_complex,
     face,
+    is_combinatorial_manifold,
     sorted_face,
+    vertex_key,
 )
 from crossflips.diamond import cross_polytope, diamond_closed_form, simplex_boundary
 from crossflips.moves import (
+    BistellarFlip,
     ConditionViolated,
+    NotApplicable,
+    NotApplicableOnBoundary,
+    apply_bistellar,
+    boundary_bistellar_realization,
     find_shelling_decomposition,
+    fresh_vertices,
     inverse_shelling,
     shelling_move,
 )
@@ -150,13 +168,152 @@ def test_no_condition_check_builds_the_boundary(monkeypatch):
         return boundary_complex(c)
 
     monkeypatch.setattr(complexes, "boundary_complex", counting)
-    monkeypatch.setattr(moves, "boundary_complex", counting)
+    realized = 0
     for c in BALLS + SPHERES + PINCHED:
+        fresh = frozenset(fresh_vertices(c, 1))
         for f in c.facets:
             split = find_shelling_decomposition(c, f)
             if split is not None:
                 shelling_move(c, f, *split)
                 inverse_shelling(Complex(c.facets - {f}), f, *split)
             _verdict(shelling_move, c, f, f - {min(f)}, frozenset([min(f)]))
-    assert built == []
+            for b in (frozenset([min(f)]), fresh):
+                out = _outcome(boundary_bistellar_realization, c, f - {min(f)}, b)
+                realized += out[0] == "ok"
+    assert built == [] and realized
     assert not hasattr(moves, "_boundary_faces")
+    assert "boundary_complex" not in vars(moves)
+
+
+# ---------------------------------------------------------------------------
+# the boundary realization of a bistellar flip
+
+
+def _ref_realization(c, a, b):
+    """The former realization: flip the boundary complex of c, build the
+    boundary complex of the result, and compare the two."""
+    a, b = _as_face(a), _as_face(b)
+    if is_combinatorial_manifold(c) != ManifoldVerdict.WITH_BOUNDARY:
+        raise NotApplicableOnBoundary("ambient must be a manifold with boundary")
+    bd = boundary_complex(c)
+    if not bd.has_face(a):
+        raise NotApplicableOnBoundary("face is not on the boundary")
+    if bd.has_face(b):
+        raise NotApplicableOnBoundary("target face already on the boundary")
+    if frozenset(bd._facets_containing(a)) != moves._join_boundary(a, b):
+        raise NotApplicableOnBoundary("boundary link does not match")
+    f_full = a | b
+    if c.has_face(f_full):
+        if f_full not in c.facets:
+            raise NotApplicableOnBoundary("flip region is not a single facet")
+        result = c._replaced(frozenset([f_full]), frozenset())
+    else:
+        result = moves._with_facet(c, f_full)
+    want = apply_bistellar(bd, BistellarFlip(A=a, B=b))
+    if boundary_complex(result) != want:
+        raise NotApplicableOnBoundary("result boundary is not the flipped boundary")
+    return result
+
+
+def _outcome(fn, c, a, b):
+    """The result's facets and star index, or the error's type and message."""
+    try:
+        out = fn(c, a, b)
+    except (NotApplicableOnBoundary, NotApplicable) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", out.facets, out._star_index()
+
+
+def _rim(c):
+    return sorted(boundary_complex(c).facets, key=sorted_face)
+
+
+def _grown_ball(seed: int, d: int, steps: int) -> Complex:
+    """A d-ball grown from a simplex on boundary ridges by the former
+    realization: mostly a cone from a ridge to a fresh vertex, sometimes a
+    notch filled (a rim vertex set of d - 1 vertices with two rim ridges
+    spanning a missing face) or a facet trimmed."""
+    rng = random.Random(seed)
+    c = Complex([frozenset("abcd"[: d + 1])])
+    for _ in range(steps):
+        rim = _rim(c)
+        e = rim[rng.randrange(len(rim))]
+        tries = []
+        if rng.random() < 0.4:
+            v = rng.choice(sorted_face(e))
+            tries += [(e - {v}, frozenset([v, x])) for x in sorted(c.vertices - e, key=vertex_key)]
+        if rng.random() < 0.2 and c.n_facets > 2:
+            f = sorted(c.facets, key=sorted_face)[rng.randrange(c.n_facets)]
+            tries += [(f - b, b) for b in _subsets(sorted_face(f))]
+        rng.shuffle(tries)
+        for a, b in tries + [(e, frozenset(fresh_vertices(c, 1)))]:
+            try:
+                c = _ref_realization(c, a, b)
+                break
+            except (NotApplicableOnBoundary, NotApplicable):
+                pass
+    return c
+
+
+def _realization_inputs(c, rng):
+    """(A, B) pairs: every facet split, A empty included; each rim ridge,
+    and each rim ridge less a vertex v with v added to B, against each
+    vertex and a fresh one; and random vertex sets."""
+    fresh = fresh_vertices(c, 1)[0]
+    verts = sorted(c.vertices, key=vertex_key) + [fresh]
+    for f in sorted(c.facets, key=sorted_face):
+        for a in _subsets(sorted_face(f)):
+            yield a, f - a
+    for e in _rim(c):
+        for x in verts:
+            yield e, frozenset([x])
+            for v in sorted_face(e):
+                yield e - {v}, frozenset([v, x])
+    for _ in range(40):
+        yield (frozenset(rng.sample(verts, rng.randint(0, c.dimension + 1))),
+               frozenset(rng.sample(verts, rng.randint(0, c.dimension + 1))))
+
+
+REALIZATION_BALLS = [_grown_ball(seed, d, 4 + 4 * seed)
+                     for seed in range(4) for d in (1, 2, 3)]
+
+
+def test_the_realization_has_the_former_outcome_on_every_input():
+    seen = collections.Counter()
+    for k, c in enumerate(REALIZATION_BALLS + SPHERES + PINCHED):
+        for a, b in _realization_inputs(c, random.Random(k)):
+            want = _outcome(_ref_realization, c, a, b)
+            assert _outcome(boundary_bistellar_realization, c, a, b) == want, (
+                c.canonical_facets(), sorted_face(a), sorted_face(b))
+            seen[want[:2] if want[0] != "ok" else "ok"] += 1
+    assert set(seen) == {
+        "ok",
+        ("NotApplicableOnBoundary", "ambient must be a manifold with boundary"),
+        ("NotApplicableOnBoundary", "face is not on the boundary"),
+        ("NotApplicableOnBoundary", "target face already on the boundary"),
+        ("NotApplicableOnBoundary", "boundary link does not match"),
+        ("NotApplicableOnBoundary", "result boundary is not the flipped boundary"),
+        ("NotApplicable", "both faces of a flip must be nonempty"),
+    }, seen
+
+
+TRIANGLE = Complex([face("a", "b", "c")])
+NOTCHED = Complex([face("a", "b", "c"), face("a", "c", "d")])  # b, d span no edge
+
+
+@pytest.mark.parametrize("c, a, b, message", [
+    (TRIANGLE, face(), face("a", "b", "c"), "both faces of a flip must be nonempty"),
+    (cross_polytope(2), face("0"), face("x"), "ambient must be a manifold with boundary"),
+    (NOTCHED, face("a", "c"), face("d"), "face is not on the boundary"),
+    (NOTCHED, face("a", "b"), face("c"), "target face already on the boundary"),
+    (NOTCHED, face("a"), face("x"), "boundary link does not match"),
+    (Complex([face("x", "a", "b"), face("x", "b", "c"), face("x", "c", "d"),
+              face("x", "d", "a"), face("a", "b", "e")]),  # ax an interior edge
+     face("a", "e"), face("x"), "result boundary is not the flipped boundary"),
+    (NOTCHED, face("c"), face("b", "d"), None),  # added
+    (NOTCHED, face("b"), face("a", "c"), None),  # removed
+])
+def test_realization_cases(c, a, b, message):
+    want = _outcome(_ref_realization, c, a, b)
+    assert _outcome(boundary_bistellar_realization, c, a, b) == want
+    assert want[1] == message if message else want[0] == "ok"

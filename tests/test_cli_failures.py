@@ -71,6 +71,8 @@ def test_removal_of_a_face_that_is_no_facet(tmp_path, capsys):
     ("crossflip I=2 anchor=0,1", "step ?: anchor needs 3 vertices"),
     ("crossflip I=2 anchor", "expected key=value, got 'anchor'"),
     ("swap A=0", "unknown move 'swap'"),
+    ("crossflip I=2,,1 anchor=0,1,2", "I= wants a comma list of integers, got '2,,1'"),
+    ("crossflip I=x anchor=0,1,2", "I= wants a comma list of integers, got 'x'"),
 ])
 def test_flip_script_lines_that_are_refused(tmp_path, capsys, line, message):
     src = tmp_path / "c2.json"
