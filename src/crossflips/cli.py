@@ -24,7 +24,6 @@ from .complexes import (
     _faces_from_doc,
     _Record,
     _require_boundary,
-    _subsets,
     complex_from_doc,
     dumps,
     find_balanced_coloring,
@@ -198,9 +197,12 @@ def _check_removal_order(c: Complex, order) -> int:
 
     Reports the first facet admitting no interior/boundary decomposition,
     together with its intersection with the current boundary, or that it
-    does not meet that boundary, or that the complex has none.  Boundary
-    membership of the facet's faces and of the empty face (is there a
-    boundary?) is read from the star index, by ``moves._on_boundary``.
+    does not meet that boundary, or that the complex has none.  The
+    boundary is generated by the ridges lying in one facet, and each that
+    meets f lies in a facet through a vertex of f, so the maximal faces of
+    that intersection are the maximal nonempty traces f & r of those
+    ridges r, read from the stars of f's vertices.  Whether there is a
+    boundary at all is one ``moves._on_boundary`` test of the empty face.
     """
     cur = c
     for pos, f in enumerate(order, start=1):
@@ -209,7 +211,8 @@ def _check_removal_order(c: Complex, order) -> int:
             return 1
         if _moves.find_shelling_decomposition(cur, f) is None:
             _require_boundary(cur)  # skipped above for a facet of < 2 vertices
-            inter = [g for g in _subsets(f) if g and _moves._on_boundary(cur, g)]
+            ridges = {h - {y} for x in f for h in cur._star_index()[x] for y in h}
+            inter = {f & r for r in ridges if f & r and _moves._on_rim(cur, r)}
             maxi = [g for g in inter if not any(g < h for h in inter)]
             if maxi:
                 desc = "boundary intersection is " + ", ".join(
@@ -421,11 +424,6 @@ def run_walk(config: WalkConfig):
     return cur, coloring, rows
 
 
-def _stats_path(out: str) -> str:
-    root, _ext = os.path.splitext(out)
-    return root + ".stats.csv"
-
-
 def cmd_walk(args) -> int:
     if args.out is None:
         raise UsageError("walk requires --out")
@@ -470,15 +468,14 @@ def cmd_walk(args) -> int:
         print("FAIL: %s" % exc)
         return 1
     _write_text(args.out, dumps(final, coloring))
-    with open(_stats_path(args.out), "w", encoding="utf-8", newline="") as fh:
+    with open(os.path.splitext(args.out)[0] + ".stats.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh,
             fieldnames=["step", "flip_index", "facets", "vertices", "euler", "balanced"],
             lineterminator="\n",
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return 0
 
 

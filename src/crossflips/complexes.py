@@ -925,7 +925,13 @@ def complex_from_doc(doc: dict):
         for k, v in coloring.items():
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("color %r of vertex %r is not an integer" % (v, k))
-        coloring = {str(k): int(v) for k, v in coloring.items()}
+        colors = {}
+        for k, v in coloring.items():  # a string is taken as int() reads it
+            try:
+                colors[str(k)] = int(v)
+            except ValueError:
+                raise ValueError("color %r of vertex %r is not an integer" % (v, k)) from None
+        coloring = colors
     return c, coloring
 
 

@@ -47,7 +47,11 @@ nonempty) when (2) A is a face interior to the complex and (3) each
 the star index, with no face of the boundary built: a ridge is on the
 boundary when one facet contains it, so (3) is one lookup per ridge of F,
 and A is on the boundary exactly when some facet h containing A has such
-a ridge h - {y} with y outside A (``_on_boundary``).  Removing the
+a ridge h - {y} with y outside A (``_on_boundary``).  So F has at most one
+split: (3) puts A inside the rim of F, the vertices x with F - {x} on the
+boundary, and a rim vertex y outside A would leave A on the boundary
+ridge F - {y}.  ``find_shelling_decomposition`` reads the rim with one
+lookup per ridge of F and makes one boundary test, of A = rim.  Removing the
 facet, or adding it in an inverse shelling, exchanges facets with
 ``Complex._replaced``, so a shelling move costs its facet's region.  The
 boundary realization of a flip of A for B is one such move, checked: the
@@ -418,20 +422,19 @@ def shelling_move(c: Complex, f, a, r) -> Complex:
 
 
 def find_shelling_decomposition(c: Complex, f):
-    """First interior/boundary split (A, R) legalizing the removal of f,
-    or None when no elementary shelling removes it."""
+    """The interior/boundary split (A, R) legalizing the removal of f, or
+    None when no elementary shelling removes it.  A facet has at most one
+    such split: A is its rim, the vertices opposite its rim ridges."""
     f = _as_face(f)
     if len(f) < 2 or f not in c.facets:
         return None
     _require_boundary(c)
-    # condition (1) holds for every split below, and condition (3) is
-    # that A lies in the vertices opposite the rim ridges of f
+    # condition (3) asks A <= rim.  A rim vertex y outside A leaves A on
+    # the rim ridge f - {y}, hence on the boundary, against condition (2);
+    # so A = rim is the only candidate, with one boundary test
     rim = frozenset(x for x in f if _on_rim(c, f - {x}))
-    for size in range(1, len(f)):
-        for a_tuple in itertools.combinations(sorted_face(f), size):
-            a = frozenset(a_tuple)
-            if a <= rim and not _on_boundary(c, a):
-                return a, f - a
+    if rim and rim != f and not _on_boundary(c, rim):
+        return rim, f - rim
     return None
 
 

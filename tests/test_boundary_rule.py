@@ -10,6 +10,12 @@ spheres, pinched complexes and seeded random pure complexes, the empty
 face included, and every condition verdict must equal the
 one read from the whole boundary's face set, as the library did before.
 
+A facet has at most one split, A = its rim: every split of every facet
+is tried against the removal conditions, and the split search must find
+that one with a single boundary test.  The removal report of a facet with
+no split reads its boundary intersection from the boundary ridges near
+it; `_ref_boundary_intersection` below is the former test of each face.
+
 `moves.boundary_bistellar_realization` is one checked elementary
 shelling; `_ref_realization` below is the former one, which flipped the
 whole boundary complex and compared it with the result's.  Both must
@@ -18,11 +24,13 @@ give the same result or the same error on every input tried.
 
 import collections
 import itertools
+import json
 import random
 
 import pytest
 
-from crossflips import complexes, moves
+from crossflips import cli, complexes, moves
+from crossflips.cli import WalkConfig, run_walk
 from crossflips.complexes import (
     Complex,
     ManifoldVerdict,
@@ -76,8 +84,8 @@ DIAMONDS = [diamond_closed_form(d, idx) for d in (1, 2, 3)
 PURE = BALLS + SPHERES + PINCHED + DIAMONDS
 
 
-def _random_pure(rng: random.Random) -> Complex:
-    d = rng.randint(1, 3)
+def _random_pure(rng: random.Random, top: int = 3) -> Complex:
+    d = rng.randint(1, top)
     pool = "abcdefg"[: d + 1 + rng.randint(1, 4)]
     return Complex.generated_by([frozenset(rng.sample(pool, d + 1))
                                  for _ in range(rng.randint(1, 8))])
@@ -135,6 +143,65 @@ def test_every_split_gets_the_whole_boundary_verdict():
                     seen.add(want[:13])
             assert find_shelling_decomposition(c, f) == first
     assert seen == {"ok", "condition (2)", "condition (3)"}
+
+
+def _walk_sphere(d: int, seed: int, steps: int) -> Complex:
+    return run_walk(WalkConfig(steps=steps, seed=seed, dimension=d))[0]
+
+
+def _walk_balls(d: int, seed: int, steps: int):
+    """A seeded walk's d-sphere less its first facet, and less the star of
+    its first vertex."""
+    c = _walk_sphere(d, seed, steps)
+    facets = sorted(c.facets, key=sorted_face)
+    v = min(c.vertices, key=vertex_key)
+    return [Complex(facets[1:]), Complex(h for h in facets if v not in h)]
+
+
+WALK_BALLS_D4 = [b for seed in range(3) for b in _walk_balls(4, seed, 6)]
+# two 11-simplices f = {0..11} and g = {1..12}: removing f first, its rim
+# is the 11 vertices it shares with g
+TWO_SIMPLICES = Complex([frozenset(map(str, range(12))), frozenset(map(str, range(1, 13)))])
+
+
+def test_a_facet_has_at_most_one_split_and_it_is_the_rim():
+    """Of the 2^|f| - 2 splits of a facet, at most one passes the removal
+    conditions: (A, R) = (rim, f - rim), the rim read from the built
+    boundary complex, and the split search returns it."""
+    sizes = collections.Counter()
+    for c in PURE + WALK_BALLS_D4:
+        rim_ridges = boundary_complex(c).facets
+        for f in sorted(c.facets, key=sorted_face):
+            rim = frozenset(x for x in f if f - {x} in rim_ridges)
+            legal = [a for a in _subsets(sorted_face(f)) if a and a != f
+                     and _verdict(shelling_move, c, f, a, f - a) == "ok"]
+            assert legal in ([], [rim]), (c.canonical_facets(), sorted_face(f))
+            assert find_shelling_decomposition(c, f) == ((rim, f - rim) if legal else None)
+            sizes[len(rim) if legal else 0] += 1
+    assert sizes[0] and sizes[1] and max(sizes) >= 3, sizes
+
+
+def test_a_split_search_makes_at_most_one_boundary_test(monkeypatch):
+    """The split is read from the facet's ridges; only A = rim is tested
+    for the boundary.  A search over the rim's subsets would test
+    2^|rim| - 1 of them before reaching it."""
+    calls = []
+    on_boundary = moves._on_boundary
+
+    def counting(c, g):
+        calls.append(g)
+        return on_boundary(c, g)
+
+    monkeypatch.setattr(moves, "_on_boundary", counting)
+    found = 0
+    for c in PURE + WALK_BALLS_D4 + [TWO_SIMPLICES]:
+        for f in sorted(c.facets, key=sorted_face):
+            calls.clear()
+            found += find_shelling_decomposition(c, f) is not None
+            assert len(calls) <= 1, (c.canonical_facets(), sorted_face(f), len(calls))
+    f = frozenset(map(str, range(12)))
+    assert find_shelling_decomposition(TWO_SIMPLICES, f) == (f - {"0"}, frozenset(["0"]))
+    assert found
 
 
 def test_non_pure_and_zero_dimensional_inputs_raise_the_boundary_errors():
@@ -317,3 +384,75 @@ def test_realization_cases(c, a, b, message):
     want = _outcome(_ref_realization, c, a, b)
     assert _outcome(boundary_bistellar_realization, c, a, b) == want
     assert want[1] == message if message else want[0] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the removal-mode report of a facet with no split
+
+
+def _ref_boundary_intersection(c, f):
+    """The maximal faces of f on the boundary of c, by testing every face
+    of f, as the removal report did before it read the boundary ridges."""
+    inter = [g for g in _subsets(f) if g and moves._on_boundary(c, g)]
+    return sorted((g for g in inter if not any(g < h for h in inter)), key=sorted_face)
+
+
+def _ref_report(c, f):
+    maxi = _ref_boundary_intersection(c, f)
+    if maxi:
+        desc = "boundary intersection is " + ", ".join(str(list(sorted_face(g))) for g in maxi)
+    elif moves._on_boundary(c, frozenset()):
+        desc = "the facet does not meet the boundary"
+    else:
+        desc = "the complex has no boundary"
+    return "FAIL at facet 1: no elementary shelling decomposition; %s\n" % desc
+
+
+REPORT_CORPUS = (
+    [_random_pure(random.Random(seed), top=4) for seed in range(300)]
+    + [_walk_sphere(d, seed, steps) for d, steps in ((1, 12), (2, 15), (3, 4), (4, 6))
+       for seed in range(2)]
+    + [b for d, steps in ((2, 15), (3, 4)) for seed in range(2)
+       for b in _walk_balls(d, seed, steps)] + WALK_BALLS_D4)
+
+
+def test_the_removal_report_names_the_former_boundary_intersection(monkeypatch, capsys):
+    """Every facet of the corpus, the split search told to find none so
+    that each gets the report, which must be the face-by-face one."""
+    monkeypatch.setattr(moves, "find_shelling_decomposition", lambda c, f: None)
+    seen = collections.Counter()
+    for c in REPORT_CORPUS:
+        for f in sorted(c.facets, key=sorted_face):
+            assert cli._check_removal_order(c, [f]) == 1
+            want = _ref_report(c, f)
+            assert capsys.readouterr().out == want, (c.canonical_facets(), sorted_face(f))
+            seen[want.split("; ")[1][:12]] += 1
+    assert set(seen) == {"boundary int", "the facet do", "the complex "}, seen
+    assert {c.dimension for c in REPORT_CORPUS} == {1, 2, 3, 4}
+
+
+def test_a_failing_removal_makes_at_most_one_boundary_test(tmp_path, monkeypatch, capsys):
+    """Removing f = {0..11} from it and g = {1..12} passes; g alone then
+    has no split, and its boundary intersection is its 12 ridges, read
+    from the ridges of the stars of its vertices.  A search over the
+    subsets of f's rim and a test of each face of g would make 10236
+    boundary tests."""
+    calls = []
+    on_boundary = moves._on_boundary
+
+    def counting(c, g):
+        calls.append(g)
+        return on_boundary(c, g)
+
+    monkeypatch.setattr(moves, "_on_boundary", counting)
+    f, g = [str(i) for i in range(12)], [str(i) for i in range(1, 13)]
+    path = tmp_path / "removal.json"
+    path.write_text(json.dumps({"complex": {"facets": [f, g]}, "order": [f, g],
+                                "mode": "removal"}))
+    assert cli.main(["check", str(path), "shelling-order"]) == 1
+    ridges = ", ".join(str(list(sorted_face(r)))
+                       for r in sorted((frozenset(g) - {x} for x in g), key=sorted_face))
+    assert capsys.readouterr().out == (
+        "FAIL at facet 2: no elementary shelling decomposition; "
+        "boundary intersection is %s\n" % ridges)
+    assert len(calls) <= 1, len(calls)

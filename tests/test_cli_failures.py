@@ -59,6 +59,22 @@ def test_a_relative_shelling_order_passes(tmp_path, capsys):
         0, "PASS: shelling of 1 facets\n", "")
 
 
+@pytest.mark.parametrize("color, code, out, err", [
+    ("x", 1, "", "error: color 'x' of vertex '0' is not an integer\n"),
+    ("1.5", 1, "", "error: color '1.5' of vertex '0' is not an integer\n"),
+    ("", 1, "", "error: color '' of vertex '0' is not an integer\n"),
+    (1.5, 1, "", "error: color 1.5 of vertex '0' is not an integer\n"),
+    ("2", 1, "balanced: False (stored coloring, 2 colors)\n", ""),
+    ("1", 0, "balanced: True (stored coloring, 2 colors)\n", ""),
+], ids=["letter", "decimal-string", "empty-string", "float", "numeric-string", "proper"])
+def test_colors_that_are_no_integer_are_named(tmp_path, capsys, color, code, out, err):
+    """A colour is an integer or a string int() reads as one; any other is
+    refused by name, not with Python's own message."""
+    doc = {"facets": [["0", "1"]], "coloring": {"0": color, "1": 0}}
+    path = write(tmp_path / "colored.json", doc)
+    assert run(capsys, "check", path, "balanced") == (code, out, err)
+
+
 def test_removal_of_a_face_that_is_no_facet(tmp_path, capsys):
     doc = {"complex": {"facets": [["a", "b", "c"], ["b", "c", "d"]]},
            "order": [["b", "c"]], "mode": "removal"}

@@ -3,7 +3,8 @@
 Whatever a complex file holds, `complex_from_doc` either reads it or raises
 `ValueError`, and `cli.main` answers every `check`, `flip` and `walk` call
 with an exit code of the contract (0 pass, 1 fail, 2 undecided, 3 usage)
-instead of a traceback.  The documents mix arbitrary JSON with near-valid
+instead of a traceback, and with no message of Python's own, as
+`invalid literal for int()` once was for a colour "x".  The documents mix arbitrary JSON with near-valid
 complex files, so that most calls get past the reader.  The same holds for
 `gen`, `catalog` and `verify` over dimensions from -2 to 7, non-integers
 and bad `--index` and `--copies` values; `verify` runs only up to D=3,
@@ -72,12 +73,17 @@ SCRIPT_LINES = st.lists(st.sampled_from([
 
 
 def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    """The exit code; stderr must hold no message of Python's own int()."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "invalid literal" not in err.getvalue(), (argv, err.getvalue())
+    return code
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(doc=DOCS, script=SCRIPT_LINES, dim=st.integers(0, 3))
+@example(doc={"facets": [["0", "1"]], "coloring": {"0": "x", "1": "1"}}, script=[], dim=1)
 def test_no_document_escapes_the_exit_code_contract(doc, script, dim):
     try:
         # walk at the document's own dimension when it has one
