@@ -19,7 +19,6 @@ from .complexes import (
     boundary_complex,
     complex_from_doc,
     complex_to_doc,
-    delete_face,
     delete_subcomplex,
     dumps,
     f_vector,
@@ -68,7 +67,6 @@ from .moves import (
     preserves_balancedness,
     shelling_move,
     stellar_subdivide,
-    stellar_weld,
 )
 from .shelling import (
     RelativeComplex,
@@ -77,7 +75,6 @@ from .shelling import (
     find_shelling,
     h_from_shelling,
     is_relative_shelling,
-    is_shellable,
     is_shelling,
 )
 from .catalog import (

@@ -29,6 +29,7 @@ from .complexes import (
 )
 from .diamond import (
     _check_index_set,
+    _compose,
     block_of_facet,
     complement_index,
     cross_polytope,
@@ -51,7 +52,7 @@ from .moves import (
     apply_cross_flip_detailed,
     extend_coloring_after_cross_flip,
 )
-from .shelling import RelativeComplex, verify_certificate
+from .shelling import RelativeComplex, _restriction_histogram, verify_certificate
 
 
 class DimensionCapExceeded(ComplexError):
@@ -297,8 +298,7 @@ def verify_reducibility_composition(d: int, indices, ambient: Complex, site: Cro
         raise IndexSetViolatesPrecondition("requires d outside the index set")
     emb = dict(site.embedding)
     rho = shift_down_map(d)
-    psi = swap_top_map(d)
-    sigma = {v: psi.get(w, w) for v, w in rho.items()}
+    sigma = _compose(swap_top_map(d), rho)
 
     j1 = tuple(i + 1 for i in idx)
     d1 = diamond_closed_form(d, j1)
@@ -576,10 +576,7 @@ def verify_shelling_theorem(d: int):
     for idx in _all_index_sets(d, d + 1):
         cert = absolute_shelling_order(d, idx)
         verify_certificate(diamond_closed_form(d, idx), cert)
-        hist = [0] * (d + 2)
-        for r in cert.restrictions:
-            hist[len(r)] += 1
-        if tuple(hist) != h_vector_formula(d, idx):
+        if _restriction_histogram(cert.restrictions, d) != h_vector_formula(d, idx):
             ok = False
             lines.append("absolute shelling histogram off at I=%r" % (idx,))
         n_abs += 1

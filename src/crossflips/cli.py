@@ -31,6 +31,7 @@ from .complexes import (
     is_induced,
     is_proper_coloring,
     sorted_face,
+    vertex_key,
 )
 from .diamond import (
     _check_index_set,
@@ -216,7 +217,8 @@ def _check_removal_order(c: Complex, order) -> int:
             maxi = [g for g in inter if not any(g < h for h in inter)]
             if maxi:
                 desc = "boundary intersection is " + ", ".join(
-                    str(list(sorted_face(g))) for g in sorted(maxi, key=sorted_face))
+                    str(list(sorted_face(g)))
+                    for g in sorted(maxi, key=lambda g: tuple(map(vertex_key, sorted_face(g)))))
             elif _moves._on_boundary(cur, frozenset()):
                 desc = "the facet does not meet the boundary"
             else:

@@ -26,8 +26,8 @@ label among its vertices.  The facet-neighbour table (``_neighbour_table``)
 that the flip-site search (``moves._site_view``) and manifold recognition
 walk is built by each of their calls, not kept.  A complex made
 from another by exchanging a few facets (``Complex._replaced``, the result
-of a cross-flip, a bistellar flip, a stellar subdivision, a face deletion
-or a shelling move) inherits the vertex set and star index of the other,
+of a cross-flip, a bistellar flip, a stellar subdivision or a shelling
+move) inherits the vertex set and star index of the other,
 and its common size and top label if the other had built them, patched at
 the vertices of the exchanged facets only, each star there becoming
 ``(old - removed) | added``; an inherited slot equals a fresh build.
@@ -469,21 +469,6 @@ def star(c: Complex, f) -> Complex:
     if not c.has_face(f):
         raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
     return Complex(c._facets_containing(f))
-
-
-def delete_face(c: Complex, f) -> Complex:
-    """All faces of c not containing f."""
-    f = _as_face(f)
-    star = frozenset(c._facets_containing(f))
-    if not star:
-        raise FaceNotPresent("face %r is not in the complex" % (sorted_face(f),))
-    # An antichain: an added face g - {x} lies in no kept facet, by the test
-    # below, and holds none, as a kept facet inside it would lie in g; inside
-    # another added g' - {y} it puts g = (g - {x}) | {x} in g', as x is in f:
-    # then g = g' and x = y.
-    added = frozenset(r for r in {g - {x} for g in star for x in f}
-                      if all(f <= h for h in c._facets_containing(r)))
-    return c._replaced(star, added)
 
 
 def delete_subcomplex(c: Complex, subc: Complex) -> Complex:

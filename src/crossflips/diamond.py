@@ -282,6 +282,8 @@ def _block_order(d: int, ell: int, f0: frozenset) -> tuple:
 
 
 def deg_lex_less(d: int, ell: int, base_facet, a, b) -> bool:
+    """Whether facet a precedes facet b of block ell in the
+    degree-lexicographic order relative to base_facet."""
     k = deg_lex_key(d, ell, base_facet)
     return k(_as_face(a)) < k(_as_face(b))
 

@@ -1,5 +1,5 @@
-"""The four local moves: stellar subdivision/weld, bistellar flips,
-elementary and inverse shellings, and cross-flips.
+"""The four local moves: stellar subdivision, bistellar flips, elementary
+and inverse shellings, and cross-flips.
 
 A cross-flip replaces an induced, shellable, co-shellable copy of a diamond
 complex by the complement of that complex in the cross-polytope boundary.
@@ -26,8 +26,7 @@ extension reads each fresh colour from its source slot
 flips and stellar subdivisions cost their region the same way: each
 exchanges a star read from the star index, and a flip of A for B compares
 the star of A with the facets of A * boundary(B) (``_join_boundary``)
-instead of building the link of A.  A weld reads the link of its vertex
-from the star index too, building no link complex.
+instead of building the link of A.
 
 The image's inducedness is decided by the class's minimal non-faces, which
 its plan lists once (``_FlipPlan.nonfaces``), read in closed form from the
@@ -120,10 +119,6 @@ from .complexes import (
     vertex_key,
 )
 from .shelling import verify_certificate
-
-
-class NotWeldable(ComplexError):
-    pass
 
 
 class NotApplicable(ComplexError):
@@ -251,57 +246,6 @@ def stellar_subdivide(c: Complex, f, new_vertex: str | None = None) -> Complex:
     # facet; a kept facet inside it would lie in h without holding f; and inside
     # (g - {y}) | {v} it puts y, in f and so in h, in h - {x}: x = y and h = g.
     return c._replaced(star, frozenset((h - {x}) | {new_vertex} for h in star for x in f))
-
-
-def stellar_weld(c: Complex, v: str, face_hint=None) -> Complex:
-    """Invert a prior subdivision at the vertex v, when reconstructible.
-
-    Searches for a face whose subdivision produced v; a reconstruction is
-    accepted only if re-subdividing reproduces the input exactly.  When the
-    link of v admits several join decompositions the subdivided face is not
-    determined by the complex; pass ``face_hint`` to name it, otherwise the
-    first valid candidate by size, then canonical order, is used.
-
-    A valid face s has lk(v) = boundary(s) * L.  Fix a facet F of lk(v): it
-    misses exactly one vertex z of s, and the x in F with (F - x) | {z} a
-    facet of lk(v) are exactly the rest of s.  So the candidates are these
-    faces s_z, one for each link vertex z outside F, and every valid face
-    is among them.
-    """
-    star = c._star_index().get(v)
-    if star is None:
-        raise FaceNotPresent("vertex %r is not in the complex" % (v,))
-    lk_v = frozenset(g - {v} for g in star)  # the facets of the link of v
-    pool = frozenset().union(*lk_v)
-    if face_hint is not None:
-        hinted = sorted_face(_as_face(face_hint))
-        candidates = [hinted] if set(hinted) <= pool else []
-    else:
-        first = min(lk_v, key=sorted_face)
-        found = {
-            frozenset([z]).union(x for x in first if (first - {x}) | {z} in lk_v)
-            for z in pool - first
-        }
-        candidates = sorted(
-            (sorted_face(s) for s in found if len(s) >= 2),
-            key=lambda t: (len(t), [vertex_key(x) for x in t]),
-        )
-    for cand in candidates:
-        fprime = frozenset(cand)
-        if c.has_face(fprime):
-            continue
-        ridge = fprime - {cand[0]}
-        rest = [g - ridge for g in lk_v if ridge <= g]  # the link of the ridge in lk(v)
-        if not rest or any(g & fprime for g in rest):
-            continue
-        # When subdividing these facets gives c back they are an antichain: no
-        # facet of c holds fprime, the g are unnested, and a kept facet inside
-        # fprime | g, with G = ridge | g, would hold fprime or lie in a facet
-        # (G - {x}) | {cand[0], v}, x in ridge, or G | {v} of c.
-        welded = c._replaced(star, frozenset(fprime | g for g in rest))
-        if stellar_subdivide(welded, fprime, new_vertex=v) == c:
-            return welded
-    raise NotWeldable("no face reconstructs vertex %r" % (v,))
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +847,13 @@ def _class_images(c: Complex, coloring: dict, plans) -> list:
 
 
 def preserves_balancedness(c: Complex, coloring: dict, move) -> bool:
-    """Whether the move keeps every edge bichromatic under the canonical
-    color extension (fresh vertices forced, existing vertices unchanged)."""
+    """Whether the move is a balanced one: it keeps every edge
+    bichromatic under the canonical color extension (fresh vertices
+    forced, existing vertices unchanged), as a balanced shelling step must."""
     d = c.dimension
     m = d + 1
     if isinstance(move, ShellingMove):
-        if c.has_face(move.facet) and move.facet in c.facets:
+        if move.facet in c.facets:
             shelling_move(c, move.facet, move.A, move.R)
             return True
         after = inverse_shelling(c, move.facet, move.A, move.R)

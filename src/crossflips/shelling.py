@@ -19,8 +19,9 @@ Membership in K is read from a vertex -> facets index grown as facets are
 placed (``_Covered``): a step reads the star of one vertex y of f for the
 ridges through y, then makes one lookup for the ridge f - {y} and one for
 R.  A relative check seeds the index with the removed facets as given.
-The faces of f are enumerated only at a failing step, to report its
-minimal new faces.
+A failing step reports its minimal new faces, the minimal transversals of
+the sets f - h over the covered facets h (``_new_faces``); no face of f is
+enumerated.
 The search memoizes on the set of already-placed facets, which is sound
 because shellability of a prefix depends only on the faces it covers.
 """
@@ -33,8 +34,8 @@ from .complexes import (
     _as_face,
     _Record,
     _stars,
-    _subsets,
     sorted_face,
+    vertex_key,
 )
 
 
@@ -158,12 +159,27 @@ class _Covered:
         return None if r in self else r
 
 
-def _new_faces(f: frozenset, covered) -> list:
-    """The minimal faces of f missing from *covered*, by size, then
-    ``sorted_face``: what a failing step reports."""
-    new = [g for g in _subsets(f) if g not in covered]
-    minimal = [g for g in new if not any(h < g for h in new)]
-    return sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
+def _new_faces(f: frozenset, covered: _Covered) -> list:
+    """The minimal faces of f missing from *covered*, by size, then vertex
+    order: what a failing step reports.
+
+    A face of f is covered exactly when it lies in a covered facet h, so
+    the new faces are those meeting every f - h, and the minimal ones are
+    the minimal transversals of those sets.  The facets h meeting f are
+    read from the stars of f's vertices; the others all give f itself,
+    once anything is covered.  A Berge pass adds the sets smallest first
+    (a set holding a smaller one changes nothing) and keeps the minimal
+    transversals of those added so far.
+    """
+    edges = {f - h for x in f for h in covered.stars.get(x, ())}
+    if covered.count:
+        edges.add(f)
+    minimal = [frozenset()]
+    for e in sorted(edges, key=len):
+        hit = [g for g in minimal if g & e]
+        grown = {g | {x} for g in minimal if not g & e for x in e}
+        minimal = hit + [g for g in grown if not any(h <= g for h in hit)]
+    return sorted(minimal, key=lambda g: (len(g), tuple(map(vertex_key, sorted_face(g)))))
 
 
 def _run(order, facets, removed, what: str) -> ShellingVerdict:
@@ -280,19 +296,20 @@ def find_shelling(c: Complex, budget: int = 24):
     return None
 
 
-def is_shellable(c: Complex, budget: int = 24) -> bool:
-    return find_shelling(c, budget=budget) is not None
+def _restriction_histogram(restrictions, d: int) -> tuple:
+    """The number of restriction faces of each size 0, ..., d + 1."""
+    hist = [0] * (d + 2)
+    for r in restrictions:
+        hist[len(r)] += 1
+    return tuple(hist)
 
 
 def h_from_shelling(c: Complex, order) -> tuple:
-    """Histogram of restriction-face sizes along an accepted shelling."""
+    """The h-vector read from a shelling: h_i is the number of facets
+    whose restriction face has i vertices."""
     verdict = is_shelling(c, order)
     if not verdict.ok:
         raise NotAShelling(
             "order fails at position %d" % (verdict.failing_index,)
         )
-    d = c.dimension
-    hist = [0] * (d + 2)
-    for r in verdict.restrictions:
-        hist[len(r)] += 1
-    return tuple(hist)
+    return _restriction_histogram(verdict.restrictions, c.dimension)

@@ -20,6 +20,9 @@ def write(path, doc):
 
 
 CHAIN = {"facets": [["a", "b", "c"], ["b", "c", "d"], ["c", "d", "e"]]}
+# two facets each, with faces that hold both "9" and "10"
+NOT_SHELLING = [[*map(str, range(9)), "a"], [*map(str, range(2, 11)), "a"]]
+NOT_REMOVABLE = [["0", "1", "2", "3", "9"], ["1", "2", "3", "9", "10"]]
 
 
 def test_a_truncated_file_is_a_parse_error(tmp_path, capsys):
@@ -45,9 +48,17 @@ def test_facets_that_are_no_list_of_lists_are_an_error(tmp_path, capsys):
      1, "FAIL: restriction faces do not match"),
     ({"order": CHAIN["facets"], "restrictions": [[], ["d"], ["e"]]},
      0, "PASS: shelling of 3 facets"),
+    # reported faces are in vertex order, as `Complex.canonical_facets`
+    # orders facets: "10" follows "9"
+    ({"complex": {"facets": NOT_SHELLING}, "order": NOT_SHELLING},
+     1, "FAIL at facet 2: minimal new faces ['9'], ['10']"),
+    ({"complex": {"facets": NOT_REMOVABLE}, "order": NOT_REMOVABLE, "mode": "removal"},
+     1, "FAIL at facet 2: no elementary shelling decomposition; boundary intersection is "
+        "['1', '2', '3', '9'], ['1', '2', '3', '10'], ['1', '2', '9', '10'], "
+        "['1', '3', '9', '10'], ['2', '3', '9', '10']"),
 ])
 def test_shelling_order_verdicts(tmp_path, capsys, extra, code, message):
-    path = write(tmp_path / "order.json", dict(extra, complex=CHAIN))
+    path = write(tmp_path / "order.json", dict({"complex": CHAIN}, **extra))
     assert run(capsys, "check", path, "shelling-order") == (code, message + "\n", "")
 
 

@@ -23,7 +23,6 @@ from crossflips.complexes import (
     boundary_complex,
     complex_from_doc,
     complex_to_doc,
-    delete_face,
     delete_subcomplex,
     f_vector,
     face,
@@ -118,18 +117,6 @@ def test_link_star_duality():
         if not f:
             continue
         assert star(c2, f) == join(Complex([f]), link(c2, f))
-
-
-def test_delete_face():
-    c = cross_polytope(2)
-    e = face(0, 1)
-    out = delete_face(c, e)
-    assert not out.has_face(e)
-    for g in c.all_faces():
-        if not e <= g:
-            assert out.has_face(g)
-    with pytest.raises(FaceNotPresent):
-        delete_face(c, face(0, "v0"))
 
 
 def test_join_collision():

@@ -4,7 +4,6 @@ import itertools
 import json
 import os
 import random
-import time
 
 import pytest
 
@@ -12,7 +11,6 @@ from crossflips import moves
 from crossflips.complexes import (
     Complex,
     ComplexError,
-    FaceNotPresent,
     ManifoldVerdict,
     boundary_complex,
     complex_from_doc,
@@ -21,7 +19,6 @@ from crossflips.complexes import (
     face,
     h_vector,
     is_combinatorial_manifold,
-    link,
     sorted_face,
     vertex_key,
 )
@@ -39,7 +36,6 @@ from crossflips.moves import (
     NotApplicable,
     NotApplicableOnBoundary,
     NotInduced,
-    NotWeldable,
     ShellingMove,
     apply_bistellar,
     apply_cross_flip,
@@ -55,7 +51,6 @@ from crossflips.moves import (
     preserves_balancedness,
     shelling_move,
     stellar_subdivide,
-    stellar_weld,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -79,104 +74,6 @@ def test_subdivide_first_diamond_step():
     out = stellar_subdivide(g0, face(1, 2, 3), new_vertex="v0")
     assert out.n_facets == 3
     assert all(face("v0") <= f for f in out.facets)
-
-
-def test_weld_inverts_subdivision():
-    rng = random.Random(3)
-    for _ in range(20):
-        c = cross_polytope(2)
-        candidates = sorted(
-            (f for f in c.all_faces() if len(f) >= 2),
-            key=lambda f: tuple(sorted(f)),
-        )
-        f = candidates[rng.randrange(len(candidates))]
-        sd = stellar_subdivide(c, f, new_vertex="z")
-        assert stellar_weld(sd, "z", face_hint=f) == c
-    # facet subdivisions are unambiguous even without the hint
-    sd = stellar_subdivide(cross_polytope(2), face(0, 1, 2))
-    assert stellar_weld(sd, "w0") == cross_polytope(2)
-    with pytest.raises(NotWeldable):
-        stellar_weld(Complex([face("a", "b", "c")]), "a")
-
-
-def exhaustive_weld(c, v, face_hint=None):
-    """The weld as it was before its candidates came from one link facet:
-    every subset of the link's vertices with at least two members, by size
-    and then in ``combinations`` order, each checked like a derived one."""
-    lk_v = link(c, frozenset([v]))
-    pool = sorted(lk_v.vertices, key=vertex_key)
-    if face_hint is not None:
-        hinted = sorted_face(face_hint)
-        candidates = [hinted] if set(hinted) <= set(pool) else []
-    else:
-        candidates = [cand for size in range(2, len(pool) + 1)
-                      for cand in itertools.combinations(pool, size)]
-    outside = [h for h in c.facets if v not in h]
-    for cand in candidates:
-        fprime = frozenset(cand)
-        if c.has_face(fprime) or not lk_v.has_face(fprime - {cand[0]}):
-            continue
-        rest = link(lk_v, fprime - {cand[0]})
-        if rest.vertices & fprime:
-            continue
-        welded = Complex.generated_by(outside + [fprime | g for g in rest.facets])
-        if v in welded.vertices or not welded.has_face(fprime):
-            continue
-        try:
-            again = stellar_subdivide(welded, fprime, new_vertex=v)
-        except (FaceNotPresent, ValueError):
-            continue
-        if again == c:
-            return welded
-    raise NotWeldable("no face reconstructs vertex %r" % (v,))
-
-
-def _weld_outcome(weld, c, v, face_hint=None):
-    try:
-        return weld(c, v, face_hint=face_hint)
-    except NotWeldable:
-        return "not weldable"
-
-
-def test_weld_matches_exhaustive_candidates():
-    """The first valid face among the candidates of one link facet is the
-    first among all subsets of the link's vertices: on random subdivisions
-    of small spheres, balls and non-pure complexes, at the new vertex and
-    at old ones, with and without a hint."""
-    rng = random.Random(8)
-    starts = [cross_polytope(1), cross_polytope(2), simplex_boundary(2),
-              simplex_boundary(3), diamond_closed_form(2, (0, 2)),
-              Complex([face("a", "b", "c"), face("c", "d"), face("e")])]
-    welded = 0
-    for trial in range(120):
-        c = rng.choice(starts)
-        for _ in range(rng.randrange(3)):
-            faces = sorted((f for f in c.all_faces() if len(f) >= 2), key=sorted_face)
-            c = stellar_subdivide(c, rng.choice(faces))
-        faces = sorted((f for f in c.all_faces() if f), key=sorted_face)
-        f = rng.choice(faces)
-        sd = stellar_subdivide(c, f, new_vertex="z")
-        others = sorted(sd.vertices - {"z"}, key=vertex_key)
-        for v in ["z", rng.choice(others)]:
-            lk = sorted(link(sd, face(v)).vertices, key=vertex_key)
-            hints = [None, f, frozenset(rng.sample(lk, min(len(lk), 2)))]
-            for hint in hints:
-                got = _weld_outcome(stellar_weld, sd, v, hint)
-                assert got == _weld_outcome(exhaustive_weld, sd, v, hint), (sd, v, hint)
-                welded += got != "not weldable"
-    assert welded > 100
-
-
-def test_weld_of_an_edge_with_a_long_link_is_fast():
-    """An edge whose link is a 24-cycle: the new vertex's link has 26
-    vertices, 2^26 subsets, yet the weld derives at most 26 candidates."""
-    cycle = ["c%d" % i for i in range(24)]
-    c = Complex(face("a", "b", cycle[i], cycle[i - 1]) for i in range(24))
-    sd = stellar_subdivide(c, face("a", "b"), new_vertex="z")
-    assert len(link(sd, face("z")).vertices) == 26
-    start = time.perf_counter()
-    assert stellar_weld(sd, "z") == c
-    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from crossflips.shelling import (
     find_shelling,
     h_from_shelling,
     is_relative_shelling,
-    is_shellable,
     is_shelling,
     verify_certificate,
 )
@@ -105,8 +104,8 @@ def test_diamond_complexes_shellable_and_co_shellable():
         for r in range(1, d + 2):
             for idx in itertools.combinations(range(d + 1), r):
                 dc = diamond_closed_form(d, idx)
-                assert is_shellable(dc), idx
-                assert is_shellable(delete_subcomplex(cross_polytope(d), dc)), idx
+                assert find_shelling(dc) is not None, idx
+                assert find_shelling(delete_subcomplex(cross_polytope(d), dc)) is not None, idx
 
 
 def test_reversal_duality_on_cross_polytope():

@@ -11,13 +11,15 @@ must be the same.  The random inputs are derandomized, so every run tries
 the same examples.
 """
 
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflips import catalog, shelling
-from crossflips.complexes import Complex, _as_face, _subsets, sorted_face
+from crossflips import catalog, complexes, shelling
+from crossflips.complexes import Complex, _as_face, _subsets, sorted_face, vertex_key
 from crossflips.diamond import (
     absolute_shelling_order,
     cross_polytope,
@@ -48,7 +50,7 @@ def _ref_new_faces(f, covered):
         if low in new:
             return new, [low]
     minimal = [g for g in new if not any(h < g for h in new)]
-    return new, sorted(minimal, key=lambda g: (len(g), sorted_face(g)))
+    return new, sorted(minimal, key=lambda g: (len(g), tuple(map(vertex_key, sorted_face(g)))))
 
 
 def _ref_run(order, excluded):
@@ -315,18 +317,45 @@ def test_swapped_certificates_break_where_they_must():
 
 
 def test_a_passing_run_builds_no_facet_subsets(monkeypatch):
+    """Neither a step nor the report of a failing one enumerates the faces
+    of a facet: `shelling` binds no face enumerator, and the library's own
+    is never called."""
     calls = []
 
     def counting(f):
         calls.append(f)
         return _subsets(f)
 
-    monkeypatch.setattr(shelling, "_subsets", counting)
-    for target, cert in _targets():
-        assert verify_certificate(target, cert).ok
-    assert find_shelling(cross_polytope(2)) is not None
-    assert calls == []
-    # a failing step enumerates its facet once, to report the minimal new faces
+    targets = list(_targets())
+    sphere = cross_polytope(2)
     pinched = Complex.generated_by([frozenset("abc"), frozenset("ade")])
+    assert not hasattr(shelling, "_subsets")
+    monkeypatch.setattr(complexes, "_subsets", counting)
+    for target, cert in targets:
+        assert verify_certificate(target, cert).ok
+    assert find_shelling(sphere) is not None
     verdict = is_shelling(pinched, sorted(pinched.facets, key=sorted_face))
-    assert not verdict.ok and len(calls) == 1
+    assert not verdict.ok and verdict.minimal_new_faces == tuple(_faces("d", "e"))
+    assert calls == []
+
+
+def test_minimal_new_faces_match_the_enumeration():
+    """The transversal pass of `shelling._new_faces` against every face of
+    f, on seeded random covered facets over labels whose string order is
+    not the vertex order: nothing covered, f itself covered, and covered
+    facets none of which meets f among them."""
+    rng = random.Random(31)
+    labels = [str(i) for i in range(12)] + ["v0", "v1", "a"]
+    seen = collections.Counter()
+    for _ in range(4000):
+        facets = [frozenset(rng.sample(labels, rng.randint(0, 7)))
+                  for _ in range(rng.randint(0, 5))]
+        f = frozenset(rng.sample(labels, rng.randint(0, 9)))
+        if rng.random() < 0.1:
+            facets.append(f)
+        covered = shelling._Covered(facets)
+        _, want = _ref_new_faces(f, covered)
+        assert shelling._new_faces(f, covered) == want, (sorted_face(f), facets)
+        seen["nothing covered" if not facets else "f covered" if f in covered
+             else "nothing meets f" if not any(f & h for h in facets) else "other"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen

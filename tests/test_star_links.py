@@ -1,10 +1,8 @@
-"""Bistellar flips, stellar subdivision and face deletion read links from
-the star index.
+"""Bistellar flips and stellar subdivision read links from the star index.
 
 A flip of A for B applies when the facets containing A are the facets of
-A * boundary(B) (`moves._join_boundary`), and a subdivision and a face
-deletion replace the star they read; all three build their result with
-`Complex._replaced`.  The former constructions stay here as oracles: the
+A * boundary(B) (`moves._join_boundary`), and a subdivision replaces the
+star it reads; both build their result with `Complex._replaced`.  The former constructions stay here as oracles: the
 `link(c, A) == boundary(B)` comparison, the whole-complex `Complex(...)`
 and `Complex.generated_by` results and the former `list_bistellar`.  Every
 result, error message and inherited slot must match them.
@@ -21,7 +19,6 @@ from crossflips import catalog, complexes
 from crossflips.complexes import (
     Complex,
     FaceNotPresent,
-    delete_face,
     face,
     link,
     sorted_face,
@@ -38,7 +35,6 @@ from crossflips.moves import (
     fresh_vertices,
     list_bistellar,
     stellar_subdivide,
-    stellar_weld,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,16 +88,6 @@ def former_stellar_subdivide(c, f, new_vertex=None):
         else:
             out.append(h)
     return Complex.generated_by(out)
-
-
-def former_delete_face(c, f):
-    keep = []
-    for g in c.facets:
-        if f <= g:
-            keep.extend(g - {x} for x in f)
-        else:
-            keep.append(g)
-    return Complex.generated_by(keep)
 
 
 def former_list_bistellar(c):
@@ -179,25 +165,6 @@ def test_list_bistellar_matches_the_former_listing(name):
 
 
 # ---------------------------------------------------------------------------
-# face deletion
-
-
-@pytest.mark.parametrize("name", sorted(CASES) + ["a point", "void"])
-def test_delete_face_matches_the_generated_by_construction(name):
-    """Every face of each complex, the empty face included, deleted from
-    its star and deleted by the former whole-complex construction."""
-    c = CASES.get(name) or {"a point": Complex([face("x")]), "void": Complex.void()}[name]
-    inherited = {"_size": 0, "_top_w": 0}
-    for f in sorted(c.all_faces(), key=lambda f: (len(f), sorted_face(f))):
-        got = delete_face(c, f)
-        assert got.facets == former_delete_face(c, f).facets, sorted_face(f)
-        Complex(got.facets)  # raises unless the result is an antichain
-        _assert_slots_are_fresh(got, inherited)
-    with pytest.raises(FaceNotPresent, match="is not in the complex"):
-        delete_face(c, face("z"))
-
-
-# ---------------------------------------------------------------------------
 # seeded chains
 
 
@@ -257,9 +224,9 @@ def test_seeded_chains_match_the_former_moves(start, seed):
 
 
 def test_the_moves_build_no_link_and_no_whole_complex(monkeypatch):
-    """No bistellar, subdivision, weld or face-deletion path calls `link`
-    or `Complex.generated_by`; a flip, a subdivision, a weld and a face
-    deletion build no complex through `Complex.__init__` either."""
+    """No bistellar or subdivision path calls `link` or
+    `Complex.generated_by`; a flip and a subdivision build no complex
+    through `Complex.__init__` either."""
     built = []
     init, generated_by = Complex.__init__, Complex.generated_by.__func__
 
@@ -283,10 +250,6 @@ def test_the_moves_build_no_link_and_no_whole_complex(monkeypatch):
     facet, w = min(c.facets, key=sorted_face), fresh_vertices(c, 1)[0]
     out = stellar_subdivide(c, facet)
     assert apply_bistellar(out, BistellarFlip(A=face(w), B=facet)) == c
-    edge = min(c.faces(1), key=sorted_face)
-    assert stellar_weld(stellar_subdivide(c, edge, new_vertex="e"), "e") == c
-    # each ridge left lies in a facet off the edge, the sphere being closed
-    assert delete_face(c, edge).n_facets == c.n_facets - len(c._facets_containing(edge))
     assert built == []
     assert len(list_bistellar(out)) > out.n_facets
     realized = boundary_bistellar_realization(ball, face("a", "b"), face("x"))
