@@ -70,15 +70,6 @@ DIMENSION_CAP = 6
 class FlipClass(_Record):
     __slots__ = ("canonical_index", "facet_count", "h", "complement_class", "sufficient")
 
-    def __init__(self, canonical_index: tuple, facet_count: int, h: tuple,
-                 complement_class: tuple, sufficient: bool):
-        set_index, set_count, set_h, set_complement, set_sufficient = self._setters
-        set_index(self, canonical_index)
-        set_count(self, facet_count)
-        set_h(self, h)
-        set_complement(self, complement_class)
-        set_sufficient(self, sufficient)
-
     def to_doc(self) -> dict:
         return {
             "index": list(self.canonical_index),

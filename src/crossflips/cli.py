@@ -281,7 +281,7 @@ def _parse_assignments(op, parts):
     return out
 
 
-# the keys each kind of move-script line needs
+# the keys each kind of move-script line needs, and the only ones it takes
 _SCRIPT_KEYS = {"crossflip": ("I", "anchor"), "bistellar": ("A", "B"),
                 "shell": ("F", "A", "R"), "inverse-shell": ("F", "A", "R")}
 
@@ -295,6 +295,9 @@ def apply_script_line(c: Complex, line: str):
     missing = [k for k in _SCRIPT_KEYS[op] if k not in kv]
     if missing:
         raise ValueError("%s line lacks %s" % (op, ", ".join(k + "=" for k in missing)))
+    unknown = [k for k in kv if k not in _SCRIPT_KEYS[op]]
+    if unknown:
+        raise ValueError("%s line takes no %s" % (op, ", ".join(k + "=" for k in unknown)))
     if op == "crossflip":
         try:
             spec = tuple(int(t) for t in kv["I"].split(","))

@@ -11,7 +11,9 @@ functions, so any value may be shared freely across threads.  The records
 other modules build on ``_Record`` (the moves and flip results of
 ``moves``, the shelling verdicts and certificates of ``shelling``, the
 flip classes of ``catalog``) are immutable too; ``cli.WalkConfig`` alone
-is not.  Derived slots are filled lazily; a concurrent recomputation
+is not.  A record states its fields once, in ``__slots__``: its
+constructor is generated from them unless it writes its own.  Derived
+slots are filled lazily; a concurrent recomputation
 produces the identical value, so readers always observe a consistent
 result.
 
@@ -71,17 +73,30 @@ class _Record:
     ``_unhashed`` and ``_hidden``; it pickles and copies by its
     constructor arguments.  Assigning or deleting any attribute raises
     AttributeError (``cli.WalkConfig`` restores both, and so is
-    unhashable).  A subclass ``__init__`` takes every field by position
-    or keyword and fills the slots through ``_setters``, the ``__set__``
-    of each slot in ``__slots__`` order, which pass by ``__setattr__``."""
+    unhashable).  ``__slots__`` states the fields once: a subclass that
+    would inherit ``object.__init__`` gets one compiled for it, taking the
+    fields in slot order, defaults from ``_defaults`` (field -> value), and
+    filling each through ``_setters``, the ``__set__`` of each slot, which
+    pass by ``__setattr__``.  A record that writes ``__init__`` keeps it."""
 
     __slots__ = ()
     _unhashed: tuple = ()
     _hidden: tuple = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        names = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        if cls.__init__ is object.__init__:  # not written, nor inherited from a record
+            namespace = {"default_" + name: value for name, value in cls._defaults.items()}
+            params = ", ".join(name + "=default_" + name if name in cls._defaults else name
+                               for name in names)
+            lines = ["def __init__(self, %s):" % params,
+                     "    [%s] = self._setters" % ", ".join("set_" + name for name in names)]
+            lines += ["    set_%s(self, %s)" % (name, name) for name in names]
+            exec(compile("\n".join(lines), "<%s.__init__>" % cls.__qualname__, "exec"), namespace)
+            cls.__init__ = namespace["__init__"]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

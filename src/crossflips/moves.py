@@ -154,23 +154,12 @@ class BistellarFlip(_Record):
 
     __slots__ = ("A", "B")
 
-    def __init__(self, A: frozenset, B: frozenset):
-        set_a, set_b = self._setters
-        set_a(self, A)
-        set_b(self, B)
-
 
 class CrossFlip(_Record):
     """A diamond-complex index set plus an embedding into the ambient complex."""
 
     __slots__ = ("d", "spec", "embedding")
     _unhashed = ("embedding",)
-
-    def __init__(self, d: int, spec: tuple, embedding: dict):
-        set_d, set_spec, set_embedding = self._setters
-        set_d(self, d)
-        set_spec(self, spec)
-        set_embedding(self, embedding)
 
     def image_facets(self) -> frozenset:
         """The embedded facets, read from the class plan's tables; the index
@@ -185,12 +174,6 @@ class ShellingMove(_Record):
 
     __slots__ = ("facet", "A", "R")
 
-    def __init__(self, facet: frozenset, A: frozenset, R: frozenset):
-        set_facet, set_a, set_r = self._setters
-        set_facet(self, facet)
-        set_a(self, A)
-        set_r(self, R)
-
 
 class CrossFlipResult(_Record):
     """The result complex, the total map from abstract cross-polytope
@@ -203,16 +186,6 @@ class CrossFlipResult(_Record):
     __slots__ = ("complex", "vertex_map", "fresh_vertices", "glued", "nonfaces", "sources")
     _unhashed = ("vertex_map",)
     _hidden = ("glued", "nonfaces", "sources")
-
-    def __init__(self, complex: Complex, vertex_map: dict, fresh_vertices: tuple,
-                 glued: frozenset, nonfaces: tuple, sources: tuple):
-        set_complex, set_map, set_fresh, set_glued, set_nonfaces, set_sources = self._setters
-        set_complex(self, complex)
-        set_map(self, vertex_map)
-        set_fresh(self, fresh_vertices)
-        set_glued(self, glued)
-        set_nonfaces(self, nonfaces)
-        set_sources(self, sources)
 
     @property
     def complement_induced(self) -> bool:

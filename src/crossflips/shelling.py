@@ -73,25 +73,13 @@ class RelativeComplex(_Record):
 
 class ShellingVerdict(_Record):
     __slots__ = ("ok", "failing_index", "minimal_new_faces", "restrictions")
-
-    def __init__(self, ok: bool, failing_index: int | None = None,
-                 minimal_new_faces: tuple = (), restrictions: tuple | None = None):
-        set_ok, set_failing, set_new_faces, set_restrictions = self._setters
-        set_ok(self, ok)
-        set_failing(self, failing_index)
-        set_new_faces(self, minimal_new_faces)
-        set_restrictions(self, restrictions)
+    _defaults = {"failing_index": None, "minimal_new_faces": (), "restrictions": None}
 
 
 class ShellingCertificate(_Record):
     """An ordered facet list with one restriction face per facet."""
 
     __slots__ = ("order", "restrictions")
-
-    def __init__(self, order: tuple, restrictions: tuple):
-        set_order, set_restrictions = self._setters
-        set_order(self, order)
-        set_restrictions(self, restrictions)
 
 
 class _Covered:
@@ -257,42 +245,39 @@ def find_shelling(c: Complex, budget: int = 24):
 
     Exact below the facet budget: None means every permutation fails.  The
     memo keys on the frozenset of placed facets, since whether a partial
-    order extends depends only on which faces are already covered.
+    order extends depends only on which faces are already covered.  Nothing
+    recurses, so no recursion limit bounds the number of facets.
     """
     _check_budget(c, budget)
     facets = sorted(c.facets, key=lambda f: (len(f), sorted_face(f)))
     if not facets:
         return []
     dead: set[frozenset] = set()
-
     order: list = []
-    placed: set = set()
     covered = _Covered()
-
-    def attempt() -> bool:
+    # per open prefix: its placed facets, and the position of the next
+    # facet to try after it (past the end for a prefix already found dead)
+    states, starts = [frozenset()], [0]
+    while states:
+        placed = states[-1]
+        for i in range(starts[-1], len(facets)):
+            f = facets[i]
+            if f not in placed and covered.restriction(f) is not None:
+                break
+        else:
+            dead.add(states.pop())
+            starts.pop()
+            if order:
+                covered.pop(order.pop())
+            continue
+        starts[-1] = i + 1
+        order.append(f)
+        covered.add(f)
         if len(order) == len(facets):
-            return True
-        state = frozenset(placed)
-        if state in dead:
-            return False
-        for f in facets:
-            if f in placed:
-                continue
-            if covered.restriction(f) is None:
-                continue
-            order.append(f)
-            placed.add(f)
-            covered.add(f)
-            if attempt():
-                return True
-            order.pop()
-            placed.discard(f)
-            covered.pop(f)
-        dead.add(state)
-        return False
-
-    if attempt():
-        return list(order)
+            return order
+        state = placed | {f}
+        states.append(state)
+        starts.append(len(facets) if state in dead else 0)
     return None
 
 

@@ -100,6 +100,8 @@ def test_removal_of_a_face_that_is_no_facet(tmp_path, capsys):
     ("swap A=0", "unknown move 'swap'"),
     ("crossflip I=2,,1 anchor=0,1,2", "I= wants a comma list of integers, got '2,,1'"),
     ("crossflip I=x anchor=0,1,2", "I= wants a comma list of integers, got 'x'"),
+    ("crossflip I=2 anchor=0,1,2 new=a,b,c", "crossflip line takes no new="),
+    ("shell R=1,2 x=0 F=0,1,2 A=0 y=1", "shell line takes no x=, y="),
 ])
 def test_flip_script_lines_that_are_refused(tmp_path, capsys, line, message):
     src = tmp_path / "c2.json"

@@ -13,6 +13,7 @@ against a trace scan over every result facet.  The ridge walks the plans
 compile are checked against the former pairwise facet scan, kept here.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -179,7 +180,9 @@ def test_plan_verifies_its_certificates_once(monkeypatch):
         return verify_certificate(target, cert)
 
     monkeypatch.setattr(moves, "verify_certificate", counting)
-    _flip_plan.cache_clear()
+    # a fresh plan cache of its own: clearing the shared one would leave
+    # callers that keep plans (the walk's default classes) out of step
+    monkeypatch.setattr(moves, "_flip_plan", functools.lru_cache(maxsize=None)(moves._FlipPlan))
     c4 = cross_polytope(4)
     spec = (2,)
     abstract = diamond_closed_form(4, spec)

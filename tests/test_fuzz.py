@@ -63,6 +63,7 @@ SCRIPT_LINES = st.lists(st.sampled_from([
     "crossflip I=4 anchor=a",
     "crossflip I=x anchor=0",
     "crossflip anchor=0",
+    "crossflip I=2 anchor=0,1,v2 new=a,b,c",
     "bistellar A=0,1 B=w0",
     "bistellar A=0 B=1",
     "shell F=0,1,2 A=0 R=1,2",

@@ -359,3 +359,28 @@ def test_minimal_new_faces_match_the_enumeration():
         seen["nothing covered" if not facets else "f covered" if f in covered
              else "nothing meets f" if not any(f & h for h in facets) else "other"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def _stacked_ball(rng, n):
+    """A seeded 2-ball grown by gluing a triangle with a new vertex onto a
+    random boundary edge; the build order is a shelling."""
+    order = [("a", "b", "c")]
+    rim = [("a", "b"), ("b", "c"), ("a", "c")]
+    for k in range(n - 1):
+        u, v = rim.pop(rng.randrange(len(rim)))
+        w = "x%d" % k
+        order.append((u, v, w))
+        rim += [(u, w), (v, w)]
+    return Complex(map(frozenset, order))
+
+
+def test_the_search_places_more_facets_than_the_recursion_limit():
+    """The search keeps its prefixes on a list, not on the call stack: a
+    1200-facet ball shells under the default recursion limit, and smaller
+    balls get the reference order."""
+    ball = _stacked_ball(random.Random(1), 1200)
+    order = find_shelling(ball, budget=2000)
+    assert len(order) == 1200 and is_shelling(ball, order).ok
+    for seed in range(3):
+        ball = _stacked_ball(random.Random(seed), 40)
+        assert find_shelling(ball, budget=40) == _ref_find_shelling(ball, budget=40)
