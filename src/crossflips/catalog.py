@@ -241,7 +241,8 @@ def _relative_settings(d: int, sset: tuple, amb: Complex) -> dict:
     return out
 
 
-# the chord pass's start, one per d, shared with its star index (a flip copies it)
+# the chord pass's start, one per d, shared with its star index (a flip copies
+# the star dict once and each star it patches once, toggling the exchange in)
 _start_sphere = functools.lru_cache(maxsize=None)(cross_polytope)
 
 

@@ -31,8 +31,11 @@ from another by exchanging a few facets (``Complex._replaced``, the result
 of a cross-flip, a bistellar flip, a stellar subdivision or a shelling
 move) inherits the vertex set and star index of the other,
 and its common size and top label if the other had built them, patched at
-the vertices of the exchanged facets only, each star there becoming
-``(old - removed) | added``; an inherited slot equals a fresh build.
+the vertices of the exchanged facets only, each star there becoming the
+old star with the exchanged facets containing its vertex toggled; an
+inherited slot equals a fresh build.  An exchange copies the facet set,
+the star dict and, when a vertex comes or goes, the vertex set once each,
+at C speed, and toggles the exchange into each copy.
 """
 
 from __future__ import annotations
@@ -291,39 +294,47 @@ class Complex:
         return cls._trusted(maximal)
 
     def _replaced(self, removed: frozenset, added: frozenset, delta=None) -> "Complex":
-        """The complex with facets ``(facets - removed) | added``.
+        """The complex with the facets *removed* exchanged for *added*.
 
-        Trusted: the caller guarantees that the result is an antichain, so
-        nothing is validated; a removed face that is not a facet changes
-        nothing.  The result gets this complex's vertex set and star index,
-        and the common facet size and top "w<k>" label if this complex had
-        built them, each patched at the vertices of the exchanged facets;
-        it holds no reference to this complex.  *delta* maps each of those
-        vertices to the added facets containing it (none for a vertex of
-        removed facets only), each patched star being ``(old - removed) |
-        added``; a caller that knows it (a cross-flip reads it from its
-        class's exchange tables) hands it in, otherwise it is gathered
-        here.  The top label is read from the vertices new to the complex.
+        The exchange must be exact: *removed* is a subset of the facets and
+        *added* is disjoint from them, or ``ValueError`` is raised; both
+        tests cost the exchange, not the complex.  The caller guarantees
+        that the result is an antichain, which is not validated.  The facet
+        set is ``(removed | added) ^ facets``, one copy of the facets with
+        the exchange toggled in it.  The result gets this complex's vertex
+        set and star index, and the common facet size and top "w<k>" label
+        if this complex had built them, each patched at the vertices of the
+        exchanged facets; it holds no reference to this complex.  *delta*
+        maps each of those vertices to the exchanged facets containing it,
+        removed and added alike, and its patched star is that exchange
+        toggled in one copy of the old star (a new vertex's star is its
+        exchange; a star toggled empty marks its vertex as gone).  A caller
+        that knows *delta* (a cross-flip reads it from its class's exchange
+        tables) hands it in, otherwise it is gathered here.  The top label
+        is read from the vertices new to the complex.
         """
-        c = Complex._trusted((self._facets - removed) | added)
+        facets = self._facets
+        if not (removed <= facets and added.isdisjoint(facets)):
+            raise ValueError("not an exchange: a removed face is no facet "
+                             "or an added face is already one")
+        # frozenset.symmetric_difference copies its argument at C speed and
+        # toggles the receiver's items into the copy: the small side receives
+        c = Complex._trusted((removed | added).symmetric_difference(facets))
         if delta is None:
-            delta = {x: [] for h in removed for x in h}
-            for h in added:
+            delta = {}
+            for h in itertools.chain(removed, added):
                 for x in h:
                     delta.setdefault(x, []).append(h)
         old = self._star_index()
         stars = dict(old)
         gone, new = [], []
-        for x, into in delta.items():
+        for x, exchanged in delta.items():
             s = old.get(x)
             if s is None:
-                if into:
-                    stars[x] = frozenset(into)
-                    new.append(x)
+                stars[x] = frozenset(exchanged)
+                new.append(x)
                 continue
-            s = s.difference(removed)
-            if into:
-                s = s.union(into)
+            s = frozenset(exchanged).symmetric_difference(s)
             if s:
                 stars[x] = s
             else:
@@ -331,9 +342,9 @@ class Complex:
                 gone.append(x)
         c._stars = stars
         vertices = self.vertices
-        if gone:
-            vertices = vertices.difference(gone)
-        c._vertices = vertices.union(new) if new else vertices
+        if gone or new:
+            vertices = frozenset(gone + new).symmetric_difference(vertices)
+        c._vertices = vertices
         k = self._size
         if k is not None and k >= 0 and c._facets and set(map(len, added)) <= {k}:
             c._size = k

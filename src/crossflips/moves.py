@@ -11,16 +11,19 @@ class's plan is built; a certificate that fails raises.  Fresh vertices
 created by subdivisions and cross-flips are labeled "w<k>" by a monotone
 counter namespaced per complex.
 
-An application costs its region and builds no ``Complex`` for it.  The
-class's plan holds exchange tables over its slots (``_FlipPlan.slots``):
-the vertices of each abstract and each complement facet, the complement
+An application builds no ``Complex`` besides its result.  The class's plan
+holds exchange tables over its slots (``_FlipPlan.slots``): the vertices
+of each abstract and each complement facet, the image and complement
 facets containing each slot, and the slot each fresh vertex takes its
 colour from.  An application maps the slots to ambient vertices once and
 reads from the tables the image (for the subcomplex test and the
 exchange alike), the glued facets and the per-vertex delta it hands
-``Complex._replaced`` (vertex -> the glued facets containing it); the
-result inherits the ambient's vertex set, star index, common facet size
-and top "w<k>" label, patched at the exchanged facets, and the colouring
+``Complex._replaced`` (vertex -> the image and glued facets containing
+it, the exchange at that vertex).  The result inherits the ambient's
+vertex set, star index, common facet size and top "w<k>" label, patched
+at the exchanged facets; beyond its region, a flip pays one C-level copy
+each of the facet set, the star dict, the vertex set (when a vertex comes
+or goes) and, in the colouring extension, the colouring.  The colouring
 extension reads each fresh colour from its source slot
 (``CrossFlipResult.sources``).  Bistellar
 flips and stellar subdivisions cost their region the same way: each
@@ -370,7 +373,7 @@ def _with_facet(c: Complex, f_new: frozenset) -> Complex:
     in the stars of its vertices, and the void complex's empty facet."""
     stars = c._star_index()
     swallowed = frozenset(h for x in f_new for h in stars.get(x, ()) if h < f_new)
-    return c._replaced(swallowed | {frozenset()}, frozenset([f_new]))
+    return c._replaced(swallowed | (c.facets & {frozenset()}), frozenset([f_new]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +424,8 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     labels += fresh_vertices(c, len(plan.unseen))
     glued = [frozenset(row(labels)) for row in plan.glued_rows]
     added = frozenset(glued)
-    delta = {x: into(glued) for x, into in zip(labels, plan.slot_rows)}
+    exchanged = image + glued
+    delta = {x: ex(exchanged) for x, ex in zip(labels, plan.slot_rows)}
     # The result is an antichain.  A glued facet g is no face of a kept
     # facet: if g has a fresh vertex, no facet of c contains it; otherwise
     # g would be a face of c on image vertices, so (the image being
@@ -631,8 +635,9 @@ class _FlipPlan:
     complement has (``unseen``): ``image_rows`` and ``glued_rows`` take
     the ambient vertex of every slot to the vertices of each abstract and
     each complement facet, and ``slot_rows`` holds for each slot the
-    function taking the glued facet list to the glued facets containing
-    the slot's vertex, the per-vertex delta of ``Complex._replaced``.
+    function taking the exchanged facet list, the image facets then the
+    glued ones, to those containing the slot's vertex, the per-vertex
+    delta of ``Complex._replaced``.
     ``sources`` takes the slot labels to the vertex each unseen slot takes
     its colour from, its pair partner's image."""
 
@@ -667,7 +672,7 @@ class _FlipPlan:
                          for f in sorted(side.facets, key=sorted_face)]
                         for side in (abstract, complement))
         self.image_rows, self.glued_rows = tuple(map(_picker, image)), tuple(map(_picker, glued))
-        self.slot_rows = tuple(_picker(tuple(k for k, row in enumerate(glued) if i in row))
+        self.slot_rows = tuple(_picker(tuple(k for k, row in enumerate(image + glued) if i in row))
                                for i in range(len(self.slots)))
         self.sources = _picker(tuple(at[partner(v)] for v in self.unseen))
 

@@ -10,6 +10,7 @@ its ambient's raises.
 """
 
 import gc
+import json
 import random
 import types
 
@@ -287,3 +288,133 @@ def test_inducedness_is_scanned_only_where_a_flip_needs_it(monkeypatch):
                 cross_polytope(d),
                 CrossFlip(d=d, spec=spec, embedding={v: v for v in abstract.vertices}))
         assert not scans, (d, spec)
+
+
+def _assert_matches_fresh_build(got: Complex, facets) -> None:
+    """Every slot `got` holds equals a fresh build of *facets*."""
+    fresh = Complex(facets)
+    assert got.facets == fresh.facets
+    assert got._stars == fresh._star_index()
+    assert got._vertices == fresh.vertices
+    assert got._size in (None, fresh._common_size())
+    assert got._top_w in (None, fresh._top_w_label())
+
+
+def test_replaced_refuses_an_inexact_exchange():
+    """A removed face that is no facet, or an added face that already is
+    one, is no exchange: both raise and leave the complex as it was."""
+    c = Complex([face("a", "b", "c"), face("b", "c", "d")])
+    for removed, added in (({face("a", "b")}, set()),
+                           ({face("a", "b", "c"), face("x", "y", "z")}, {face("a", "b", "x")}),
+                           (set(), {face("b", "c", "d")}),
+                           ({face("a", "b", "c")}, {face("a", "b", "x"), face("b", "c", "d")}),
+                           ({frozenset()}, {face("a", "b", "x")})):
+        with pytest.raises(ValueError, match="not an exchange"):
+            c._replaced(frozenset(removed), frozenset(added))
+        assert c.facets == {face("a", "b", "c"), face("b", "c", "d")}
+    with pytest.raises(ValueError, match="not an exchange"):
+        Complex.empty()._replaced(frozenset([frozenset()]), frozenset([face("a")]))
+
+
+def test_toggled_stars_when_vertices_leave_and_arrive_in_one_exchange():
+    """A vertex's whole star exchanged for its copy on a label new to the
+    complex: the old vertex's star toggles to empty and the new one's is
+    its exchange, in the same call, with the common size and top label
+    built beforehand or not; facets of other vertices of those stars are
+    toggled in one copy of their stars."""
+    rng = random.Random(43)
+    labels = ["a", "b", "c", "d", "e", "w0", "w1", "w3", "w6"]
+    cases = 0
+    for trial in range(300):
+        c = Complex.generated_by(rng.sample(labels, 3) for _ in range(rng.randrange(1, 8)))
+        for name in rng.sample(["_top_w_label", "_common_size"], rng.randrange(3)):
+            getattr(c, name)()
+        v = rng.choice(sorted(c.vertices))
+        new = rng.choice(["w2", "w5", "w9", "z"])
+        if new in c.vertices:
+            continue
+        star = frozenset(h for h in c.facets if v in h)
+        added = frozenset((h - {v}) | {new} for h in star)
+        got = c._replaced(star, added)
+        assert v not in got._stars and v not in got._vertices
+        assert got._stars[new] == added
+        _assert_matches_fresh_build(got, (c.facets - star) | added)
+        cases += 1
+    assert cases > 200
+
+
+def test_late_stacking_ops_patch_stars_exactly():
+    """Every op of a 100-op class-(3,) stacking, up to 1416 facets: each
+    result equals a fresh build of the ambient with the image exchanged
+    for the glued facets, in every slot."""
+    (abstract,) = diamond_closed_form(3, (3,)).facets
+    for before, res in stacking(3, 100, 5):
+        image = frozenset(res.vertex_map[v] for v in abstract)
+        _assert_matches_fresh_build(res.complex, (before.facets - {image}) | res.glued)
+        assert not assert_inherited_slots_are_exact(before, res.complex)
+    assert res.complex.n_facets == 16 + 14 * 100
+
+
+def test_with_facet_on_the_void_complex_and_on_a_ball():
+    """Adding a facet drops the void complex's empty facet, swallows the
+    facets inside the new one, and otherwise keeps every facet; an inverse
+    shelling on the void complex reaches its condition check."""
+    abc = face("a", "b", "c")
+    for c, want in ((Complex.void(), {abc}),
+                    (Complex.empty(), {abc}),
+                    (Complex([face("a", "b"), face("d")]), {abc, face("d")}),
+                    (Complex([face("a", "b", "d")]), {abc, face("a", "b", "d")})):
+        _assert_matches_fresh_build(moves._with_facet(c, abc), want)
+    with pytest.raises(moves.ConditionViolated) as err:
+        moves.inverse_shelling(Complex.void(), abc, face("a"), face("b", "c"))
+    assert err.value.condition == 2
+    square = Complex([face("0", "1", "2"), face("0", "2", "3")])
+    grown = moves.inverse_shelling(square, face("0", "3", "4"), face("0", "3"), face("4"))
+    _assert_matches_fresh_build(grown, square.facets | {face("0", "3", "4")})
+    assert moves.shelling_move(grown, face("0", "3", "4"), face("0", "3"), face("4")) == square
+
+
+def test_every_library_caller_hands_replaced_an_exact_exchange(monkeypatch, tmp_path, capsys):
+    """A spy on `Complex._replaced` checks the exchange of every call made
+    by walks, stackings, bistellar flips, stellar subdivisions, shelling
+    moves, boundary realizations and the CLI's removal check."""
+    from crossflips import cli
+    from crossflips.catalog import stacked_cross_sphere_colored
+
+    calls = []
+    replaced = Complex._replaced
+
+    def spy(self, removed, added, delta=None):
+        assert removed <= self.facets, "removed faces that are no facets"
+        assert added.isdisjoint(self.facets), "added faces that are facets"
+        calls.append(len(removed) + len(added))
+        return replaced(self, removed, added, delta)
+
+    monkeypatch.setattr(Complex, "_replaced", spy)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    for d in (1, 2, 3, 4):
+        assert count(lambda: cli.run_walk(cli.WalkConfig(steps=6, seed=d, dimension=d)))
+    assert count(lambda: stacked_cross_sphere_colored(5, 3))
+    c = cross_polytope(2)
+    flips = moves.list_bistellar(c)
+    assert count(lambda: [moves.apply_bistellar(c, f) for f in flips]) == len(flips)
+    assert count(lambda: [moves.stellar_subdivide(c, f) for f in c.all_faces() if f])
+    square = Complex([face("0", "1", "2"), face("0", "2", "3")])
+    assert count(lambda: moves.shelling_move(square, face("0", "1", "2"), face("0", "2"),
+                                             face("1"))) == 1
+    assert count(lambda: moves.inverse_shelling(square, face("0", "3", "4"), face("0", "3"),
+                                                face("4"))) == 1
+    assert count(lambda: (moves.boundary_bistellar_realization(square, face("0", "3"), face("4")),
+                          moves.boundary_bistellar_realization(square, face("1"),
+                                                               face("0", "2")))) == 2
+    fan = [["o", "p%d" % i, "p%d" % (i + 1)] for i in range(5)]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"complex": {"facets": fan}, "order": fan[:0:-1],
+                                "mode": "removal"}))
+    assert count(lambda: cli.main(["check", str(path), "shelling-order"])) == 4
+    assert capsys.readouterr().out == "PASS: 4 elementary shellings\n"
