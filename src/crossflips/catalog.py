@@ -18,6 +18,7 @@ import itertools
 from .complexes import (
     Complex,
     ComplexError,
+    _face_key,
     _Record,
     are_isomorphic,
     delete_subcomplex,
@@ -94,18 +95,16 @@ def check_dimension(d: int) -> None:
 def enumerate_basic_flips(d: int) -> list:
     """One class per nonempty subset of {0, ..., d}, ordered by facet count."""
     check_dimension(d)
-    classes = []
-    for r in range(1, d + 2):
-        for idx in itertools.combinations(range(d + 1), r):
-            classes.append(
-                FlipClass(
-                    canonical_index=idx,
-                    facet_count=sum(2 ** (d - i) for i in idx),
-                    h=h_vector_formula(d, idx),
-                    complement_class=complement_index(d, idx),
-                    sufficient=d in idx,
-                )
-            )
+    classes = [
+        FlipClass(
+            canonical_index=idx,
+            facet_count=sum(2 ** (d - i) for i in idx),
+            h=h_vector_formula(d, idx),
+            complement_class=complement_index(d, idx),
+            sufficient=d in idx,
+        )
+        for idx in _all_index_sets(d, d)
+    ]
     classes.sort(key=lambda fc: fc.facet_count)
     return classes
 
@@ -131,23 +130,15 @@ def stacked_cross_sphere_colored(copies: int, d: int):
     coloring = standard_coloring(d)
     (abstract_facet,) = diamond_closed_form(d, (d,)).facets
     abstract = sorted_face(abstract_facet)
-    entries = sorted(map(_canonical_entry, cur.facets))
+    entries = cur.canonical_facets()
     for _ in range(copies - 1):
-        _, target = entries.pop(0)
-        emb = dict(zip(abstract, target))
+        emb = dict(zip(abstract, entries.pop(0)))
         res = apply_cross_flip_detailed(cur, CrossFlip(d=d, spec=(d,), embedding=emb))
         coloring = extend_coloring_after_cross_flip(coloring, res)
         cur = res.complex
         for f in res.glued:
-            bisect.insort(entries, _canonical_entry(f))
+            bisect.insort(entries, sorted_face(f), key=_face_key)
     return cur, coloring
-
-
-def _canonical_entry(f: frozenset) -> tuple:
-    """A facet's sort key in ``Complex.canonical_facets`` with its sorted
-    tuple; distinct facets have distinct keys."""
-    t = sorted_face(f)
-    return tuple(map(vertex_key, t)), t
 
 
 def barycentric_sphere(d: int):
@@ -318,13 +309,12 @@ def verify_reducibility(d: int):
     """Run the composition check for every nonempty index set avoiding d."""
     lines = []
     ok = True
-    for r in range(1, d + 1):
-        for idx in itertools.combinations(range(d), r):
-            amb, _coloring, emb = ambient_with_induced_diamond(d, idx)
-            site = CrossFlip(d=d, spec=idx, embedding=emb)
-            good = verify_reducibility_composition(d, idx, amb, site)
-            ok = ok and good
-            lines.append("reducibility d=%d I=%r: %s" % (d, list(idx), "ok" if good else "FAILED"))
+    for idx in _all_index_sets(d, d - 1):
+        amb, _coloring, emb = ambient_with_induced_diamond(d, idx)
+        site = CrossFlip(d=d, spec=idx, embedding=emb)
+        good = verify_reducibility_composition(d, idx, amb, site)
+        ok = ok and good
+        lines.append("reducibility d=%d I=%r: %s" % (d, list(idx), "ok" if good else "FAILED"))
     return ok, lines
 
 
@@ -519,6 +509,7 @@ def verify_count(d: int):
 
 
 def _all_index_sets(d: int, top: int):
+    """Every nonempty subset of 0..top as a sorted tuple, by size."""
     for r in range(1, top + 2):
         for idx in itertools.combinations(range(top + 1), r):
             yield idx

@@ -21,6 +21,7 @@ from .complexes import (
     Complex,
     ComplexError,
     ManifoldVerdict,
+    _face_key,
     _faces_from_doc,
     _Record,
     _require_boundary,
@@ -31,7 +32,6 @@ from .complexes import (
     is_induced,
     is_proper_coloring,
     sorted_face,
-    vertex_key,
 )
 from .diamond import (
     _check_index_set,
@@ -53,8 +53,10 @@ class UsageError(Exception):
 
 
 class StepFailed(Exception):
+    """A walk or script step that fails; with *step* None, the bare reason."""
+
     def __init__(self, step, reason):
-        super().__init__("step %s: %s" % (step, reason))
+        super().__init__(reason if step is None else "step %s: %s" % (step, reason))
         self.step = step
         self.reason = reason
 
@@ -218,7 +220,7 @@ def _check_removal_order(c: Complex, order) -> int:
             if maxi:
                 desc = "boundary intersection is " + ", ".join(
                     str(list(sorted_face(g)))
-                    for g in sorted(maxi, key=lambda g: tuple(map(vertex_key, sorted_face(g)))))
+                    for g in sorted(maxi, key=_face_key))
             elif _moves._on_boundary(cur, frozenset()):
                 desc = "the facet does not meet the boundary"
             else:
@@ -357,26 +359,23 @@ class WalkConfig(_Record):
         self.start_coloring = start_coloring
 
 
-@functools.lru_cache(maxsize=None)
-def _basic_flip_indices(d: int) -> tuple:
-    """The canonical index sets of every basic flip class of dimension d,
-    in catalog order; one tuple per dimension."""
-    return tuple(fc.canonical_index for fc in _catalog.enumerate_basic_flips(d))
-
-
 def _walk_classes(d: int, specs) -> tuple:
-    """``(classes, plans)`` for a walk over *specs*: each index set that
-    names a class with its checked index set, and each class's plan."""
-    classes = tuple((spec, found) for spec in specs
-                    if (found := _moves._site_class(d, spec)) is not None)
-    return classes, tuple(_moves._flip_plan(d, found) for _spec, found in classes)
+    """``(classes, plans)`` for a walk over *specs*: the first index set
+    naming each class with its checked index set, so a class named twice is
+    drawn once, and each class's plan; a set naming no class is skipped."""
+    first = {}
+    for spec in specs:
+        if (found := _moves._site_class(d, spec)) is not None:
+            first.setdefault(found, spec)
+    classes = tuple((spec, found) for found, spec in first.items())
+    return classes, tuple(_moves._flip_plan(d, found) for found in first)
 
 
 @functools.lru_cache(maxsize=None)
 def _basic_flip_classes(d: int) -> tuple:
-    """``_walk_classes`` of every basic flip class of dimension d, the walk's
-    default; built once per dimension."""
-    return _walk_classes(d, _basic_flip_indices(d))
+    """``_walk_classes`` of every basic flip class of dimension d, in catalog
+    order: the walk's default, built once per dimension."""
+    return _walk_classes(d, [fc.canonical_index for fc in _catalog.enumerate_basic_flips(d)])
 
 
 def run_walk(config: WalkConfig):
@@ -385,17 +384,20 @@ def run_walk(config: WalkConfig):
     Each step picks uniformly among the allowed flip classes that have at
     least one site, then uniformly from that class's deterministic site
     list.  Returns (complex, coloring, stats rows).  A start complex of
-    another dimension than ``config.dimension`` raises ``ValueError``.
+    another dimension than ``config.dimension`` raises ``ValueError``.  A
+    start without its colouring takes ``find_balanced_coloring``'s, and
+    raises ``StepFailed`` when it has none.
     """
     d = config.dimension
     cur = config.start if config.start is not None else cross_polytope(d)
     if cur.dimension != d:
         raise ValueError("the start complex has dimension %s, not %d" % (cur.dimension, d))
-    coloring = (
-        dict(config.start_coloring)
-        if config.start_coloring is not None
-        else standard_coloring(d)
-    )
+    if config.start_coloring is not None:
+        coloring = dict(config.start_coloring)
+    elif config.start is None:
+        coloring = standard_coloring(d)
+    elif (coloring := find_balanced_coloring(cur)) is None:
+        raise StepFailed(None, "the start complex has no proper %d-coloring" % (d + 1))
     classes, plans = (_walk_classes(d, config.allowed_flips) if config.allowed_flips
                       else _basic_flip_classes(d))
     rng = random.Random(config.seed)
@@ -437,13 +439,11 @@ def cmd_walk(args) -> int:
     if args.steps is not None and args.steps < 0:
         raise UsageError("--steps must be nonnegative")
     for n, idx in enumerate(args.index or []):
-        if not idx or idx[0] < 0 or idx[-1] > args.dim:
-            raise UsageError(
-                "--index %s is not a nonempty subset of 0..%d"
-                % (",".join(str(i) for i in idx), args.dim)
-            )
+        text = ",".join(map(str, idx))
+        if _moves._site_class(args.dim, idx) is None:
+            raise UsageError("--index %s is not a nonempty subset of 0..%d" % (text, args.dim))
         if idx in args.index[:n]:
-            raise UsageError("--index %s is given twice" % ",".join(str(i) for i in idx))
+            raise UsageError("--index %s is given twice" % text)
     start = None
     start_coloring = None
     if args.file is not None:
@@ -451,12 +451,8 @@ def cmd_walk(args) -> int:
         if start.dimension != args.dim:
             raise UsageError("--dim %d differs from the dimension %s of %s"
                              % (args.dim, start.dimension, args.file))
-        if start_coloring is None:
-            start_coloring = find_balanced_coloring(start)
-            if start_coloring is None:
-                print("FAIL: the start complex has no proper %d-coloring" % (args.dim + 1))
-                return 1
-        elif not is_proper_coloring(start, start_coloring, args.dim + 1):
+        if (start_coloring is not None
+                and not is_proper_coloring(start, start_coloring, args.dim + 1)):
             print("FAIL: the stored coloring is not a proper %d-coloring" % (args.dim + 1))
             return 1
     config = WalkConfig(

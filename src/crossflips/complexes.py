@@ -4,7 +4,9 @@ Vertices are string tokens.  Plain digit strings ("0", "1", ...) and
 "v"-prefixed digit strings ("v0", "v1", ...) form interleaved pairs used
 throughout the cross-polytope constructions; any other token is an opaque
 label.  The total order on tokens is "0" < "v0" < "1" < "v1" < ... with
-opaque labels after all paired tokens, lexicographically.
+opaque labels after all paired tokens, lexicographically.  Faces are
+reported and written in one canonical order, by their vertex keys
+(``_face_key``).
 
 All values are immutable after construction and all operations are pure
 functions, so any value may be shared freely across threads.  The records
@@ -19,23 +21,19 @@ result.
 
 Faces are not cached: ``all_faces`` and ``faces`` build them on each call;
 the f-vector and Euler characteristic build none, but count the distinct
-k-subsets of the facets taken as sorted tuples, size by size.
-A complex keeps only its facets and, each built on first use: its vertex set,
-its star index (vertex -> frozenset of the facets containing it, which
-answers ``has_face``, ``link`` and ``star`` in time proportional to a
-vertex degree), the common size of its facets and the highest "w<k>"
-label among its vertices.  The facet-neighbour table (``_neighbour_table``)
-that the flip-site search (``moves._site_view``) and manifold recognition
-walk is built by each of their calls, not kept.  A complex made
-from another by exchanging a few facets (``Complex._replaced``, the result
-of a cross-flip, a bistellar flip, a stellar subdivision or a shelling
-move) inherits the vertex set and star index of the other,
-and its common size and top label if the other had built them, patched at
-the vertices of the exchanged facets only, each star there becoming the
-old star with the exchanged facets containing its vertex toggled; an
-inherited slot equals a fresh build.  An exchange copies the facet set,
-the star dict and, when a vertex comes or goes, the vertex set once each,
-at C speed, and toggles the exchange into each copy.
+k-subsets of the facets taken as sorted tuples, size by size.  A complex
+keeps only its facets and, each built on first use: its vertex set, its
+star index (vertex -> frozenset of the facets containing it, which answers
+``has_face``, ``link`` and ``star`` in time proportional to a vertex
+degree), the common size of its facets and the highest "w<k>" label among
+its vertices, above which ``fresh_vertices`` alone forms fresh labels.  The
+facet-neighbour table (``_neighbour_table``) that the flip-site search
+(``moves._site_view``) and manifold recognition walk is built by each of
+their calls, not kept.  A complex made from another by exchanging a few
+facets (``Complex._replaced``: the result of a cross-flip, a bistellar
+flip, a stellar subdivision or a shelling move) inherits the slots the
+other had built, patched at the vertices of the exchanged facets only, with
+one C-level copy each; an inherited slot equals a fresh build.
 """
 
 from __future__ import annotations
@@ -186,6 +184,12 @@ def sorted_face(f) -> tuple:
     return tuple(sorted(f, key=vertex_key))
 
 
+def _face_key(f) -> tuple:
+    """Sort key of the canonical face order (``Complex.canonical_facets``):
+    the vertex keys of f, increasing, so "10" follows "9"."""
+    return tuple(sorted(map(vertex_key, f)))
+
+
 def _subsets(f):
     """Every subset of the face f, the empty face and f included, by size."""
     vs = tuple(f)
@@ -237,6 +241,13 @@ def _w_index(v: str) -> int | None:
     return None
 
 
+def fresh_vertices(c: "Complex", count: int) -> list:
+    """Next *count* unused "w<k>" labels for the given complex: the one
+    place fresh labels are formed, above its highest "w<k>" label."""
+    top = c._top_w_label()
+    return ["w%d" % (top + 1 + i) for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # the complex itself
 
@@ -248,9 +259,8 @@ class Complex:
     (single empty facet, dimension -1) are distinct values.  Equality and
     hashing use the facet set only.  The slots besides ``_facets`` fill
     lazily: ``_vertices`` (vertex set), ``_stars`` (star index), ``_size``
-    (common facet size) and ``_top_w`` (top "w<k>" label); see the module
-    docstring for the slots ``_replaced`` inherits.  Faces are built when
-    asked for, never kept.
+    (common facet size) and ``_top_w`` (top "w<k>" label), which an
+    exchange inherits (``_replaced``).  Faces are built when asked for.
     """
 
     __slots__ = ("_facets", "_vertices", "_stars", "_size", "_top_w")
@@ -461,10 +471,7 @@ class Complex:
 
     def canonical_facets(self) -> list[tuple]:
         """Facets as sorted tuples, in the canonical outer order."""
-        return sorted(
-            (sorted_face(f) for f in self._facets),
-            key=lambda t: tuple(vertex_key(v) for v in t),
-        )
+        return sorted(map(sorted_face, self._facets), key=_face_key)
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self._facets == other._facets

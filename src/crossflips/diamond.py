@@ -67,9 +67,14 @@ class IndexSetViolatesPrecondition(ComplexError):
 
 
 def _check_index_set(d: int, indices, top: int) -> tuple:
+    """*indices* sorted without repeats, the one rule for naming a class: it
+    must be nonempty (else ``EmptyIndexSet``), of ints (else ``TypeError``,
+    for 2.0 and True too) in 0..top (else ``ValueError``)."""
     out = tuple(sorted(set(indices)))
     if not out:
         raise EmptyIndexSet("index set must be nonempty")
+    if not all(type(i) is int for i in out):
+        raise TypeError("index set entries must be integers")
     if out[0] < 0 or out[-1] > top:
         raise ValueError("indices must lie in 0..%d" % top)
     return out

@@ -7,9 +7,9 @@ Both sides are diamond complexes (the complement of the index set I is the
 complementary index set in {0, ..., d+1}), so both shellability conditions
 are decided by their degree-lexicographic shelling certificates, verified
 restriction by restriction once per flip class per process, when the
-class's plan is built; a certificate that fails raises.  Fresh vertices
-created by subdivisions and cross-flips are labeled "w<k>" by a monotone
-counter namespaced per complex.
+class's plan is built; a certificate that fails raises.  Index sets are
+checked by ``diamond._check_index_set`` alone, and fresh "w<k>" labels
+formed by ``complexes.fresh_vertices`` alone (importable from here too).
 
 An application builds no ``Complex`` besides its result.  The class's plan
 holds exchange tables over its slots (``_FlipPlan.slots``): the vertices
@@ -115,6 +115,7 @@ from .complexes import (
     _neighbour_table,
     _Record,
     _require_boundary,
+    fresh_vertices,
     is_proper_coloring,
     partner,
     pair_index,
@@ -193,12 +194,6 @@ class CrossFlipResult(_Record):
     @property
     def complement_induced(self) -> bool:
         return not _embeds_a_nonface(self.complex._star_index(), self.vertex_map, self.nonfaces)
-
-
-def fresh_vertices(c: Complex, count: int) -> list:
-    """Next *count* unused "w<k>" labels for the given complex."""
-    top = c._top_w_label()
-    return ["w%d" % (top + 1 + i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +755,14 @@ def has_cross_flip_site(c: Complex, coloring: dict, indices) -> bool:
 
 def _site_class(d, indices):
     """The checked index set of a site search in dimension d, or None when
-    d is None (an empty complex) or the index set names no class: it is
-    empty, or has an entry that is no integer or lies outside 0..d."""
+    d is None (an empty complex) or ``diamond._check_index_set`` refuses
+    the index set as naming no class."""
     if d is None:
         return None
     try:
-        spec = _diamond._check_index_set(d, indices, d)
+        return _diamond._check_index_set(d, indices, d)
     except (_diamond.EmptyIndexSet, TypeError, ValueError):
         return None
-    return spec if all(isinstance(i, int) for i in spec) else None
 
 
 def _image_site(d: int, spec: tuple, img: list) -> CrossFlip:

@@ -32,10 +32,10 @@ from .complexes import (
     Complex,
     ComplexError,
     _as_face,
+    _face_key,
     _Record,
     _stars,
     sorted_face,
-    vertex_key,
 )
 
 
@@ -167,7 +167,7 @@ def _new_faces(f: frozenset, covered: _Covered) -> list:
         hit = [g for g in minimal if g & e]
         grown = {g | {x} for g in minimal if not g & e for x in e}
         minimal = hit + [g for g in grown if not any(h <= g for h in hit)]
-    return sorted(minimal, key=lambda g: (len(g), tuple(map(vertex_key, sorted_face(g)))))
+    return sorted(minimal, key=lambda g: (len(g), _face_key(g)))
 
 
 def _run(order, facets, removed, what: str) -> ShellingVerdict:

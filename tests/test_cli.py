@@ -672,16 +672,6 @@ def test_anchor_walk_reads_ridges_of_the_ambient(tmp_path, capsys):
         assert (code, text) == (1, want), line
 
 
-def test_walk_default_classes_are_one_cached_tuple_per_dimension():
-    from crossflips.catalog import enumerate_basic_flips
-    from crossflips.cli import _basic_flip_indices
-
-    for d in range(1, 7):
-        got = _basic_flip_indices(d)
-        assert got == tuple(fc.canonical_index for fc in enumerate_basic_flips(d))
-        assert _basic_flip_indices(d) is got
-
-
 def test_main_reads_every_command_line_with_one_parser(tmp_path, capsys, monkeypatch):
     """`main` builds its parser on its first call and reuses it: usage
     errors and valid commands, interleaved in one process, give the same
@@ -719,16 +709,19 @@ def test_walk_default_classes_and_plans_are_built_once_per_dimension(monkeypatch
     """A walk over every class reads its classes and plans from one tuple
     per dimension; a walk given its classes checks them on each call."""
     from crossflips import moves
-    from crossflips.cli import _basic_flip_classes, _basic_flip_indices
+    from crossflips.catalog import enumerate_basic_flips
+    from crossflips.cli import _basic_flip_classes
+
+    def catalog_order(d):
+        return [fc.canonical_index for fc in enumerate_basic_flips(d)]
 
     for d in (2, 3):
         classes, plans = _basic_flip_classes(d)
         assert _basic_flip_classes(d) is _basic_flip_classes(d)
-        assert classes == tuple((spec, spec) for spec in _basic_flip_indices(d))
-        assert plans == tuple(moves._flip_plan(d, spec) for spec in _basic_flip_indices(d))
+        assert classes == tuple((spec, spec) for spec in catalog_order(d))
+        assert plans == tuple(moves._flip_plan(d, spec) for spec in catalog_order(d))
     want = run_walk(WalkConfig(steps=4, seed=8, dimension=2))
-    given = run_walk(WalkConfig(steps=4, seed=8, dimension=2,
-                                allowed_flips=list(_basic_flip_indices(2))))
+    given = run_walk(WalkConfig(steps=4, seed=8, dimension=2, allowed_flips=catalog_order(2)))
     checked = []
     site_class = moves._site_class
 
