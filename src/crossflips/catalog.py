@@ -103,7 +103,7 @@ def enumerate_basic_flips(d: int) -> list:
             complement_class=complement_index(d, idx),
             sufficient=d in idx,
         )
-        for idx in _all_index_sets(d, d)
+        for idx in _all_index_sets(d)
     ]
     classes.sort(key=lambda fc: fc.facet_count)
     return classes
@@ -184,7 +184,7 @@ def ambient_with_induced_diamond(d: int, indices):
 
     Returns (ambient, coloring, identity embedding).
     """
-    return ambient_with_induced_diamond_any(d, _check_index_set(d, indices, d))
+    return ambient_with_induced_diamond_any(d, _check_index_set(indices, d))
 
 
 def relative_shelling_setting(d: int, seq):
@@ -240,7 +240,7 @@ _start_sphere = functools.lru_cache(maxsize=None)(cross_polytope)
 def ambient_with_induced_diamond_any(d: int, indices):
     """One chord-killing pass (see above); accepts index sets that may
     contain d+1."""
-    idx = _check_index_set(d, indices, d + 1)
+    idx = _check_index_set(indices, d + 1)
     span = diamond_closed_form(d, idx).vertices
     amb = _start_sphere(d)
     coloring = standard_coloring(d)
@@ -276,7 +276,7 @@ def verify_reducibility_composition(d: int, indices, ambient: Complex, site: Cro
     """Check that the flip of the index set equals, up to an isomorphism
     fixing the untouched ambient pointwise, the two-step composition: flip
     the down-shifted copy of I+1, regroup, then flip (I+1) with 0 added."""
-    idx = _check_index_set(d, indices, d)
+    idx = _check_index_set(indices, d)
     if d in idx:
         raise IndexSetViolatesPrecondition("requires d outside the index set")
     emb = dict(site.embedding)
@@ -309,7 +309,7 @@ def verify_reducibility(d: int):
     """Run the composition check for every nonempty index set avoiding d."""
     lines = []
     ok = True
-    for idx in _all_index_sets(d, d - 1):
+    for idx in _all_index_sets(d - 1):
         amb, _coloring, emb = ambient_with_induced_diamond(d, idx)
         site = CrossFlip(d=d, spec=idx, embedding=emb)
         good = verify_reducibility_composition(d, idx, amb, site)
@@ -508,7 +508,7 @@ def verify_count(d: int):
     return ok, lines
 
 
-def _all_index_sets(d: int, top: int):
+def _all_index_sets(top: int):
     """Every nonempty subset of 0..top as a sorted tuple, by size."""
     for r in range(1, top + 2):
         for idx in itertools.combinations(range(top + 1), r):
@@ -519,7 +519,7 @@ def verify_hvector(d: int):
     ok = True
     lines = []
     n = 0
-    for idx in _all_index_sets(d, d + 1):
+    for idx in _all_index_sets(d + 1):
         got = h_vector_formula(d, idx)
         want = h_vector(diamond_closed_form(d, idx))
         if got != want:
@@ -537,7 +537,7 @@ def verify_complement(d: int):
     lines = []
     cd = cross_polytope(d)
     n = 0
-    for idx in _all_index_sets(d, d):
+    for idx in _all_index_sets(d):
         dc = diamond_closed_form(d, idx)
         hd = h_vector(dc)
         hc = h_vector(delete_subcomplex(cd, dc))
@@ -556,7 +556,7 @@ def verify_shelling_theorem(d: int):
     ok = True
     lines = []
     n_abs = 0
-    for idx in _all_index_sets(d, d + 1):
+    for idx in _all_index_sets(d + 1):
         cert = absolute_shelling_order(d, idx)
         verify_certificate(diamond_closed_form(d, idx), cert)
         if _restriction_histogram(cert.restrictions, d) != h_vector_formula(d, idx):
@@ -567,7 +567,7 @@ def verify_shelling_theorem(d: int):
 
     n_rel = 0
     n_skip = 0
-    for sset in _all_index_sets(d, d + 1):
+    for sset in _all_index_sets(d + 1):
         if len(sset) == d + 2:
             continue
         amb, _coloring, _emb = ambient_with_induced_diamond_any(d, sset)

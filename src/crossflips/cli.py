@@ -247,7 +247,7 @@ def _anchor_embedding(c: Complex, spec: tuple, anchor: tuple) -> dict:
     d = c.dimension
     if d is None:
         raise StepFailed("?", "the empty complex has no flip site")
-    plan = _moves._flip_plan(d, _check_index_set(d, spec, d))
+    plan = _moves._flip_plan(d, _check_index_set(spec, d))
     if len(anchor) != d + 1:
         raise StepFailed("?", "anchor needs %d vertices" % (d + 1))
     img = list(anchor)  # ambient vertex of each abstract vertex slot

@@ -66,7 +66,7 @@ class IndexSetViolatesPrecondition(ComplexError):
 # index sets
 
 
-def _check_index_set(d: int, indices, top: int) -> tuple:
+def _check_index_set(indices, top: int) -> tuple:
     """*indices* sorted without repeats, the one rule for naming a class: it
     must be nonempty (else ``EmptyIndexSet``), of ints (else ``TypeError``,
     for 2.0 and True too) in 0..top (else ``ValueError``)."""
@@ -87,7 +87,7 @@ def canonicalize(d: int, indices) -> tuple:
     vertex swap at position m-1, as the single index m-1; the rewrite is
     applied greedily until d+1 disappears.
     """
-    s = set(_check_index_set(d, indices, d + 1))
+    s = set(_check_index_set(indices, d + 1))
     while d + 1 in s:
         m = d + 1
         while m - 1 in s:
@@ -101,7 +101,7 @@ def canonicalize(d: int, indices) -> tuple:
 
 def complement_index(d: int, indices) -> tuple:
     """Canonical index set of the cross-polytope complement."""
-    s = _check_index_set(d, indices, d)
+    s = _check_index_set(indices, d)
     return canonicalize(d, set(range(d + 2)) - set(s))
 
 
@@ -139,7 +139,7 @@ def simplex_boundary(d: int) -> Complex:
 
 def gamma(d: int, indices) -> Complex:
     """Union of the simplex-boundary facets missing each chosen index."""
-    idx = _check_index_set(d, indices, d + 1)
+    idx = _check_index_set(indices, d + 1)
     verts = set(base(i) for i in range(d + 2))
     return Complex(frozenset(verts - {base(i)}) for i in idx)
 
@@ -188,7 +188,7 @@ def diamond_closed_form(d: int, indices) -> Complex:
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    return _closed_form(d, _check_index_set(d, indices, d + 1))
+    return _closed_form(d, _check_index_set(indices, d + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,7 +232,7 @@ def minimal_nonfaces(d: int, indices) -> list:
     it has none), so the others are {v_a} with the indices of I below a,
     for a outside I and below some index of I, and the indices of I when
     d+1 is not in I; each set is kept when its tokens are vertices."""
-    idx = _check_index_set(d, indices, d + 1)
+    idx = _check_index_set(indices, d + 1)
     found = [frozenset([base(j), sub(j)]) for j in range(d + 1)]
     found += [frozenset([sub(a)] + [base(j) for j in idx if j < a])
               for a in range(idx[-1]) if a not in idx]
@@ -389,7 +389,7 @@ def relative_shelling_order(d: int, seq, boundary_face) -> ShellingCertificate:
 def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
     """Shelling of the diamond complex itself: ascending blocks, forward
     degree-lexicographic order, entry facets all-subdivided past the index."""
-    idx = _check_index_set(d, indices, d + 1)
+    idx = _check_index_set(indices, d + 1)
     order, rests = [], []
     for pos, i_l in enumerate(idx):
         f0 = entry_facet(d, i_l)
@@ -402,7 +402,7 @@ def absolute_shelling_order(d: int, indices) -> ShellingCertificate:
 
 def h_vector_formula(d: int, indices) -> tuple:
     """Entrywise h-vector of the diamond complex from its index set alone."""
-    idx = _check_index_set(d, indices, d + 1)
+    idx = _check_index_set(indices, d + 1)
     # block d+1 is one facet: it counts like a block of index d
     return tuple(
         sum(comb(max(d - i_j, 0), ell - j) for j, i_j in enumerate(idx) if j <= ell)
@@ -441,7 +441,7 @@ def decompose_rho_sigma(d: int, indices):
     union is the original complex and their intersection the one-dimension-
     lower diamond complex of I.
     """
-    idx = _check_index_set(d, indices, d)
+    idx = _check_index_set(indices, d)
     if d in idx:
         raise IndexSetViolatesPrecondition("requires d outside the index set")
     shifted = tuple(i + 1 for i in idx)
@@ -467,7 +467,7 @@ def decompose_zero(d: int, indices):
     identifying the intersection with the one-dimension-lower diamond
     complex of (I minus 0) shifted down.
     """
-    idx = _check_index_set(d, indices, d)
+    idx = _check_index_set(indices, d)
     if 0 not in idx:
         raise IndexSetViolatesPrecondition("requires 0 inside the index set")
     if len(idx) < 2:

@@ -85,18 +85,24 @@ complex and compiles both its walks over it (``_compile_walk``).
 
 Two vertex orders of a root that differ by an automorphism of the diamond
 complex fixing the root facet embed one image.  Each plan checks the swaps
-of neighbouring root slots that may be such automorphisms with one
-uncoloured run of its own search over its diamond complex, and marks the
-orders increasing along every checked swap, the first of each orbit of
-the group they generate (``_root_orbits``, ``_FlipPlan.mask``).  When no
-ridge of the ambient lies in three or more facets, the orders of an orbit
-all complete or all fail, and those that complete share one image, one
-colour verdict (an automorphism keeps partner pairs) and one non-face
-verdict, for any colouring and any complex.  There every search walks the
-marked orders alone (``_class_images``, ``_image_embedding``).  The first
-order of an orbit is the one the full loop reaches first, so the images,
-embeddings and their order are the same; a ridge in three facets keeps
-the full loop.
+of neighbouring root slots u, w that may be such automorphisms on its
+diamond complex's facets, with no search run: facets across a ridge
+differ in one pair, so the walk from the swapped order completes exactly
+when the pair swap (u w)(partner(u) partner(w)) maps the facets onto
+themselves.  It marks the orders increasing along every checked swap, the
+first of each orbit of the group they generate (``_root_orbits``,
+``_FlipPlan.mask``).  When no ridge of the ambient lies in three or more
+facets, the orders of an orbit all complete or all fail, and those that
+complete share one image, one colour verdict (an automorphism keeps
+partner pairs) and one non-face verdict, for any colouring and any
+complex.  There the site search walks the marked orders alone
+(``_class_images``); a ridge in three facets keeps the full loop.  The
+first order of an orbit is the one the full loop reaches first, so the
+images, embeddings and their order are the same.  ``_image_embedding``
+always walks the marked orders alone: a walk completing onto a complex
+with the diamond complex's facet count and size is an isomorphism, so
+that complex has no ridge in three facets, and on one that has, no order
+completes.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ class CrossFlip(_Record):
     def image_facets(self) -> frozenset:
         """The embedded facets, read from the class plan's tables; the index
         set must lie in 0..d, as ``apply_cross_flip_detailed`` asks."""
-        plan = _flip_plan(self.d, _diamond._check_index_set(self.d, self.spec, self.d))
+        plan = _flip_plan(self.d, _diamond._check_index_set(self.spec, self.d))
         labels = list(map(self.embedding.__getitem__, plan.order))
         return frozenset(frozenset(row(labels)) for row in plan.image_rows)
 
@@ -396,7 +402,7 @@ def apply_cross_flip_detailed(c: Complex, flip: CrossFlip) -> CrossFlipResult:
     if d != c.dimension:
         raise NotApplicable("a flip of dimension %s does not apply to a complex of dimension %s"
                             % (d, c.dimension))
-    spec = _diamond._check_index_set(d, flip.spec, d)
+    spec = _diamond._check_index_set(flip.spec, d)
     plan = _flip_plan(d, spec)
     emb = dict(flip.embedding)
     missing = plan.abstract.vertices.difference(emb)
@@ -537,34 +543,37 @@ def _compile_site_search(order: tuple, steps: tuple, d: int, nonfaces: tuple, na
     return namespace["search"]
 
 
-def _root_orbits(abstract: Complex, neighbours: dict, search, order: tuple, d: int):
+def _root_orbits(abstract: Complex, order: tuple, d: int):
     """The mask of the first vertex order of each root orbit, over the
     orders ``permutations(range(d + 1))`` yields, or None when no swap
     checks.
 
     An automorphism keeps the star sizes of a vertex and of its partner,
-    so the root slots are grouped in blocks by those.  Each swap of
-    neighbouring slots of a block is checked by one uncoloured run of the
-    plan's own *search* over the abstract complex's neighbour table
-    *neighbours* (``_walk_onto``, with the one-byte mask that walks the
-    swapped order alone).  Facets across a ridge differ in one pair, so a
-    walk maps pairs onto pairs one-to-one, and a swap whose walk completes
-    is an automorphism fixing the root facet.  The checked swaps generate
-    a subgroup H of the root stabiliser, the symmetric groups on runs of
-    checked neighbours, and the first order of each orbit p o H is the one
+    so the root slots are grouped in blocks by those.  A swap of
+    neighbouring slots i, j of a block, with root vertices u and w and
+    partners pu and pw, checks when the pair swap (u w)(pu pw) maps the
+    facets of *abstract* onto themselves: the walk from the swapped root
+    order completes exactly then, as facets across a ridge differ in one
+    pair, so the walk extends the swap to partners.  Every facet holds
+    one of u, pu and one of w, pw; the pair swap fixes the facets holding
+    u and w or pu and pw, and it is an involution, so it maps the facets
+    onto themselves exactly when it maps those holding u and pw onto
+    those holding pu and w.  The checked swaps generate a subgroup H of
+    the root stabiliser, the symmetric groups on runs of checked
+    neighbours, and the first order of each orbit p o H is the one
     increasing along every checked swap.  A subgroup's finer orbits walk
     more orders but find the same images in the same order."""
-    stars = abstract._star_index()
+    stars = collections.defaultdict(frozenset, abstract._star_index())
+    pairs = [(v, partner(v)) for v in order[:d + 1]]
     blocks = collections.defaultdict(list)
-    for i, v in enumerate(order[:d + 1]):
-        blocks[len(stars[v]), len(stars.get(partner(v), ()))].append(i)
-    root = frozenset(order[:d + 1])
+    for i, (v, pv) in enumerate(pairs):
+        blocks[len(stars[v]), len(stars[pv])].append(i)
     checked = []
     for block in blocks.values():
         for i, j in zip(block, block[1:]):
-            swapped = list(order[:d + 1])
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            if _walk_onto(search, neighbours, [(swapped, root)], b"\x01") is not None:
+            (u, pu), (w, pw) = pairs[i], pairs[j]
+            out, into = {u, pw}, {pu, w}
+            if {h - out | into for h in stars[u] & stars[pw]} == stars[pu] & stars[w]:
                 checked.append((i, j))
     return _orbit_mask(d, tuple(checked)) if checked else None
 
@@ -577,14 +586,6 @@ def _orbit_mask(d: int, checked: tuple) -> bytes:
     increasing = [map(operator.lt, map(operator.itemgetter(i), orders),
                       map(operator.itemgetter(j), orders)) for i, j in checked]
     return bytes(map(all, zip(*increasing)))
-
-
-def _walk_onto(search, neighbours: dict, roots, mask):
-    """The first image a compiled site *search* yields uncoloured over the
-    neighbour table *neighbours* from *roots*, or None: every colour is
-    None and every star empty, so only completing the walk counts."""
-    return next(search(neighbours, roots, {}.get, collections.defaultdict(frozenset), mask),
-                None)
 
 
 def _embeds_a_nonface(stars: dict, img, nonfaces) -> bool:
@@ -615,11 +616,13 @@ class _FlipPlan:
     ``_compile_site_search``).  Orders of a root that differ by an
     automorphism fixing the root facet embed one image, so ``mask`` marks
     the first order of each orbit of the group the checked swaps of root
-    slots generate (``_root_orbits``; None when no swap checks), which
-    every search walks alone over a complex with no ridge in three or more
-    facets (``_class_images``, ``_image_embedding``).  The
-    anchored embedding of a flip script walks from the entry facet of the
-    lowest block (``anchor_order``, ``anchor_steps``).  An image is induced
+    slots generate: those whose pair swap maps the diamond complex's
+    facets onto themselves (``_root_orbits``; None when no swap checks).
+    The site search walks the marked orders alone over a complex with no
+    ridge in three or more facets (``_class_images``), and
+    ``_image_embedding`` always does.  The anchored embedding of a flip
+    script walks from the entry facet of the lowest block
+    (``anchor_order``, ``anchor_steps``).  An image is induced
     unless one of ``nonfaces`` (the minimal non-faces of
     ``diamond.minimal_nonfaces``, as ascending slots of ``order``, edges
     first) maps to a face of the ambient; the glued complement likewise by
@@ -646,7 +649,7 @@ class _FlipPlan:
         complement = _diamond.diamond_closed_form(d, rest)
         for side, idx in ((abstract, spec), (complement, rest)):
             verify_certificate(side, _diamond.absolute_shelling_order(d, idx))
-        ordered, neighbours, _thin = view = _site_view(abstract)
+        ordered, _neighbours, _thin = view = _site_view(abstract)
         self.order, steps = _compile_walk(abstract, ordered[0][1], view)
         self.anchor_order, self.anchor_steps = _compile_walk(
             abstract, _diamond.entry_facet(d, spec[0]), view)
@@ -661,7 +664,7 @@ class _FlipPlan:
                                      key=lambda t: (len(t), t)))
         self.search = _compile_site_search(self.order, steps, d, self.nonfaces,
                                            "<site search d=%d I=%s>" % (d, spec))
-        self.mask = _root_orbits(abstract, neighbours, self.search, self.order, d)
+        self.mask = _root_orbits(abstract, self.order, d)
         self.complement_nonfaces = tuple(map(tuple, _diamond.minimal_nonfaces(d, rest)))
         image, glued = ([tuple(at[v] for v in sorted_face(f))
                          for f in sorted(side.facets, key=sorted_face)]
@@ -694,15 +697,17 @@ def _image_embedding(plan: _FlipPlan, k: Complex):
     image of it, or None.  With the facet counts and sizes equal, a walk
     that completes places each abstract facet on a distinct facet of k, so
     it maps onto k and no non-face maps to a face of k: the search runs
-    uncoloured (``_walk_onto``) from every facet of k (a class need not be
-    facet-transitive); the first image wins.  Like ``_class_images``, it
-    walks the plan's ``mask`` alone when no ridge of k lies in three or
-    more facets."""
+    uncoloured (every colour None, every star empty) from every facet of
+    k (a class need not be facet-transitive); the first image wins.  It
+    walks the plan's ``mask`` alone: a completed walk is an isomorphism,
+    so a k it completes on has, like the diamond complex, no ridge in
+    three or more facets, and on a k with one no order completes."""
     abstract = plan.abstract
     if (k.n_facets, k._common_size()) != (abstract.n_facets, abstract._common_size()):
         return None
-    ordered, neighbours, thin = _site_view(k)
-    img = _walk_onto(plan.search, neighbours, ordered, plan.mask if thin else None)
+    ordered, neighbours, _thin = _site_view(k)
+    img = next(plan.search(neighbours, ordered, {}.get, collections.defaultdict(frozenset),
+                           plan.mask), None)
     return None if img is None else dict(zip(plan.order, img))
 
 
@@ -760,7 +765,7 @@ def _site_class(d, indices):
     if d is None:
         return None
     try:
-        return _diamond._check_index_set(d, indices, d)
+        return _diamond._check_index_set(indices, d)
     except (_diamond.EmptyIndexSet, TypeError, ValueError):
         return None
 

@@ -47,7 +47,7 @@ def former_sites(c, coloring, indices):
     if d is None:
         return []
     try:
-        spec = _check_index_set(d, indices, d)
+        spec = _check_index_set(indices, d)
     except ValueError:
         return []
     abstract = diamond_closed_form(d, spec)
@@ -462,7 +462,7 @@ def test_a_failing_swap_keeps_the_images(d, facets, marks):
     ordered, neighbours, _thin = view = moves._site_view(abstract)
     order, steps = moves._compile_walk(abstract, ordered[0][1], view)
     search = moves._compile_site_search(order, steps, d, (), "<test search>")
-    mask = moves._root_orbits(abstract, neighbours, search, order, d)
+    mask = moves._root_orbits(abstract, order, d)
     former = former_root_orbits(abstract, neighbours, order, steps, d)
     assert (sum(former), mask and sum(mask)) == marks
     every = bytes([1]) * math.factorial(d + 1)
@@ -475,6 +475,66 @@ def test_a_failing_swap_keeps_the_images(d, facets, marks):
     assert images
     assert list(search(nb, roots, coloring.get, stars, mask)) == images
     assert list(search(nb, roots, coloring.get, stars, former)) == images
+
+
+def test_building_a_plan_runs_no_search(monkeypatch):
+    """A plan checks its root swaps on its diamond complex's facet set:
+    building every plan at d=1..4 runs none of the searches it compiles,
+    and the masks are the cached plans'.  The spy is live: the first
+    embedding through a plan built under it runs that plan's search."""
+    runs = []
+    compile_search = moves._compile_site_search
+
+    def spied_compile(order, steps, d, nonfaces, name):
+        search = compile_search(order, steps, d, nonfaces, name)
+
+        def spied(*args):
+            runs.append(name)
+            return search(*args)
+
+        return spied
+
+    monkeypatch.setattr(moves, "_compile_site_search", spied_compile)
+    built = [moves._FlipPlan(d, spec) for d in range(1, 5) for spec in _specs(d)]
+    assert runs == []
+    plan = built[-1]
+    assert moves._image_embedding(plan, plan.abstract) is not None
+    assert runs == ["<site search d=4 I=%s>" % (_specs(4)[-1],)]
+    monkeypatch.undo()
+    assert [p.mask for p in built] == [moves._flip_plan(d, spec).mask
+                                      for d in range(1, 5) for spec in _specs(d)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_image_embedding_refuses_a_ridge_in_three_facets_with_the_mask(monkeypatch, d):
+    """A complex with a class's facet count and size whose ridge lies in
+    three facets is no image: every class with a mask embeds nothing onto
+    it, walking its marked orders as when walking every order."""
+    masks = []
+    tried = 0
+    for spec in _specs(d):
+        plan = moves._flip_plan(d, spec)
+        facets = sorted(plan.abstract.facets, key=sorted_face)
+        if plan.mask is None or len(facets) < 3:
+            continue
+        ridge = next(facets[0] & g for g in facets if len(facets[0] & g) == d)
+        drop = next(g for g in facets if not ridge <= g)
+        k = Complex([g for g in facets if g != drop] + [ridge | {"x"}])
+        assert k.n_facets == len(facets) and not moves._site_view(k)[2]
+        want, search = plan.mask, plan.search
+
+        def spied(nb, roots, colour, stars, mask=None, search=search):
+            masks.append(mask)
+            return search(nb, roots, colour, stars, mask)
+
+        monkeypatch.setattr(plan, "search", spied)
+        assert moves._image_embedding(plan, k) is None
+        monkeypatch.setattr(plan, "mask", None)
+        assert moves._image_embedding(plan, k) is None
+        assert masks[-2:] == [want, None]
+        monkeypatch.undo()
+        tried += 1
+    assert tried > 0
 
 
 def test_root_orbits_match_the_former_search_on_late_d3_walk_states(monkeypatch):

@@ -32,12 +32,12 @@ def _seq(fs) -> list:
 
 
 def _proper_index_sets(d: int):
-    return [idx for idx in catalog._all_index_sets(d, d + 1) if len(idx) < d + 2]
+    return [idx for idx in catalog._all_index_sets(d + 1) if len(idx) < d + 2]
 
 
 def absolute_rows(d: int) -> list:
     rows = []
-    for idx in catalog._all_index_sets(d, d + 1):
+    for idx in catalog._all_index_sets(d + 1):
         cert = diamond.absolute_shelling_order(d, idx)
         rows.append((idx, _seq(cert.order), _seq(cert.restrictions)))
     return rows
